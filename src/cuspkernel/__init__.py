@@ -30,10 +30,9 @@ from .kernel import (
     residual_certificate,
 )
 from .modgroup import (
-    CosetRep,
     EllipticPoint,
     StripRegion,
-    coset_reps,
+    coset_row,
     elliptic_points_in_strip,
     in_bulk,
     min_displacement,

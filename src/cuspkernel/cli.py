@@ -52,8 +52,9 @@ def _rng(seed: int):
 
 
 def _emit(args, payload: str) -> None:
+    """Write payload to --out (its exact characters) or to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -68,8 +69,8 @@ def _fmt(x: float) -> str:
 
 
 def cmd_kernel(args) -> int:
-    cfg = WeightConfig(args.k, args.tol, args.A, args.c0)
-    res = bergman_R(args.z, args.w if args.w else args.z, cfg, fast=args.fast)
+    cfg = WeightConfig(args.k, args.tol)
+    res = bergman_R(args.z, args.w if args.w else args.z, cfg)
     record = {
         "k": args.k,
         "re": res.value.real,
@@ -101,7 +102,7 @@ def cmd_scan(args) -> int:
     except ValueError:
         print("malformed --grid, expected x0,x1,nx,y0,y1,ny", file=sys.stderr)
         return 2
-    cfg = WeightConfig(args.k, args.tol, args.A, args.c0)
+    cfg = WeightConfig(args.k, args.tol)
     xs = [x0] if nx == 1 else [x0 + i * (x1 - x0) / (nx - 1) for i in range(nx)]
     ys = [y0] if ny == 1 else [y0 + j * (y1 - y0) / (ny - 1) for j in range(ny)]
     buf = io.StringIO()
@@ -109,7 +110,7 @@ def cmd_scan(args) -> int:
     w.writerow(["x", "y", "k", "re_R", "im_R", "tail_bound", "terms_used"])
     for y in ys:
         for x in xs:
-            res = bergman_R(Point(x, y), Point(x, y), cfg, fast=args.fast)
+            res = bergman_R(Point(x, y), Point(x, y), cfg)
             w.writerow([_fmt(x), _fmt(y), args.k, _fmt(res.value.real),
                         _fmt(res.value.imag), _fmt(res.tail_bound),
                         res.terms_used])
@@ -118,12 +119,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    delta = args.delta if args.delta is not None else 0.05
-    region = StripRegion(args.Y, delta)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    region = StripRegion(args.Y, args.delta)
     elist = elliptic_points_in_strip(args.Y)
     rng = _rng(args.seed)
     zs = sample_bulk(region, elist, args.samples, rng)
-    bound = delta / (4.0 * args.Y)
+    bound = args.delta / (4.0 * args.Y)
     min_observed = math.inf
     worst = None
     for z in zs:
@@ -136,7 +138,7 @@ def cmd_lemmas(args) -> int:
         "rng": RNG_NAME,
         "seed": args.seed,
         "Y": args.Y,
-        "delta": delta,
+        "delta": args.delta,
         "samples": args.samples,
         "bound": bound,
         "min_observed": min_observed,
@@ -147,19 +149,13 @@ def cmd_lemmas(args) -> int:
     return 0 if passed else 4
 
 
-def _sweep_ks(args):
-    if args.sweep:
-        return [int(s) for s in args.sweep.split(",")]
-    return [args.k]
-
-
 def _run_integral(args, runner):
+    """One record per swept weight; runner(k) returns an IntegralResult."""
+    ks = [int(s) for s in args.sweep.split(",")] if args.sweep else [args.k]
     records = []
-    for k in _sweep_ks(args):
-        cfg = WeightConfig(k, args.tol, args.A, args.c0)
-        region = StripRegion(args.Y, args.delta if args.delta else 0.05)
+    for k in ks:
         t0 = time.time()
-        res = runner(cfg, region)
+        res = runner(k)
         ms = 1000.0 * (time.time() - t0)
         records.append({
             "k": k,
@@ -171,6 +167,12 @@ def _run_integral(args, runner):
             "wall_time_ms": ms,
         })
     return records
+
+
+def _strip(args) -> StripRegion:
+    # the line integrals read only Y from the region; the radius they carve
+    # out around elliptic points is WeightConfig.delta_for(Y)
+    return StripRegion(args.Y, 0.05)
 
 
 _SWEEP_COLUMNS = ("k", "x_or_y", "integral", "reference", "gap",
@@ -195,10 +197,12 @@ def _emit_records(args, records) -> None:
 def cmd_vertical(args) -> int:
     a, b = (float(s) for s in args.support.split(","))
     psi = TestFunction.bump(a, b, weight="log")
+    region = _strip(args)
     records = _run_integral(
         args,
-        lambda cfg, region: integrate_vertical(
-            args.x, psi, cfg, region, unsafe=args.unsafe, fast=args.fast
+        lambda k: integrate_vertical(
+            args.x, psi, WeightConfig(k, args.tol, args.A), region,
+            unsafe=args.unsafe,
         ),
     )
     for r in records:
@@ -219,10 +223,12 @@ def cmd_horizontal(args) -> int:
     else:
         print("--psi must be const, indicator:a,b or bump:a,b", file=sys.stderr)
         return 2
+    region = _strip(args)
     records = _run_integral(
         args,
-        lambda cfg, region: integrate_horizontal(
-            args.y, psi, cfg, region, unsafe=args.unsafe, fast=args.fast
+        lambda k: integrate_horizontal(
+            args.y, psi, WeightConfig(k, args.tol, args.A), region,
+            unsafe=args.unsafe,
         ),
     )
     for r in records:
@@ -236,8 +242,8 @@ def cmd_region(args) -> int:
     phi = BumpFunction2D(cx, cy, args.radius)
     records = _run_integral(
         args,
-        lambda cfg, region: integrate_region(
-            phi, cfg, unsafe=args.unsafe, fast=args.fast
+        lambda k: integrate_region(
+            phi, WeightConfig(k, args.tol), unsafe=args.unsafe
         ),
     )
     _emit_records(args, records)
@@ -257,72 +263,60 @@ def pretrace_points(n: int, seed: int) -> list:
 
 
 def cmd_pretrace(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     reports = []
     worst = 0.0
     for z in pretrace_points(args.points, args.seed):
         res = verify_pretrace(z, kernel_tol=1e-14, norm_tol=1e-10)
         worst = max(worst, res)
         reports.append({"x": z.x, "y": z.y, "residual": res})
+    passed = worst < args.max_residual
     payload = {
         "rng": RNG_NAME,
         "seed": args.seed,
-        "tol": args.tol,
+        "tol": args.max_residual,
         "max_residual": worst,
         "points": reports,
-        "pass": worst < args.tol,
+        "pass": passed,
     }
     _emit(args, _json(payload))
-    return 0 if worst < args.tol else 4
+    return 0 if passed else 4
 
 
 def cmd_elliptic(args) -> int:
-    pts = elliptic_points_in_strip(args.Y)
-    if args.out:
-        write_elliptic_csv(pts, args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["x", "y", "stab_order", "gen_a", "gen_b", "gen_c", "gen_d"])
-        for e in pts:
-            g = e.generator
-            w.writerow([repr(e.location.x), repr(e.location.y),
-                        e.stabilizer_order, g.a, g.b, g.c, g.d])
-        sys.stdout.write(buf.getvalue())
+    buf = io.StringIO()
+    write_elliptic_csv(elliptic_points_in_strip(args.Y), buf)
+    _emit(args, buf.getvalue())
     return 0
 
 
 def cmd_coeffs(args) -> int:
-    qexp = delta_coeffs(args.n)
-    if args.out:
-        write_coeffs_csv(qexp, args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "a_n"])
-        for n in range(1, qexp.N + 1):
-            w.writerow([n, qexp.a(n)])
-        sys.stdout.write(buf.getvalue())
+    buf = io.StringIO()
+    write_coeffs_csv(delta_coeffs(args.n), buf)
+    _emit(args, buf.getvalue())
     return 0
 
 
-def _add_common(p, *, k=True):
-    if k:
-        p.add_argument("--k", type=int, default=12, help="even weight >= 4")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="requested certified tail bound")
-    p.add_argument("--Y", type=float, default=7.0, help="strip parameter")
-    p.add_argument("--delta", type=float, default=None,
-                   help="neighborhood radius (hyperbolic)")
-    p.add_argument("--A", type=float, default=2.0, help="squeeze constant")
-    p.add_argument("--c0", type=float, default=0.125, help="proximity constant")
-    p.add_argument("--seed", type=int, default=20250809, help="64-bit RNG seed")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--fast", action="store_true",
-                   help="unordered reduction; results may differ in the last ulps")
-    p.add_argument("--unsafe", action="store_true",
-                   help="lift the proved support-window preconditions")
-    p.add_argument("--sweep", default=None, help="comma-separated k list")
+# options shared by several subcommands; each subcommand takes only the
+# ones its handler reads
+_FLAGS = {
+    "k": dict(type=int, default=12, help="even weight >= 4"),
+    "tol": dict(type=float, default=1e-9, help="requested certified tail bound"),
+    "Y": dict(type=float, default=7.0, help="strip parameter"),
+    "A": dict(type=float, default=2.0, help="squeeze constant"),
+    "seed": dict(type=int, default=20250809, help="64-bit RNG seed"),
+    "out": dict(default=None, help="output path (default stdout)"),
+    "format": dict(choices=("csv", "json"), default="json"),
+    "unsafe": dict(action="store_true",
+                   help="lift the proved support-window preconditions"),
+    "sweep": dict(default=None, help="comma-separated k list"),
+}
+
+
+def _add_flags(p, *names) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,50 +329,55 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="evaluate R_k(z, w)")
     p.add_argument("--z", type=parse_point, required=True)
     p.add_argument("--w", type=parse_point, default=None)
-    _add_common(p)
+    _add_flags(p, "k", "tol", "out", "format")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("scan", help="grid scan of the diagonal kernel")
     p.add_argument("--grid", required=True, help="x0,x1,nx,y0,y1,ny")
-    _add_common(p)
+    _add_flags(p, "k", "tol", "out")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("lemmas", help="displacement lemma verification")
     p.add_argument("--samples", type=int, default=1000)
-    _add_common(p, k=False)
+    p.add_argument("--delta", type=float, default=0.05,
+                   help="neighborhood radius (hyperbolic)")
+    _add_flags(p, "Y", "seed", "out")
     p.set_defaults(func=cmd_lemmas)
 
+    line_flags = ("k", "tol", "Y", "A", "out", "format", "unsafe", "sweep")
     p = sub.add_parser("vertical", help="vertical-geodesic mass integral")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--support", default="1,2", help="bump support a,b")
-    _add_common(p)
+    _add_flags(p, *line_flags)
     p.set_defaults(func=cmd_vertical)
 
     p = sub.add_parser("horizontal", help="horizontal-segment mass integral")
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--psi", default="const",
                    help="const | indicator:a,b | bump:a,b")
-    _add_common(p)
+    _add_flags(p, *line_flags)
     p.set_defaults(func=cmd_horizontal)
 
     p = sub.add_parser("region", help="2-D bump mass integral")
     p.add_argument("--center", default="0.1,1.2", help="cx,cy")
     p.add_argument("--radius", type=float, default=0.2)
-    _add_common(p)
+    _add_flags(p, "k", "tol", "out", "format", "unsafe", "sweep")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("pretrace", help="weight-12 pre-trace verification")
     p.add_argument("--points", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(func=cmd_pretrace, tol=1e-8)  # tol = residual threshold here
+    p.add_argument("--max-residual", type=float, default=1e-8,
+                   help="largest relative residual that passes")
+    _add_flags(p, "seed", "out")
+    p.set_defaults(func=cmd_pretrace)
 
     p = sub.add_parser("elliptic", help="dump elliptic points as CSV")
-    _add_common(p, k=False)
+    _add_flags(p, "Y", "out")
     p.set_defaults(func=cmd_elliptic)
 
     p = sub.add_parser("coeffs", help="dump discriminant-form coefficients")
     p.add_argument("--n", type=int, default=100)
-    _add_common(p, k=False)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_coeffs)
 
     return ap

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import NoCuspForms, SupportViolation
+from .errors import CuspKernelError, NoCuspForms, SupportViolation
 from .halfplane import Point
 from .kernel import WeightConfig, bergman_R
 from .modgroup import StripRegion, elliptic_points_in_strip
@@ -169,18 +169,18 @@ class IntegralResult(NamedTuple):
     nodes: int
 
 
-def measure_density(z: Point, cfg: WeightConfig, *, fast: bool = False) -> float:
+def measure_density(z: Point, cfg: WeightConfig) -> float:
     """(k-1)/(8 pi dim) * R_k(z, z); the imaginary part of the kernel on the
     diagonal must vanish within its certified tail."""
-    density, _err = _density_with_error(z, cfg, fast=fast)
+    density, _err = _density_with_error(z, cfg)
     return density
 
 
-def _density_with_error(z: Point, cfg: WeightConfig, *, fast: bool = False):
+def _density_with_error(z: Point, cfg: WeightConfig):
     md = MeasureDensity.for_weight(cfg.k)
-    res = bergman_R(z, z, cfg, fast=fast)
+    res = bergman_R(z, z, cfg)
     if abs(res.value.imag) > res.tail_bound + 1e-9:
-        raise RuntimeError(
+        raise CuspKernelError(
             f"diagonal kernel has spurious imaginary part {res.value.imag:.3e}"
         )
     return md.normalization * res.value.real, md.normalization * res.tail_bound
@@ -225,7 +225,7 @@ def _horizontal_crossings(y: float, elliptic_list, delta: float) -> list:
 
 def integrate_vertical(x: float, psi: TestFunction, cfg: WeightConfig,
                        region: StripRegion, *, unsafe: bool = False,
-                       rtol: float = 1e-4, fast: bool = False) -> IntegralResult:
+                       rtol: float = 1e-4) -> IntegralResult:
     """Integral of psi(y) against the mass density along Re z = x, with the
     squeezed-limit reference (3/pi) * int psi dy/y."""
     if psi.weight != "log":
@@ -242,7 +242,7 @@ def integrate_vertical(x: float, psi: TestFunction, cfg: WeightConfig,
         p = psi(y)
         if p == 0.0:
             return (0.0, 0.0)
-        dens, derr = _density_with_error(Point(x, y), cfg, fast=fast)
+        dens, derr = _density_with_error(Point(x, y), cfg)
         return (p * dens / y, abs(p) * derr / y)
 
     val, qerr, extra, nodes = adaptive(
@@ -254,7 +254,7 @@ def integrate_vertical(x: float, psi: TestFunction, cfg: WeightConfig,
 
 def integrate_horizontal(y: float, psi: TestFunction, cfg: WeightConfig,
                          region: StripRegion, *, unsafe: bool = False,
-                         rtol: float = 1e-4, fast: bool = False) -> IntegralResult:
+                         rtol: float = 1e-4) -> IntegralResult:
     """Integral of psi(x) against the mass density along Im z = y over one
     period, with reference (3/pi) * int psi dx.  psi may be an indicator."""
     if psi.weight != "lin":
@@ -271,7 +271,7 @@ def integrate_horizontal(y: float, psi: TestFunction, cfg: WeightConfig,
         p = psi(x)
         if p == 0.0:
             return (0.0, 0.0)
-        dens, derr = _density_with_error(Point(x, y), cfg, fast=fast)
+        dens, derr = _density_with_error(Point(x, y), cfg)
         return (p * dens, abs(p) * derr)
 
     val, qerr, extra, nodes = adaptive(
@@ -282,8 +282,7 @@ def integrate_horizontal(y: float, psi: TestFunction, cfg: WeightConfig,
 
 
 def integrate_region(phi: BumpFunction2D, cfg: WeightConfig, *,
-                     rtol: float = 1e-4, fast: bool = False,
-                     unsafe: bool = False) -> IntegralResult:
+                     rtol: float = 1e-4, unsafe: bool = False) -> IntegralResult:
     """2-D integral of phi against the mass density with the dxdy/y^2 base
     measure, compared to (3/pi) * int phi dxdy/y^2."""
     if not unsafe:
@@ -303,7 +302,7 @@ def integrate_region(phi: BumpFunction2D, cfg: WeightConfig, *,
             p = phi(x, y)
             if p == 0.0:
                 return (0.0, 0.0)
-            dens, derr = _density_with_error(Point(x, y), cfg, fast=fast)
+            dens, derr = _density_with_error(Point(x, y), cfg)
             return (p * dens / (y * y), abs(p) * derr / (y * y))
 
         val, qerr, extra, nodes = adaptive(inner, lo, hi, rtol=0.25 * rtol)

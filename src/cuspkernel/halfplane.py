@@ -144,11 +144,6 @@ def hyp_distance(z: Point, w: Point) -> float:
     return 2.0 * math.asinh(math.sqrt(pair_invariant(z, w)))
 
 
-def distance_from_u(u: float) -> float:
-    """Hyperbolic distance corresponding to a pair-invariant value."""
-    return 2.0 * math.asinh(math.sqrt(u))
-
-
 def u_from_distance(d: float) -> float:
     """Pair-invariant value corresponding to a hyperbolic distance."""
     s = math.sinh(0.5 * d)

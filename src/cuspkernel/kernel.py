@@ -18,9 +18,8 @@ certificate:
     by disk packing and bounding each ring by its inner-edge term, closed
     by a geometric series whose ratio is controlled analytically.
 
-Summation is exact (Shewchuk fsum) in the default mode, so the result is
-order-independent and deterministic; --fast style unordered numpy sums are
-available where reproducibility does not matter.
+Summation is exact (Shewchuk fsum), so the result is order-independent
+and deterministic.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .halfplane import (
 from .modgroup import (
     EllipticPoint,
     StripRegion,
+    coset_row,
     elliptic_points_in_strip,
     min_displacement,
     solve_top_row,
@@ -52,18 +52,17 @@ _HALF_PI = 0.5 * math.pi
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Weight, requested tail bound, and the experiment constants A, c0."""
+    """Weight, requested tail bound, and the squeeze constant A."""
 
     k: int
     tol: float = 1e-9
     A: float = 2.0
-    c0: float = 0.125
 
     def __post_init__(self):
         if self.k % 2 != 0 or self.k < 4:
             raise ValueError(f"weight must be an even integer >= 4, got {self.k}")
-        if self.tol <= 0 or self.A <= 0 or self.c0 <= 0:
-            raise ValueError("tol, A, c0 must be positive")
+        if self.tol <= 0 or self.A <= 0:
+            raise ValueError("tol and A must be positive")
 
     def delta_for(self, Y: float) -> float:
         """Neighborhood radius sqrt(128 A) * Y * sqrt(log k / k)."""
@@ -150,8 +149,7 @@ def _shortest_vector_sq(zc: complex) -> float:
 
 
 def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
-               magnitudes_only: bool = False, exclude_identity: bool = False,
-               fast: bool = False):
+               magnitudes_only: bool = False, exclude_identity: bool = False):
     """Shared enumeration engine.
 
     Returns (complex_or_real_sum, tail_bound, terms_used, cosets_used) for
@@ -211,15 +209,7 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
     cosets = [(0, 1, 1.0)]
     c = 1
     while (c * y) ** 2 <= R0:
-        s_max = math.sqrt(R0 - (c * y) ** 2)
-        d_arr = np.arange(math.ceil(-c * x - s_max), math.floor(-c * x + s_max) + 1)
-        if d_arr.size:
-            keep = np.gcd(c, np.abs(d_arr)) == 1
-            d_arr = d_arr[keep]
-            Q_arr = (c * x + d_arr) ** 2 + (c * y) ** 2
-            inside = Q_arr <= R0
-            for d, Q in zip(d_arr[inside], Q_arr[inside]):
-                cosets.append((c, int(d), float(Q)))
+        cosets += [(c, d, Q) for d, Q in coset_row(c, z, R0)]
         c += 1
 
     n_cosets = len(cosets)
@@ -294,24 +284,18 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
 
     if magnitudes_only:
         flat = np.concatenate(mag_parts) if mag_parts else np.zeros(0)
-        total = float(np.sum(flat)) if fast else math.fsum(flat.tolist())
-        return total, tail, n_terms, n_cosets
+        return math.fsum(flat.tolist()), tail, n_terms, n_cosets
 
     re_flat = np.concatenate(re_parts) if re_parts else np.zeros(0)
     im_flat = np.concatenate(im_parts) if im_parts else np.zeros(0)
-    if fast:
-        re_sum, im_sum = float(np.sum(re_flat)), float(np.sum(im_flat))
-    else:
-        re_sum = math.fsum(re_flat.tolist())
-        im_sum = math.fsum(im_flat.tolist())
+    re_sum = math.fsum(re_flat.tolist())
+    im_sum = math.fsum(im_flat.tolist())
     return complex(re_sum, im_sum), tail, n_terms, n_cosets
 
 
-def bergman_R(z: Point, w: Point, cfg: WeightConfig, *, fast: bool = False) -> KernelResult:
+def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
     """Evaluate R_k(z, w) with a certified truncation bound <= cfg.tol."""
-    half, tail, n_terms, n_cosets = _sum_terms(
-        z, w, cfg.k, 0.5 * cfg.tol, fast=fast
-    )
+    half, tail, n_terms, n_cosets = _sum_terms(z, w, cfg.k, 0.5 * cfg.tol)
     result = KernelResult(2.0 * half, 2.0 * tail, n_terms, n_cosets)
     if result.tail_bound > cfg.tol:
         raise CutoffExceeded(

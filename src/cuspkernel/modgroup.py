@@ -12,10 +12,11 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .errors import StabilizerSearchFailed
+from .errors import CutoffExceeded, StabilizerSearchFailed
 from .halfplane import (
     GammaMatrix,
     Point,
+    fixed_point,
     hyp_distance,
     moebius_apply,
     pair_invariant,
@@ -62,31 +63,12 @@ class EllipticPoint:
                 f"generator trace {self.generator.trace} cannot generate a "
                 f"cyclic group of order {self.stabilizer_order}"
             )
-        image = moebius_apply(self.generator, self.location)
-        if hyp_distance(image, self.location) > 1e-12:
+        # rounding in a computed location grows like 1/Im z, so the check
+        # is relative to the height, against the exact fixed-point formula
+        fp = fixed_point(self.generator)
+        z = self.location
+        if math.hypot(fp.x - z.x, fp.y - z.y) > 1e-9 * z.y:
             raise ValueError("generator does not fix the location")
-
-
-@dataclass(frozen=True)
-class CosetRep:
-    """A representative of a translation coset, canonicalized to c >= 0."""
-
-    matrix: GammaMatrix
-
-    def __post_init__(self):
-        c, d = self.matrix.c, self.matrix.d
-        if c < 0 or (c == 0 and d != 1):
-            raise ValueError("coset rep must have c > 0, or (c, d) = (0, 1)")
-        if math.gcd(c, d) != 1:
-            raise ValueError("(c, d) must be coprime")
-
-    @property
-    def c(self) -> int:
-        return self.matrix.c
-
-    @property
-    def d(self) -> int:
-        return self.matrix.d
 
 
 def solve_top_row(c: int, d: int) -> tuple:
@@ -102,63 +84,63 @@ def solve_top_row(c: int, d: int) -> tuple:
     return (a, b)
 
 
-def coset_reps(c_max: int, d_max: int | None = None) -> list:
-    """One representative per translation coset (c, d), coprime.
+def coset_row(c: int, z: Point, R: float) -> list:
+    """The translation cosets of row c >= 1 with |cz+d|^2 <= R.
 
-    c runs over 0..c_max and d over |d| <= d_max (default c_max, at least 1);
-    for c = 0 only the identity coset (0, 1) is produced, identifying the
-    sign.  Reps with the same (c, d) would differ by powers of T on the
-    left; the returned (a, b) is the canonical one with 0 <= a < c.
+    Returns (d, Q) pairs, Q = |cz+d|^2, for every d coprime to c, in
+    increasing order of d; the canonical top row of each coset is
+    solve_top_row(c, d).  The identity coset (0, 1) is not a row.
     """
-    if c_max < 0:
-        raise ValueError("c_max must be >= 0")
-    if d_max is None:
-        d_max = max(c_max, 1)
-    reps = [CosetRep(GammaMatrix(1, 0, 0, 1))]
-    for c in range(1, c_max + 1):
-        for d in range(-d_max, d_max + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            a, b = solve_top_row(c, d)
-            reps.append(CosetRep(GammaMatrix(a, b, c, d)))
-    return reps
+    if c < 1:
+        raise ValueError("coset rows start at c = 1")
+    cy2 = (c * z.y) ** 2
+    if cy2 > R:
+        return []
+    s = math.sqrt(R - cy2)
+    cx = c * z.x
+    row = []
+    for d in range(math.ceil(-cx - s), math.floor(-cx + s) + 1):
+        if math.gcd(c, d) != 1:
+            continue
+        t = cx + d
+        Q = t * t + cy2
+        if Q <= R:
+            row.append((d, Q))
+    return row
 
 
-def _orbit_points_in_strip(z0: complex, q_form, q_max: int, order: int,
+def _orbit_points_in_strip(z0: Point, q_max: int, order: int,
                            generator0: GammaMatrix):
     """All Gamma-images of z0 at height >= Im(z0)/q_max inside |Re| <= 1/2.
 
-    q_form(c, d) is the integer value of |c z0 + d|^2 / Im-normalization for
-    the given base point; images with this form <= q_max exhaust the strip
-    (the tolerance on the closed Re-boundary is 1e-9, so points landing on
-    both edges are reported twice, once per edge).
+    For the base points used here |c z0 + d|^2 is an integer-valued form,
+    so the cosets with form <= q_max are those with Q <= q_max + 1/2 (the
+    margin absorbs rounding in Q).  The tolerance on the closed Re-boundary
+    is 1e-9, so points landing on both edges are reported twice, once per
+    edge.
     """
     tol = 1e-9
+    R = q_max + 0.5
+    cosets = [(0, 1)]
+    c = 1
+    while (c * z0.y) ** 2 <= R:
+        cosets += [(c, d) for d, _ in coset_row(c, z0, R)]
+        c += 1
     found = {}
-    # |c| can reach sqrt(4 q/3) for the order-6 form c^2 + cd + d^2
-    c_hi = int(math.isqrt(4 * q_max // 3 + 1)) + 2
-    for c in range(0, c_hi + 1):
-        d_hi = int(math.isqrt(q_max)) + abs(c) + 2
-        for d in range(-d_hi, d_hi + 1):
-            if c == 0 and d != 1:
+    for c, d in cosets:
+        a, b = solve_top_row(c, d)
+        g0 = GammaMatrix(a, b, c, d)
+        base = moebius_apply(g0, z0)
+        m_lo = math.ceil(-0.5 - base.x - tol)
+        m_hi = math.floor(0.5 - base.x + tol)
+        for m in range(m_lo, m_hi + 1):
+            g = GammaMatrix.T(m) * g0
+            p = Point(base.x + m, base.y)
+            key = (round(p.x * 1e9), round(p.y * 1e9))
+            if key in found:
                 continue
-            if math.gcd(c, d) != 1:
-                continue
-            if q_form(c, d) > q_max:
-                continue
-            a, b = solve_top_row(c, d)
-            g0 = GammaMatrix(a, b, c, d)
-            base = moebius_apply(g0, Point.from_complex(z0))
-            m_lo = math.ceil(-0.5 - base.x - tol)
-            m_hi = math.floor(0.5 - base.x + tol)
-            for m in range(m_lo, m_hi + 1):
-                g = GammaMatrix.T(m) * g0
-                p = Point(base.x + m, base.y)
-                key = (round(p.x * 1e9), round(p.y * 1e9))
-                if key in found:
-                    continue
-                gen = g * generator0 * g.inverse()
-                found[key] = EllipticPoint(p, order, gen)
+            gen = g * generator0 * g.inverse()
+            found[key] = EllipticPoint(p, order, gen)
     return list(found.values())
 
 
@@ -177,15 +159,10 @@ def elliptic_points_in_strip(Y: float) -> list:
     pts = []
     # orbit of i: |c*i + d|^2 = c^2 + d^2, heights 1/(c^2+d^2)
     q_max_i = math.floor(2.0 * Y / math.sqrt(3.0) + 1e-9)
-    pts += _orbit_points_in_strip(
-        1j, lambda c, d: c * c + d * d, q_max_i, 4, GammaMatrix.S()
-    )
+    pts += _orbit_points_in_strip(Point(0.0, 1.0), q_max_i, 4, GammaMatrix.S())
     # orbit of e^{i pi/3}: |c z0 + d|^2 = c^2 + cd + d^2, heights (sqrt3/2)/form
     q_max_r = math.floor(Y + 1e-9)
-    rho = complex(0.5, SQRT3_2)
-    pts += _orbit_points_in_strip(
-        rho, lambda c, d: c * c + c * d + d * d, q_max_r, 6, U_GENERATOR
-    )
+    pts += _orbit_points_in_strip(Point(0.5, SQRT3_2), q_max_r, 6, U_GENERATOR)
     pts.sort(key=lambda e: (-e.location.y, e.location.x))
     return pts
 
@@ -271,15 +248,7 @@ def min_displacement(z: Point, search_bound: int | None = None,
         b_cur = best_u + 1e-9
         # admissible Q window: (Q-1)^2/(4Q) <= b  =>  Q in [1/Q+, Q+]
         q_hi = 1.0 + 2.0 * b_cur + 2.0 * math.sqrt(b_cur * (1.0 + b_cur))
-        if cy2 > q_hi:
-            continue
-        s = math.sqrt(q_hi - cy2)
-        d_lo = math.ceil(-c * x - s)
-        d_hi = math.floor(-c * x + s)
-        for d in range(d_lo, d_hi + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            Q = (c * x + d) ** 2 + cy2
+        for d, Q in coset_row(c, z, q_hi):
             if _u_height_floor(Q) > best_u + 1e-12:
                 continue
             a0, b0 = solve_top_row(c, d)
@@ -321,7 +290,7 @@ def sample_bulk(region: StripRegion, elliptic_list, n: int, rng,
     while len(out) < n:
         attempts += 1
         if attempts > 1000 * n + 1000:
-            raise RuntimeError("rejection sampling stalled; delta too large?")
+            raise CutoffExceeded("rejection sampling stalled; delta too large?")
         x = rng.uniform(-0.5, 0.5)
         y = rng.uniform(y_lo, y_max)
         z = Point(x, y)
@@ -330,14 +299,13 @@ def sample_bulk(region: StripRegion, elliptic_list, n: int, rng,
     return out
 
 
-def write_elliptic_csv(points, path) -> None:
-    """Dump an elliptic-point list with stabilizer data as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "stab_order", "gen_a", "gen_b", "gen_c", "gen_d"])
-        for e in points:
-            g = e.generator
-            writer.writerow(
-                [repr(e.location.x), repr(e.location.y), e.stabilizer_order,
-                 g.a, g.b, g.c, g.d]
-            )
+def write_elliptic_csv(points, fh) -> None:
+    """Write an elliptic-point list with stabilizer data as CSV to a text stream."""
+    writer = csv.writer(fh)
+    writer.writerow(["x", "y", "stab_order", "gen_a", "gen_b", "gen_c", "gen_d"])
+    for e in points:
+        g = e.generator
+        writer.writerow(
+            [repr(e.location.x), repr(e.location.y), e.stabilizer_order,
+             g.a, g.b, g.c, g.d]
+        )

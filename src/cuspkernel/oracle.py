@@ -293,9 +293,9 @@ def verify_pretrace(z: Point, cfg=None, *, kernel_tol: float = 1e-14,
     return abs(lhs - rhs) / abs(rhs)
 
 
-def write_coeffs_csv(qexp: QExpansion, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "a_n"])
-        for n in range(1, qexp.N + 1):
-            writer.writerow([n, qexp.a(n)])
+def write_coeffs_csv(qexp: QExpansion, fh) -> None:
+    """Write the coefficients n, a_n as CSV to a text stream."""
+    writer = csv.writer(fh)
+    writer.writerow(["n", "a_n"])
+    for n in range(1, qexp.N + 1):
+        writer.writerow([n, qexp.a(n)])

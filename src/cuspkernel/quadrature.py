@@ -11,32 +11,35 @@ from __future__ import annotations
 import heapq
 import math
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1] (QUADPACK nodes).
+from .errors import CutoffExceeded
+
+# 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the 33-digit
+# QUADPACK qk15 nodes and weights, rounded to double by the parser.
 _XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
     0.0,
 )
 _WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 _WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
 
@@ -71,7 +74,8 @@ def adaptive(f, a, b, *, rtol=1e-6, atol=0.0, breakpoints=(), max_panels=2000):
     f(x) returns either a value or a (value, extra_error) pair.  Returns
     (integral, quad_error, extra_error, nodes).  breakpoints inside (a, b)
     seed the initial panel layout (feature boundaries, jumps of indicator
-    integrands, neighborhood edges).
+    integrands, neighborhood edges).  Raises CutoffExceeded when the
+    quadrature error is still above tolerance at max_panels panels.
     """
     if a == b:
         return 0.0, 0.0, 0.0, 0
@@ -89,11 +93,17 @@ def adaptive(f, a, b, *, rtol=1e-6, atol=0.0, breakpoints=(), max_panels=2000):
         heapq.heappush(heap, (-err, counter, lo, hi, val, err, extra))
         counter += 1
     n_panels = len(heap)
-    while n_panels < max_panels:
+    while True:
         integral = sum(item[4] for item in heap)
         quad_err = sum(item[5] for item in heap)
         if quad_err <= max(atol, rtol * abs(integral)):
             break
+        if n_panels >= max_panels:
+            raise CutoffExceeded(
+                f"quadrature error {quad_err:.3e} above tolerance after "
+                f"{n_panels} panels",
+                best_tail_bound=quad_err,
+            )
         item = heapq.heappop(heap)
         lo, hi = item[2], item[3]
         if item[5] == 0.0:

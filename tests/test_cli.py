@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from cuspkernel.cli import main, parse_point
+from cuspkernel.cli import build_parser, main, parse_point
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -166,6 +169,12 @@ class TestIntegralCommands:
 
 
 class TestPretraceCommand:
+    def test_residual_threshold_flag(self, capsys):
+        rc, out, _ = run(capsys, "pretrace", "--points", "1", "--seed", "42",
+                         "--max-residual", "1e-30")
+        rec = json.loads(out)
+        assert rc == 4 and not rec["pass"] and rec["tol"] == 1e-30
+
     def test_single_point_passes(self, capsys):
         rc, out, _ = run(capsys, "pretrace", "--points", "1", "--seed", "42")
         rec = json.loads(out)
@@ -192,3 +201,80 @@ class TestDumpCommands:
         rc, out, _ = run(capsys, "coeffs", "--n", "5")
         lines = out.strip().splitlines()
         assert rc == 0 and lines[1] == "1,1" and lines[2] == "2,-24"
+
+
+class TestGoldenBytes:
+    # elliptic generators follow the coset enumeration order, and scan
+    # prints 17 digits, so a change in either the order or the rounding
+    # of |cz+d|^2 shows here
+    @pytest.mark.parametrize("argv, name", [
+        (("scan", "--grid=-0.5,0.5,9,0.3,2.5,9", "--k", "24"), "scan_k24.csv"),
+        (("elliptic", "--Y", "40"), "elliptic_Y40.csv"),
+    ])
+    def test_output_matches_golden_file(self, capsys, tmp_path, argv, name):
+        want = (GOLDEN / name).read_bytes()
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out.encode() == want
+        path = tmp_path / name
+        rc, _, _ = run(capsys, *argv, "--out", str(path))
+        assert rc == 0 and path.read_bytes() == want
+
+
+FLAGS = {
+    "kernel": {"z", "w", "k", "tol", "out", "format"},
+    "scan": {"grid", "k", "tol", "out"},
+    "lemmas": {"samples", "Y", "delta", "seed", "out"},
+    "vertical": {"x", "support", "k", "tol", "Y", "A", "out", "format",
+                 "unsafe", "sweep"},
+    "horizontal": {"y", "psi", "k", "tol", "Y", "A", "out", "format",
+                   "unsafe", "sweep"},
+    "region": {"center", "radius", "k", "tol", "out", "format", "unsafe",
+               "sweep"},
+    "pretrace": {"points", "seed", "max-residual", "out"},
+    "elliptic": {"Y", "out"},
+    "coeffs": {"n", "out"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command")
+        got = {}
+        for name, parser in sub.choices.items():
+            got[name] = {opt[2:] for a in parser._actions
+                         for opt in a.option_strings if opt != "--help"
+                         and opt != "-h"}
+        assert got == FLAGS
+        assert sum(len(v) for v in got.values()) == 51
+
+    def test_pretrace_refuses_a_weight(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrace", "--k", "24", "--points", "1"])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lemmas", "--samples", "0"], 2),
+    (["lemmas", "--samples", "-3"], 2),
+    (["lemmas", "--Y", "1", "--delta", "5", "--samples", "1"], 3),
+    (["lemmas", "--Y", "0"], 2),
+    (["lemmas", "--delta", "-1"], 2),
+    (["lemmas", "--Y", "3", "--samples", "2", "--seed", "1"], 0),
+    (["lemmas", "--samples", "x"], 2),
+    (["pretrace", "--points", "0"], 2),
+    (["elliptic", "--Y", "0.5"], 2),
+    (["coeffs", "--n", "0"], 2),
+    (["vertical", "--x", "0.1", "--support", "2"], 2),
+    (["region", "--center", "0.1", "--k", "120"], 2),
+    (["scan", "--grid", "0,0,1,1,1,1", "--k", "7"], 2),
+])
+def test_exits_with_a_documented_code(capsys, argv, code):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err

@@ -173,11 +173,6 @@ class TestBergmanR:
             bergman_R(I_PT, I_PT, WeightConfig(6, 1e-13))
         assert time.time() - t0 < 5.0
 
-    def test_fast_mode_close(self):
-        res = bergman_R(BULK, BULK, WeightConfig(36, 1e-10))
-        fast = bergman_R(BULK, BULK, WeightConfig(36, 1e-10), fast=True)
-        assert abs(res.value - fast.value) < 1e-10
-
     def test_diagonal_group_invariance_at_low_point(self):
         # the diagonal kernel is invariant under the group action; a point
         # deep below the fundamental domain and its reduced representative

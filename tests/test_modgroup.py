@@ -1,5 +1,6 @@
 """Tests for coset enumeration, elliptic points, and displacement bounds."""
 
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from cuspkernel import (
     GammaMatrix,
     Point,
     StripRegion,
-    coset_reps,
+    coset_row,
     elliptic_points_in_strip,
     fixed_point,
     hyp_distance,
@@ -19,7 +20,7 @@ from cuspkernel import (
     pair_invariant,
     stabilizer,
 )
-from cuspkernel.modgroup import sample_bulk, write_elliptic_csv
+from cuspkernel.modgroup import sample_bulk, solve_top_row, write_elliptic_csv
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -42,30 +43,36 @@ def brute_force_sl2(entry_bound):
 
 
 class TestCosetReps:
-    def test_identity_only_at_zero(self):
-        reps = coset_reps(0)
-        assert len(reps) == 1
-        assert reps[0].matrix.entries() == (1, 0, 0, 1)
+    # coset representatives come from coset_row (the d of each row c >= 1)
+    # and solve_top_row (the canonical top row of each (c, d))
+
+    def test_row_zero_is_refused(self):
+        # row 0 holds only the identity coset (0, 1), which callers add
+        with pytest.raises(ValueError):
+            coset_row(0, Point(0.0, 1.0), 10.0)
+        assert coset_row(1, Point(0.0, 1.0), 0.99) == []
 
     def test_cmax_one_contains_s_coset(self):
-        pairs = {(r.c, r.d) for r in coset_reps(1)}
-        assert (1, 0) in pairs  # the inversion coset
-        assert (1, 1) in pairs
-        assert (0, 1) in pairs
+        ds = [d for d, _ in coset_row(1, Point(0.0, 1.0), 2.0)]
+        assert ds == [-1, 0, 1]  # 0 is the inversion coset (1, 0)
 
     def test_one_rep_per_pair(self):
-        reps = coset_reps(6, d_max=9)
-        pairs = [(r.c, r.d) for r in reps]
-        assert len(pairs) == len(set(pairs))
-        for r in reps:
-            g = r.matrix
-            assert g.a * g.d - g.b * g.c == 1
-            assert math.gcd(r.c, r.d) == 1
+        z = Point(0.23, 0.4)
+        for c in range(1, 7):
+            row = coset_row(c, z, 90.0)
+            ds = [d for d, _ in row]
+            assert ds == sorted(set(ds))
+            for d, Q in row:
+                assert math.gcd(c, d) == 1
+                assert Q == pytest.approx(abs(c * z.as_complex + d) ** 2,
+                                          rel=1e-15)
+                assert Q <= 90.0
+                a, b = solve_top_row(c, d)
+                assert a * d - b * c == 1 and 0 <= a < c
 
     def test_c5_count_per_period(self):
         # oracle: phi(5) = 4 residues coprime to 5 in any window of 5
-        reps = [r for r in coset_reps(5, d_max=24) if r.c == 5]
-        ds = sorted(r.d for r in reps)
+        ds = [d for d, _ in coset_row(5, Point(0.0, 0.1), 24.5 ** 2)]
         direct = [d for d in range(-24, 25) if math.gcd(5, d) == 1]
         assert ds == direct
         for start in range(-20, 16):
@@ -75,8 +82,8 @@ class TestCosetReps:
     def test_same_pair_differs_by_translation(self):
         # canonical rep has 0 <= a < c, so any other valid (a', b') for the
         # same (c, d) is a left translation of it
-        r = next(r for r in coset_reps(3) if (r.c, r.d) == (3, 2))
-        g = r.matrix
+        a, b = solve_top_row(3, 2)
+        g = GammaMatrix(a, b, 3, 2)
         other = GammaMatrix(g.a + 2 * g.c, g.b + 2 * g.d, g.c, g.d)
         shift = other * g.inverse()
         assert (shift.a, shift.c, shift.d) == (1, 0, 1)  # a power of T
@@ -136,6 +143,26 @@ class TestEllipticPoints:
                 acc = acc * gen
             assert powers == {g.entries() for g in group}
 
+    def test_low_points_keep_their_generators(self):
+        # the lowest points at Y = 400 sit at height 2.2e-3, where the image
+        # of a computed location under its generator is 2e-12 away from it
+        pts = elliptic_points_in_strip(400)
+        assert min(e.location.y for e in pts) < 2.2e-3
+        for e in pts:
+            fp = fixed_point(e.generator)
+            z = e.location
+            assert math.hypot(fp.x - z.x, fp.y - z.y) < 1e-12 * z.y
+
+    def test_rejects_generator_of_another_point(self):
+        from cuspkernel import EllipticPoint
+
+        S = GammaMatrix.S()
+        EllipticPoint(Point(0.0, 1.0), 4, S)
+        with pytest.raises(ValueError, match="does not fix"):
+            EllipticPoint(Point(1.0, 1.0), 4, S)  # S fixes i, not 1 + i
+        with pytest.raises(ValueError, match="does not fix"):
+            EllipticPoint(Point(0.0, 1.0 + 1e-6), 4, S)
+
     def test_rejects_wrong_order_generator(self):
         from cuspkernel import EllipticPoint
 
@@ -147,11 +174,11 @@ class TestEllipticPoints:
         with pytest.raises(ValueError):
             EllipticPoint(rho, 6, u * u)  # order 3 only
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         pts = elliptic_points_in_strip(2)
-        path = tmp_path / "elliptic.csv"
-        write_elliptic_csv(pts, path)
-        lines = path.read_text().strip().splitlines()
+        buf = io.StringIO()
+        write_elliptic_csv(pts, buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "x,y,stab_order,gen_a,gen_b,gen_c,gen_d"
         assert len(lines) == len(pts) + 1
 

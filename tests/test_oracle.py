@@ -1,6 +1,7 @@
 """Tests for the weight-12 q-expansion oracle and its Petersson norm."""
 
 import inspect
+import io
 import math
 
 import numpy as np
@@ -73,10 +74,10 @@ class TestCoefficients:
             if is_prime(p):
                 assert abs(qexp.a(p)) <= 2.0 * p ** 5.5
 
-    def test_csv_dump(self, tmp_path):
-        path = tmp_path / "tau.csv"
-        write_coeffs_csv(delta_coeffs(10), path)
-        lines = path.read_text().strip().splitlines()
+    def test_csv_dump(self):
+        buf = io.StringIO()
+        write_coeffs_csv(delta_coeffs(10), buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,a_n"
         assert lines[1] == "1,1" and lines[2] == "2,-24"
 

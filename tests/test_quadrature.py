@@ -3,8 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 
-from cuspkernel.quadrature import adaptive
+from cuspkernel import CutoffExceeded
+from cuspkernel.quadrature import _gk15, adaptive
 
 
 def test_polynomial_exact():
@@ -49,3 +51,16 @@ def test_narrow_peak_resolved():
 
 def test_empty_interval():
     assert adaptive(lambda x: 1.0, 2.0, 2.0) == (0.0, 0.0, 0.0, 0)
+
+
+def test_stops_loudly_at_the_panel_cap():
+    with pytest.raises(CutoffExceeded) as exc:
+        adaptive(lambda x: math.sin(1 / x), 1e-4, 1, rtol=1e-12, max_panels=50)
+    assert exc.value.best_tail_bound > 1e-12
+
+
+def test_kronrod_rule_exact_through_degree_22():
+    k15, _, _, _ = _gk15(lambda x: x ** 22, -1.0, 1.0)
+    assert abs(k15 - 2.0 / 23.0) <= 1e-15 * (2.0 / 23.0)
+    ones, _, _, _ = _gk15(lambda x: 1.0, -1.0, 1.0)
+    assert abs(ones - 2.0) <= 4e-16
