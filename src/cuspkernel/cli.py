@@ -54,8 +54,11 @@ def _rng(seed: int):
 def _emit(args, payload: str) -> None:
     """Write payload to --out (its exact characters) or to stdout."""
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -154,9 +157,9 @@ def _run_integral(args, runner):
     ks = [int(s) for s in args.sweep.split(",")] if args.sweep else [args.k]
     records = []
     for k in ks:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = runner(k)
-        ms = 1000.0 * (time.time() - t0)
+        ms = 1000.0 * (time.perf_counter() - t0)
         records.append({
             "k": k,
             "integral": res.integral,
@@ -167,12 +170,6 @@ def _run_integral(args, runner):
             "wall_time_ms": ms,
         })
     return records
-
-
-def _strip(args) -> StripRegion:
-    # the line integrals read only Y from the region; the radius they carve
-    # out around elliptic points is WeightConfig.delta_for(Y)
-    return StripRegion(args.Y, 0.05)
 
 
 _SWEEP_COLUMNS = ("k", "x_or_y", "integral", "reference", "gap",
@@ -197,11 +194,10 @@ def _emit_records(args, records) -> None:
 def cmd_vertical(args) -> int:
     a, b = (float(s) for s in args.support.split(","))
     psi = TestFunction.bump(a, b, weight="log")
-    region = _strip(args)
     records = _run_integral(
         args,
         lambda k: integrate_vertical(
-            args.x, psi, WeightConfig(k, args.tol, args.A), region,
+            args.x, psi, WeightConfig(k, args.tol, args.A), args.Y,
             unsafe=args.unsafe,
         ),
     )
@@ -223,11 +219,10 @@ def cmd_horizontal(args) -> int:
     else:
         print("--psi must be const, indicator:a,b or bump:a,b", file=sys.stderr)
         return 2
-    region = _strip(args)
     records = _run_integral(
         args,
         lambda k: integrate_horizontal(
-            args.y, psi, WeightConfig(k, args.tol, args.A), region,
+            args.y, psi, WeightConfig(k, args.tol, args.A), args.Y,
             unsafe=args.unsafe,
         ),
     )
@@ -263,12 +258,16 @@ def pretrace_points(n: int, seed: int) -> list:
 
 
 def cmd_pretrace(args) -> int:
+    if not 0 < args.max_residual < math.inf:
+        raise ValueError(
+            f"--max-residual must be positive and finite, got {args.max_residual}"
+        )
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     reports = []
     worst = 0.0
     for z in pretrace_points(args.points, args.seed):
-        res = verify_pretrace(z, kernel_tol=1e-14, norm_tol=1e-10)
+        res = verify_pretrace(z)
         worst = max(worst, res)
         reports.append({"x": z.x, "y": z.y, "residual": res})
     passed = worst < args.max_residual
@@ -397,6 +396,9 @@ def main(argv=None) -> int:
     except (ValueError, CuspKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:
+        print(f"resource limit: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return rc
 
 

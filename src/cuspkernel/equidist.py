@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .errors import CuspKernelError, NoCuspForms, SupportViolation
 from .halfplane import Point
 from .kernel import WeightConfig, bergman_R
-from .modgroup import StripRegion, elliptic_points_in_strip
+from .modgroup import elliptic_points_in_strip
 from .quadrature import adaptive
 
 THREE_OVER_PI = 3.0 / math.pi
@@ -61,6 +61,8 @@ class TestFunction:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.weight not in ("log", "lin"):
             raise ValueError(f"unknown weight {self.weight!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"support [{self.a}, {self.b}] must be finite")
         if not self.b > self.a:
             raise ValueError("support must be a nonempty interval")
         if self.weight == "log" and self.a <= 0:
@@ -114,6 +116,8 @@ class BumpFunction2D:
     reference_integral: float = field(init=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center_x, self.center_y, self.radius))):
+            raise ValueError("center and radius must be finite")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.center_y - self.radius <= 0:
@@ -186,9 +190,18 @@ def _density_with_error(z: Point, cfg: WeightConfig):
     return md.normalization * res.value.real, md.normalization * res.tail_bound
 
 
-def _check_window(lo: float, hi: float, cfg: WeightConfig, region: StripRegion,
+def _integrand(p: float, x: float, y: float, cfg: WeightConfig, w: float):
+    """(p * density / w, |p| * certified density error / w) at x + iy; w is
+    the base-measure denominator (y, 1 or y^2).  No kernel call where p = 0."""
+    if p == 0.0:
+        return (0.0, 0.0)
+    dens, derr = _density_with_error(Point(x, y), cfg)
+    return (p * dens / w, abs(p) * derr / w)
+
+
+def _check_window(lo: float, hi: float, cfg: WeightConfig, Y: float,
                   what: str) -> None:
-    bottom = 1.0 / region.Y
+    bottom = 1.0 / Y
     top = cfg.support_top()
     if not (lo > bottom and hi < top):
         raise SupportViolation(
@@ -224,58 +237,46 @@ def _horizontal_crossings(y: float, elliptic_list, delta: float) -> list:
 
 
 def integrate_vertical(x: float, psi: TestFunction, cfg: WeightConfig,
-                       region: StripRegion, *, unsafe: bool = False,
+                       Y: float, *, unsafe: bool = False,
                        rtol: float = 1e-4) -> IntegralResult:
     """Integral of psi(y) against the mass density along Re z = x, with the
-    squeezed-limit reference (3/pi) * int psi dy/y."""
+    squeezed-limit reference (3/pi) * int psi dy/y.  Y is the strip
+    parameter: the support must lie above 1/Y, and the quadrature breaks
+    where the line crosses the cfg.delta_for(Y) neighborhoods of the
+    strip's elliptic points."""
     if psi.weight != "log":
         raise ValueError("vertical test functions use the dy/y weight")
     if abs(x) > 0.5:
         raise ValueError("x must lie in [-1/2, 1/2]")
+    elist = elliptic_points_in_strip(Y)  # also rejects a bad Y
     if not unsafe:
-        _check_window(psi.a, psi.b, cfg, region, "support")
-    elist = elliptic_points_in_strip(region.Y)
-    delta = cfg.delta_for(region.Y)
-    breaks = _vertical_crossings(x, elist, delta)
-
-    def f(y):
-        p = psi(y)
-        if p == 0.0:
-            return (0.0, 0.0)
-        dens, derr = _density_with_error(Point(x, y), cfg)
-        return (p * dens / y, abs(p) * derr / y)
-
+        _check_window(psi.a, psi.b, cfg, Y, "support")
+    breaks = _vertical_crossings(x, elist, cfg.delta_for(Y))
     val, qerr, extra, nodes = adaptive(
-        f, psi.a, psi.b, rtol=rtol, breakpoints=breaks
+        lambda y: _integrand(psi(y), x, y, cfg, y), psi.a, psi.b,
+        rtol=rtol, breakpoints=breaks,
     )
     ref = THREE_OVER_PI * psi.reference_integral
     return IntegralResult(val, ref, qerr + extra, nodes)
 
 
 def integrate_horizontal(y: float, psi: TestFunction, cfg: WeightConfig,
-                         region: StripRegion, *, unsafe: bool = False,
+                         Y: float, *, unsafe: bool = False,
                          rtol: float = 1e-4) -> IntegralResult:
     """Integral of psi(x) against the mass density along Im z = y over one
-    period, with reference (3/pi) * int psi dx.  psi may be an indicator."""
+    period, with reference (3/pi) * int psi dx.  psi may be an indicator.
+    Y plays the same part as in integrate_vertical."""
     if psi.weight != "lin":
         raise ValueError("horizontal test functions use the dx weight")
+    elist = elliptic_points_in_strip(Y)  # also rejects a bad Y
     if not unsafe:
-        _check_window(y, y, cfg, region, "height")
+        _check_window(y, y, cfg, Y, "height")
         if psi.a < -0.5 - 1e-12 or psi.b > 0.5 + 1e-12:
             raise SupportViolation("support must fit in one period [-1/2, 1/2]")
-    elist = elliptic_points_in_strip(region.Y)
-    delta = cfg.delta_for(region.Y)
-    breaks = _horizontal_crossings(y, elist, delta)
-
-    def f(x):
-        p = psi(x)
-        if p == 0.0:
-            return (0.0, 0.0)
-        dens, derr = _density_with_error(Point(x, y), cfg)
-        return (p * dens, abs(p) * derr)
-
+    breaks = _horizontal_crossings(y, elist, cfg.delta_for(Y))
     val, qerr, extra, nodes = adaptive(
-        f, psi.a, psi.b, rtol=rtol, breakpoints=breaks
+        lambda x: _integrand(psi(x), x, y, cfg, 1.0), psi.a, psi.b,
+        rtol=rtol, breakpoints=breaks,
     )
     ref = THREE_OVER_PI * psi.reference_integral
     return IntegralResult(val, ref, qerr + extra, nodes)
@@ -297,15 +298,10 @@ def integrate_region(phi: BumpFunction2D, cfg: WeightConfig, *,
         lo, hi = phi._chord(x)
         if hi <= lo:
             return (0.0, 0.0)
-
-        def inner(y):
-            p = phi(x, y)
-            if p == 0.0:
-                return (0.0, 0.0)
-            dens, derr = _density_with_error(Point(x, y), cfg)
-            return (p * dens / (y * y), abs(p) * derr / (y * y))
-
-        val, qerr, extra, nodes = adaptive(inner, lo, hi, rtol=0.25 * rtol)
+        val, qerr, extra, nodes = adaptive(
+            lambda y: _integrand(phi(x, y), x, y, cfg, y * y), lo, hi,
+            rtol=0.25 * rtol,
+        )
         nodes_total += nodes
         return (val, qerr + extra)
 

@@ -35,10 +35,6 @@ class Point:
         if self.y <= 0.0:
             raise ValueError(f"imaginary part must be positive, got {self.y!r}")
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "Point":
-        return cls(float(z.real), float(z.imag))
-
     @property
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
@@ -205,12 +201,3 @@ class LogComplex:
 
     def pow(self, k: int) -> "LogComplex":
         return LogComplex(k * self.logmag, reduce_phase(k * self.phase))
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        return LogComplex(
-            self.logmag + other.logmag, reduce_phase(self.phase + other.phase)
-        )
-
-    @property
-    def magnitude(self) -> float:
-        return math.exp(self.logmag)

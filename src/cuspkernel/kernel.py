@@ -34,13 +34,13 @@ from .halfplane import (
     GammaMatrix,
     LogComplex,
     Point,
+    automorphy_factor,
     hyp_distance,
     moebius_apply,
     u_from_distance,
 )
 from .modgroup import (
     EllipticPoint,
-    StripRegion,
     coset_row,
     elliptic_points_in_strip,
     min_displacement,
@@ -61,8 +61,9 @@ class WeightConfig:
     def __post_init__(self):
         if self.k % 2 != 0 or self.k < 4:
             raise ValueError(f"weight must be an even integer >= 4, got {self.k}")
-        if self.tol <= 0 or self.A <= 0:
-            raise ValueError("tol and A must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.A < math.inf):
+            raise ValueError(f"tol and A must be positive and finite, "
+                             f"got {self.tol!r}, {self.A!r}")
 
     def delta_for(self, Y: float) -> float:
         """Neighborhood radius sqrt(128 A) * Y * sqrt(log k / k)."""
@@ -91,7 +92,7 @@ def b_term(g: GammaMatrix, z: Point, w: Point) -> LogComplex:
     gz = moebius_apply(g, z)
     dr = gz.x - w.x
     di = gz.y + w.y  # gz - conj(w)
-    j = complex(g.c * z.x + g.d, g.c * z.y)
+    j = automorphy_factor(g, z)
     logmag = (
         0.5 * (math.log(z.y) + math.log(w.y))
         + math.log(2.0)
@@ -305,19 +306,21 @@ def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
     return result
 
 
-def offdiagonal_sum_bound(z: Point, power: int = 4, rel_slack: float = 0.05):
-    """Certified upper bound on sum over g != +/-I of (1 + u(z, gz))^{-power/2}.
+def offdiagonal_sum_bound(z: Point):
+    """Certified upper bound on sum over g != +/-I of (1 + u(z, gz))^{-2}.
 
     Used to turn a minimum-displacement value into a certified bound on the
     off-identity kernel mass at any larger weight.
     """
-    if power < 4 or power % 2:
-        raise ValueError("power must be an even integer >= 4")
-    # absolute tolerance: iterate once with a crude guess, then tighten
-    guess = 1.0
+    # the lattice sum is truncated at 5% of a guess of its size, refined
+    # twice; the returned value is certified whatever the guess.  For
+    # y >= 1 the c = 0 line alone gives a half-sum >= floor(2y)/2 >= y/2
+    # (each |m| <= 2y adds >= 1/4), so y/2 is a safe first guess and keeps
+    # the first pass within the coset cap at large heights
+    guess = max(1.0, 0.5 * z.y)
     for _ in range(3):
         total, tail, _, _ = _sum_terms(
-            z, z, power, rel_slack * max(guess, 1e-3), magnitudes_only=True,
+            z, z, 4, 0.05 * max(guess, 1e-3), magnitudes_only=True,
             exclude_identity=True,
         )
         guess = 2.0 * total
@@ -336,7 +339,7 @@ def residual_certificate(z: Point, k: int) -> float:
         raise ValueError("k must be an even integer >= 4")
     _, d_min = min_displacement(z)
     u_min = u_from_distance(d_min)
-    s2 = offdiagonal_sum_bound(z, power=4)
+    s2 = offdiagonal_sum_bound(z)
     return s2 * math.exp(-0.5 * (k - 4) * math.log1p(u_min))
 
 
@@ -364,27 +367,24 @@ def elliptic_correction(z: Point, e: EllipticPoint, k: int) -> complex:
     return total
 
 
-def asymptotic_residual(z: Point, cfg: WeightConfig, region: StripRegion,
-                        elliptic_list=None, delta: float | None = None):
+def asymptotic_residual(z: Point, cfg: WeightConfig, Y: float):
     """Measured deviation of R_k(z,z) from its squeezed-weight prediction,
-    together with the analytic bound exp(-delta^2 k/(128 Y^2)) + y exp(-k/(17 y^2)).
+    together with the analytic bound exp(-delta^2 k/(128 Y^2)) + y exp(-k/(17 y^2)),
+    where delta = cfg.delta_for(Y).
 
     The prediction is the main term 2 plus the stabilizer corrections of
-    every listed elliptic point within delta of z (far corrections are
+    every elliptic point of the strip within delta of z (far corrections are
     exponentially negligible, so overlapping neighborhoods are harmless).
     """
-    if elliptic_list is None:
-        elliptic_list = elliptic_points_in_strip(region.Y)
-    if delta is None:
-        delta = cfg.delta_for(region.Y)
+    delta = cfg.delta_for(Y)
     pred = 2.0 + 0.0j
-    for e in elliptic_list:
+    for e in elliptic_points_in_strip(Y):
         if hyp_distance(z, e.location) <= delta:
             pred += elliptic_correction(z, e, cfg.k)
     res = bergman_R(z, z, cfg)
     measured = abs(res.value - pred)
     y = z.y
-    bound = math.exp(-delta * delta * cfg.k / (128.0 * region.Y ** 2)) + y * math.exp(
+    bound = math.exp(-delta * delta * cfg.k / (128.0 * Y ** 2)) + y * math.exp(
         -cfg.k / (17.0 * y * y)
     )
     return measured, bound

@@ -37,8 +37,9 @@ class StripRegion:
     delta: float
 
     def __post_init__(self):
-        if self.Y <= 0 or self.delta <= 0:
-            raise ValueError("Y and delta must be positive")
+        if not (0 < self.Y < math.inf and 0 < self.delta < math.inf):
+            raise ValueError(f"Y and delta must be positive and finite, "
+                             f"got {self.Y!r}, {self.delta!r}")
 
     def contains(self, z: Point) -> bool:
         return abs(z.x) <= 0.5 and z.y > 1.0 / self.Y
@@ -154,8 +155,8 @@ def elliptic_points_in_strip(Y: float) -> list:
     finite orbit search: an image g*z0 has height Im(z0)/|c z0 + d|^2, so a
     height floor is an integer bound on the binary quadratic form |c z0 + d|^2.
     """
-    if Y < 1:
-        raise ValueError("Y must be >= 1")
+    if not 1 <= Y < math.inf:
+        raise ValueError(f"Y must be finite and >= 1, got {Y!r}")
     pts = []
     # orbit of i: |c*i + d|^2 = c^2 + d^2, heights 1/(c^2+d^2)
     q_max_i = math.floor(2.0 * Y / math.sqrt(3.0) + 1e-9)
@@ -200,8 +201,7 @@ def _u_height_floor(Q: float) -> float:
     return (Q - 1.0) ** 2 / (4.0 * Q)
 
 
-def min_displacement(z: Point, search_bound: int | None = None,
-                     exclude_fixing: bool = False):
+def min_displacement(z: Point, exclude_fixing: bool = False):
     """Certified minimizer of d(z, gz) over g != +/-I.
 
     Enumerates translation cosets (c, d) and translation powers m, pruning
@@ -209,8 +209,7 @@ def min_displacement(z: Point, search_bound: int | None = None,
     matrix outside the examined window; the window shrinks as the running
     minimum improves, so the returned minimum is global.  Ties within 1e-12
     are broken lexicographically on (c, d, a, b) after canonicalizing to
-    c > 0 or (c, d) = (0, 1).  search_bound, when given, seeds the initial
-    c-window but never weakens the certificate.
+    c > 0 or (c, d) = (0, 1).
     """
     x, y = z.x, z.y
 
@@ -243,8 +242,7 @@ def min_displacement(z: Point, search_bound: int | None = None,
         cy2 = (c * y) ** 2
         # Q >= c^2 y^2 on this line; once that alone forces u > best, stop
         if cy2 > 1.0 and _u_height_floor(cy2) > best_u + 1e-12:
-            if search_bound is None or c > search_bound:
-                break
+            break
         b_cur = best_u + 1e-9
         # admissible Q window: (Q-1)^2/(4Q) <= b  =>  Q in [1/Q+, Q+]
         q_hi = 1.0 + 2.0 * b_cur + 2.0 * math.sqrt(b_cur * (1.0 + b_cur))
@@ -281,9 +279,8 @@ def in_bulk(z: Point, region: StripRegion, elliptic_list) -> bool:
     return True
 
 
-def sample_bulk(region: StripRegion, elliptic_list, n: int, rng,
-                y_max: float = 2.0) -> list:
-    """n points of F_delta with Im z < y_max, by rejection sampling."""
+def sample_bulk(region: StripRegion, elliptic_list, n: int, rng) -> list:
+    """n points of F_delta with Im z < 2, by rejection sampling."""
     out = []
     y_lo = 1.0 / region.Y
     attempts = 0
@@ -292,7 +289,7 @@ def sample_bulk(region: StripRegion, elliptic_list, n: int, rng,
         if attempts > 1000 * n + 1000:
             raise CutoffExceeded("rejection sampling stalled; delta too large?")
         x = rng.uniform(-0.5, 0.5)
-        y = rng.uniform(y_lo, y_max)
+        y = rng.uniform(y_lo, 2.0)
         z = Point(x, y)
         if in_bulk(z, region, elliptic_list):
             out.append(z)

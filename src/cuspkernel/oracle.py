@@ -22,6 +22,10 @@ from .halfplane import Point
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
+# working precision (decimal digits) of the extended-precision paths; the
+# Petersson norm also runs at _DPS + 10 to estimate its quadrature error
+_DPS = 30
+
 
 def _euler_series(n_terms: int) -> list:
     """Coefficients of prod (1 - q^n) up to q^(n_terms-1), by pentagonal numbers."""
@@ -128,12 +132,12 @@ def eval_delta(z: Point, N: int | None = None) -> complex:
     return acc
 
 
-def eval_delta_mp(z: Point, dps: int = 30):
-    """Extended-precision evaluation (mpmath), tail below 10^-(dps+2)."""
-    with mp.workdps(dps + 8):
+def eval_delta_mp(z: Point):
+    """Extended-precision evaluation (mpmath), tail below 10^-(_DPS+2)."""
+    with mp.workdps(_DPS + 8):
         y = mp.mpf(z.y)
         lead = mp.e ** (-2 * mp.pi * y)
-        target = lead * mp.mpf(10) ** (-(dps + 2))
+        target = lead * mp.mpf(10) ** (-(_DPS + 2))
         N = 10
         while _coeff_tail_bound(N, z.y) > float(target):
             N += 5
@@ -157,8 +161,7 @@ class PeterssonNorm:
 _norm_cache: dict = {}
 
 
-def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0,
-                         dps: int = 30) -> PeterssonNorm:
+def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0) -> PeterssonNorm:
     """The squared Petersson norm of the discriminant form.
 
     Splits the fundamental domain at height y_cut: above it the x-integral
@@ -173,7 +176,7 @@ def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0,
         raise ValueError("tol below 1e-12 is not supported")
     if y_cut < 1.0:
         raise ValueError("the height cut must be >= 1")
-    key = (tol, y_cut, dps)
+    key = (tol, y_cut)
     if key in _norm_cache:
         return _norm_cache[key]
 
@@ -229,8 +232,8 @@ def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0,
                 )
             return strip + lens + mid, lens_err + mid_err
 
-    v1, e1 = compute(dps)
-    v2, e2 = compute(dps + 10)
+    v1, e1 = compute(_DPS)
+    v2, e2 = compute(_DPS + 10)
     value = float(v2)
     # certified series tails beyond a(N): the omitted Fourier pairs in the
     # lens (bounded at the lowest height, then weighted by int y^10 dy) and
@@ -274,21 +277,17 @@ def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0,
     return result
 
 
-def verify_pretrace(z: Point, cfg=None, *, kernel_tol: float = 1e-14,
-                    norm_tol: float = 1e-10, dps: int = 30) -> float:
+def verify_pretrace(z: Point) -> float:
     """Relative residual between y^12 |Delta(z)|^2 / <Delta, Delta> and
-    (11/(8 pi)) R_12(z, z), the two sides computed by independent paths."""
+    (11/(8 pi)) R_12(z, z), the two sides computed by independent paths:
+    the kernel to a tail of 1e-14, the norm to a relative 1e-10."""
     from .kernel import WeightConfig, bergman_R  # local: keeps module independent
 
-    if cfg is not None:
-        if cfg.k != 12:
-            raise ValueError("the oracle covers weight 12 only")
-        kernel_tol = cfg.tol
-    norm = petersson_norm_delta(norm_tol, dps=dps)
-    with mp.workdps(dps):
-        dval = eval_delta_mp(z, dps=dps)
+    norm = petersson_norm_delta(1e-10)
+    with mp.workdps(_DPS):
+        dval = eval_delta_mp(z)
         lhs = float(mp.mpf(z.y) ** 12 * abs(dval) ** 2 / mp.mpf(norm.value))
-    res = bergman_R(z, z, WeightConfig(12, kernel_tol))
+    res = bergman_R(z, z, WeightConfig(12, 1e-14))
     rhs = (11.0 / (8.0 * math.pi)) * res.value.real
     return abs(lhs - rhs) / abs(rhs)
 

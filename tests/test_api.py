@@ -1,0 +1,48 @@
+"""Pins the public library signatures: each parameter is one some caller sets."""
+
+import inspect
+
+import pytest
+
+from cuspkernel import equidist, halfplane, kernel, modgroup, oracle
+
+EMPTY = inspect.Parameter.empty
+
+SIGNATURES = {
+    equidist.integrate_vertical:
+        [("x", EMPTY), ("psi", EMPTY), ("cfg", EMPTY), ("Y", EMPTY),
+         ("unsafe", False), ("rtol", 1e-4)],
+    equidist.integrate_horizontal:
+        [("y", EMPTY), ("psi", EMPTY), ("cfg", EMPTY), ("Y", EMPTY),
+         ("unsafe", False), ("rtol", 1e-4)],
+    equidist.integrate_region:
+        [("phi", EMPTY), ("cfg", EMPTY), ("rtol", 1e-4), ("unsafe", False)],
+    kernel.asymptotic_residual: [("z", EMPTY), ("cfg", EMPTY), ("Y", EMPTY)],
+    kernel.offdiagonal_sum_bound: [("z", EMPTY)],
+    kernel.residual_certificate: [("z", EMPTY), ("k", EMPTY)],
+    oracle.verify_pretrace: [("z", EMPTY)],
+    oracle.petersson_norm_delta: [("tol", 1e-10), ("y_cut", 1.0)],
+    oracle.eval_delta_mp: [("z", EMPTY)],
+    modgroup.min_displacement: [("z", EMPTY), ("exclude_fixing", False)],
+    modgroup.sample_bulk:
+        [("region", EMPTY), ("elliptic_list", EMPTY), ("n", EMPTY), ("rng", EMPTY)],
+}
+
+
+@pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda f: f.__name__)
+def test_signature(fn):
+    params = inspect.signature(fn).parameters.values()
+    assert [(p.name, p.default) for p in params] == SIGNATURES[fn]
+
+
+def test_line_integrals_do_not_take_a_region():
+    assert not hasattr(equidist, "StripRegion")
+
+
+@pytest.mark.parametrize("cls, member", [
+    (halfplane.Point, "from_complex"),
+    (halfplane.LogComplex, "__mul__"),
+    (halfplane.LogComplex, "magnitude"),
+])
+def test_dead_members_are_gone(cls, member):
+    assert member not in vars(cls)

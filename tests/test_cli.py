@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspkernel.cli import build_parser, main, parse_point
 
@@ -269,6 +272,17 @@ class TestFlags:
     (["vertical", "--x", "0.1", "--support", "2"], 2),
     (["region", "--center", "0.1", "--k", "120"], 2),
     (["scan", "--grid", "0,0,1,1,1,1", "--k", "7"], 2),
+    (["elliptic", "--Y", "inf"], 2),
+    (["lemmas", "--Y", "inf"], 2),
+    (["coeffs", "--n", "100000000000000000000"], 3),
+    (["kernel", "--z", "0+1i", "--tol", "inf"], 2),
+    (["lemmas", "--delta", "nan"], 2),
+    (["pretrace", "--max-residual", "nan"], 2),
+    (["pretrace", "--max-residual", "0"], 2),
+    (["vertical", "--x", "0.1", "--k", "1200", "--Y", "nan"], 2),
+    (["kernel", "--z", "0+1i", "--out", "no-such-dir/out.json"], 2),
+    (["vertical", "--x", "0.1", "--k", "1200", "--support", "1,inf"], 2),
+    (["region", "--k", "1200", "--radius", "nan"], 2),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:
@@ -278,3 +292,81 @@ def test_exits_with_a_documented_code(capsys, argv, code):
     err = capsys.readouterr().err
     assert rc == code
     assert "Traceback" not in err
+
+
+# Property test: every subcommand, argv drawn from a small token pool.  Each
+# flag takes one of its cheap valid values or a bad one; flags whose default
+# would make a run slow (a weight-12 integral, 1000 lemma samples, a fresh
+# Petersson norm) are always drawn.  A valid pretrace costs seconds, so its
+# --points is always bad here; TestPretraceCommand covers the valid runs.
+BAD = ("0", "-1", "nan", "inf", "x")
+# subcommand -> (flags always drawn, flags drawn or left out); flag -> the
+# valid tokens it adds to BAD, or None for a switch
+COMMANDS = {
+    "kernel": ({"z": ("0.13+1.1i", "0.5+0.2i", "0+0.05i", "nan+1i")},
+               {"w": ("0.1+0.9i",), "k": ("12", "1200"), "tol": ("1e-6",),
+                "format": ("csv", "json"), "out": ()}),
+    "scan": ({"grid": ("0,0.2,2,1,1.2,2", "0,0,1,nan,1,1", "0,inf,2,1,1.2,2",
+                       "0,1,3")},
+             {"k": ("12", "1200"), "tol": ("1e-6",), "out": ()}),
+    "lemmas": ({"samples": ("3",)},
+               {"Y": ("7", "1"), "delta": ("0.05", "5"), "seed": ("1",),
+                "out": ()}),
+    "vertical": ({"x": ("0.13", "0.7"), "k": ("1200",)},
+                 {"support": ("1,2", "nan,2", "1,inf", "2,1"), "tol": ("1e-6",),
+                  "Y": ("7", "1"), "A": ("2",), "format": ("csv", "json"),
+                  "unsafe": None, "sweep": ("1200", "1200,1204"), "out": ()}),
+    "horizontal": ({"y": ("1.3", "3"), "k": ("1200",)},
+                   {"psi": ("const", "indicator:0,0.5", "bump:-0.4,0.4",
+                            "bump:nan,0.4", "indicator:-inf,0.5", "wave"),
+                    "tol": ("1e-6",), "Y": ("7", "1"), "A": ("2",),
+                    "format": ("csv", "json"), "unsafe": None,
+                    "sweep": ("1200", "1200,1204"), "out": ()}),
+    "region": ({"k": ("1200",), "radius": ("0.02",)},
+               {"center": ("0.1,1.2", "0.1,inf", "nan,1.2", "0.1"),
+                "tol": ("1e-6",), "format": ("csv", "json"), "unsafe": None,
+                "sweep": ("1200",), "out": ()}),
+    "pretrace": ({"points": ()},
+                 {"max-residual": ("1e-8",), "seed": ("1",), "out": ()}),
+    "elliptic": ({}, {"Y": ("7", "1"), "out": ()}),
+    "coeffs": ({}, {"n": ("5", "100000000000000000000"), "out": ()}),
+}
+
+
+@pytest.fixture(scope="module")
+def out_paths(tmp_path_factory):
+    """--out tokens: a writable file, a missing directory, a directory, stdout."""
+    d = tmp_path_factory.mktemp("out")
+    return (str(d / "out.txt"), str(d / "missing" / "out.txt"), str(d), "")
+
+
+@st.composite
+def argvs(draw, out_paths):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    always, optional = COMMANDS[name]
+    flags = list(always.items())
+    flags += [item for item in optional.items() if draw(st.booleans())]
+    argv = [name]
+    for flag, valid in draw(st.permutations(flags)):
+        argv.append(f"--{flag}")
+        if valid is not None:
+            pool = out_paths if flag == "out" else valid + BAD
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+def test_every_argv_ends_in_a_documented_code(out_paths):
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(argvs(out_paths))
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                rc = exc.code
+        assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()

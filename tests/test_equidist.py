@@ -1,6 +1,7 @@
 """Tests for the mass-density integrals and their normalization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from cuspkernel import (
     MeasureDensity,
     NoCuspForms,
     Point,
-    StripRegion,
     SupportViolation,
     WeightConfig,
     dim_cusp_forms,
@@ -21,7 +21,8 @@ from cuspkernel import (
 )
 from cuspkernel import TestFunction as BumpSpec
 
-REGION = StripRegion(7.0, 0.05)
+Y = 7.0  # strip parameter of the line integrals
+GOLDEN = Path(__file__).resolve().parent / "golden" / "integrals_k1200.txt"
 
 
 def valence_dim(k):
@@ -143,12 +144,12 @@ class TestTestFunction:
 class TestVertical:
     def test_zero_function(self):
         psi = BumpSpec("tabulated", 1.0, 2.0, "log", values=(0.0, 0.0))
-        res = integrate_vertical(0.13, psi, WeightConfig(1200, 1e-9), REGION)
+        res = integrate_vertical(0.13, psi, WeightConfig(1200, 1e-9), Y)
         assert res.integral == 0.0 and res.reference == 0.0
 
     def test_bulk_bump_k1200(self):
         psi = BumpSpec.bump(1.0, 2.0, weight="log")
-        res = integrate_vertical(0.13, psi, WeightConfig(1200, 1e-9), REGION)
+        res = integrate_vertical(0.13, psi, WeightConfig(1200, 1e-9), Y)
         gap = abs(res.integral - res.reference) / res.reference
         assert gap < 0.01
 
@@ -159,7 +160,7 @@ class TestVertical:
         out = {}
         for k in (400, 402):
             cfg = WeightConfig(k, 1e-10)
-            res = integrate_vertical(0.0, psi, cfg, REGION)
+            res = integrate_vertical(0.0, psi, cfg, Y)
             dim = dim_cusp_forms(k)
             pred_bulk = res.reference * (k - 1) / (12.0 * dim)
             out[k] = res.integral - pred_bulk
@@ -168,8 +169,8 @@ class TestVertical:
     def test_window_enforced(self):
         psi = BumpSpec.bump(1.0, 2.0, weight="log")
         with pytest.raises(SupportViolation):
-            integrate_vertical(0.13, psi, WeightConfig(300, 1e-9), REGION)
-        res = integrate_vertical(0.13, psi, WeightConfig(300, 1e-9), REGION,
+            integrate_vertical(0.13, psi, WeightConfig(300, 1e-9), Y)
+        res = integrate_vertical(0.13, psi, WeightConfig(300, 1e-9), Y,
                                  unsafe=True)
         assert res.integral > 0.0
 
@@ -179,7 +180,7 @@ class TestVertical:
         for k in (300, 600, 1200, 2400):
             cfg = WeightConfig(k, 1e-9)
             unsafe = cfg.support_top() <= psi.b
-            res = integrate_vertical(0.13, psi, cfg, REGION, unsafe=unsafe)
+            res = integrate_vertical(0.13, psi, cfg, Y, unsafe=unsafe)
             gaps.append(abs(res.integral - res.reference) / res.reference)
             errs.append(res.error / res.reference)
         assert gaps[-1] < 0.01
@@ -189,42 +190,42 @@ class TestVertical:
     def test_requires_log_weight(self):
         psi = BumpSpec.indicator(0.0, 0.5, weight="lin")
         with pytest.raises(ValueError):
-            integrate_vertical(0.0, psi, WeightConfig(1200, 1e-9), REGION)
+            integrate_vertical(0.0, psi, WeightConfig(1200, 1e-9), Y)
 
     def test_error_accounting(self):
         psi = BumpSpec.bump(1.0, 2.0, weight="log")
         cfg = WeightConfig(120, 1e-9)
-        res = integrate_vertical(0.13, psi, cfg, REGION, rtol=1e-4, unsafe=True)
-        fine = integrate_vertical(0.13, psi, cfg, REGION, rtol=2.5e-5, unsafe=True)
+        res = integrate_vertical(0.13, psi, cfg, Y, rtol=1e-4, unsafe=True)
+        fine = integrate_vertical(0.13, psi, cfg, Y, rtol=2.5e-5, unsafe=True)
         assert abs(res.integral - fine.integral) < res.error + fine.error
 
 
 class TestHorizontal:
     def test_constant_k1200(self):
         psi = BumpSpec.indicator(-0.5, 0.5, weight="lin")
-        res = integrate_horizontal(1.3, psi, WeightConfig(1200, 1e-9), REGION)
+        res = integrate_horizontal(1.3, psi, WeightConfig(1200, 1e-9), Y)
         gap = abs(res.integral - res.reference) / res.reference
         assert gap < 0.01
         np.testing.assert_allclose(res.reference, 3.0 / math.pi, rtol=1e-12)
 
     def test_half_indicator(self):
         psi = BumpSpec.indicator(0.0, 0.5, weight="lin")
-        res = integrate_horizontal(1.5, psi, WeightConfig(1200, 1e-9), REGION)
+        res = integrate_horizontal(1.5, psi, WeightConfig(1200, 1e-9), Y)
         gap = abs(res.integral - res.reference) / res.reference
         assert gap < 0.015
         np.testing.assert_allclose(res.reference, 1.5 / math.pi, rtol=1e-12)
 
     def test_zero_function(self):
         psi = BumpSpec("tabulated", -0.25, 0.25, "lin", values=(0.0, 0.0))
-        res = integrate_horizontal(1.3, psi, WeightConfig(1200, 1e-9), REGION)
+        res = integrate_horizontal(1.3, psi, WeightConfig(1200, 1e-9), Y)
         assert res.integral == 0.0 and res.reference == 0.0
 
     def test_height_window(self):
         psi = BumpSpec.indicator(-0.5, 0.5, weight="lin")
         with pytest.raises(SupportViolation):
-            integrate_horizontal(3.0, psi, WeightConfig(1200, 1e-9), REGION)
+            integrate_horizontal(3.0, psi, WeightConfig(1200, 1e-9), Y)
         with pytest.raises(SupportViolation):
-            integrate_horizontal(0.1, psi, WeightConfig(1200, 1e-9), REGION)
+            integrate_horizontal(0.1, psi, WeightConfig(1200, 1e-9), Y)
 
     def test_convergence_sweep(self):
         psi = BumpSpec.indicator(-0.5, 0.5, weight="lin")
@@ -232,12 +233,31 @@ class TestHorizontal:
         for k in (300, 600, 1200, 2400):
             cfg = WeightConfig(k, 1e-9)
             unsafe = cfg.support_top() <= 1.3  # k = 300 sits below the window
-            res = integrate_horizontal(1.3, psi, cfg, REGION, unsafe=unsafe)
+            res = integrate_horizontal(1.3, psi, cfg, Y, unsafe=unsafe)
             gaps.append(abs(res.integral - res.reference) / res.reference)
             errs.append(res.error / res.reference)
         assert gaps[-1] < 0.01
         for earlier, later, err in zip(gaps, gaps[1:], errs[1:]):
             assert later <= earlier + err
+
+
+class TestGoldenIntegrals:
+    # repr of (integral, reference, error, nodes) at k = 1200, recorded
+    # before the three integrals shared one integrand; any change in the
+    # arithmetic of the integrand or of the quadrature shows here
+    CASES = {
+        "vertical": lambda cfg: integrate_vertical(
+            0.13, BumpSpec.bump(1.0, 2.0, weight="log"), cfg, Y),
+        "horizontal": lambda cfg: integrate_horizontal(
+            1.3, BumpSpec.indicator(-0.5, 0.5, weight="lin"), cfg, Y),
+        "region": lambda cfg: integrate_region(BumpFunction2D(0.1, 1.2, 0.2), cfg),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bit_identical(self, name):
+        want = dict(line.split(" ", 1) for line in GOLDEN.read_text().splitlines())
+        got = self.CASES[name](WeightConfig(1200, 1e-9))
+        assert repr(tuple(got)) == want[name]
 
 
 class _Zero2D:

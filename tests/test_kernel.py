@@ -9,7 +9,6 @@ from cuspkernel import (
     CutoffExceeded,
     GammaMatrix,
     Point,
-    StripRegion,
     WeightConfig,
     asymptotic_residual,
     b_term,
@@ -230,10 +229,10 @@ class TestEllipticCorrection:
         corr = elliptic_correction(z, e, k)
         res = bergman_R(z, z, WeightConfig(k, 1e-14))
         # residual of the corrected prediction is under the analytic bound
-        region = StripRegion(7.0, 0.05)
+        Y = 7.0
         cfg = WeightConfig(k, 1e-14)
-        delta = cfg.delta_for(region.Y)
-        bound = math.exp(-delta**2 * k / (128 * region.Y**2)) + z.y * math.exp(
+        delta = cfg.delta_for(Y)
+        bound = math.exp(-delta**2 * k / (128 * Y**2)) + z.y * math.exp(
             -k / (17 * z.y**2)
         )
         assert abs(res.value - 2.0 - corr) < bound
@@ -249,11 +248,9 @@ class TestEllipticCorrection:
 
 class TestAsymptoticResidual:
     def test_bulk_sweep_under_paper_bound(self):
-        region = StripRegion(7.0, 0.05)
-        elist = elliptic_points_in_strip(region.Y)
         for k in (200, 400, 800, 1600):
             cfg = WeightConfig(k, 1e-12)
-            res, bound = asymptotic_residual(BULK, cfg, region, elist)
+            res, bound = asymptotic_residual(BULK, cfg, 7.0)
             assert res <= bound
 
     def test_high_point_regime(self):
@@ -265,9 +262,8 @@ class TestAsymptoticResidual:
             assert abs(res.value - 2.0) <= z.y * math.exp(-k / (17.0 * z.y**2))
 
     def test_exact_elliptic_center(self):
-        region = StripRegion(7.0, 0.05)
         cfg = WeightConfig(400, 1e-12)
-        res, _bound = asymptotic_residual(I_PT, cfg, region)
+        res, _bound = asymptotic_residual(I_PT, cfg, 7.0)
         assert res < 1e-9
 
 
@@ -279,9 +275,18 @@ class TestResidualCertificate:
             assert abs(res.value - 2.0) <= cert
         assert residual_certificate(BULK, 1600) < 1e-3
 
+    def test_certificate_at_large_height(self):
+        # the weight-4 sum is about pi*y here; a first tolerance of 5% of
+        # y/2 keeps its lattice tail certifiable within the coset cap
+        z = Point(-0.007, 200.8)
+        cert = residual_certificate(z, 200)
+        res = bergman_R(z, z, WeightConfig(200, 1e-12))
+        assert math.isfinite(cert)
+        assert cert >= abs(res.value - 2.0) - res.tail_bound
+
     def test_offdiagonal_bound_is_upper(self):
         # oracle: partial sum over small matrices can never exceed the bound
-        bound = offdiagonal_sum_bound(BULK, power=4)
+        bound = offdiagonal_sum_bound(BULK)
         partial = 0.0
         for g in brute_force_sl2(5):
             if g.entries() in {(1, 0, 0, 1), (-1, 0, 0, -1)}:
@@ -299,6 +304,12 @@ class TestWeightConfig:
             WeightConfig(2, 1e-9)
         with pytest.raises(ValueError):
             WeightConfig(12, -1.0)
+
+    @pytest.mark.parametrize("tol, A", [(math.inf, 2.0), (math.nan, 2.0),
+                                        (1e-9, math.inf), (1e-9, math.nan)])
+    def test_rejects_non_finite(self, tol, A):
+        with pytest.raises(ValueError):
+            WeightConfig(12, tol, A)
 
     def test_delta_formula(self):
         cfg = WeightConfig(1200, 1e-9, A=2.0)

@@ -314,6 +314,17 @@ class TestInBulk:
         elist = elliptic_points_in_strip(10.0)
         assert not in_bulk(Point(0, 0.05), region, elist)
 
+    @pytest.mark.parametrize("Y, delta", [(math.inf, 0.05), (math.nan, 0.05),
+                                          (7.0, math.inf), (7.0, math.nan)])
+    def test_region_rejects_non_finite(self, Y, delta):
+        with pytest.raises(ValueError):
+            StripRegion(Y, delta)
+
+    @pytest.mark.parametrize("Y", [math.inf, math.nan])
+    def test_elliptic_search_rejects_non_finite(self, Y):
+        with pytest.raises(ValueError):
+            elliptic_points_in_strip(Y)
+
     def test_sampler_respects_bulk(self):
         region = StripRegion(5.0, 0.05)
         elist = elliptic_points_in_strip(5.0)

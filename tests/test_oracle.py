@@ -121,7 +121,7 @@ class TestEvaluation:
     def test_mp_matches_double(self):
         z = Point(0.13, 1.1)
         a = eval_delta(z)
-        b = complex(eval_delta_mp(z, dps=30))
+        b = complex(eval_delta_mp(z))
         assert abs(a - b) < 1e-14 * abs(a)
 
 
@@ -146,13 +146,7 @@ class TestPretrace:
     @pytest.mark.parametrize("z", [Point(0.13, 1.1), Point(0.0, 1.0),
                                    Point(0.25, 2.5)])
     def test_reference_points(self, z):
-        assert verify_pretrace(z, kernel_tol=1e-14, norm_tol=1e-10) < 1e-8
-
-    def test_rejects_other_weights(self):
-        from cuspkernel import WeightConfig
-
-        with pytest.raises(ValueError):
-            verify_pretrace(Point(0.1, 1.2), WeightConfig(16, 1e-12))
+        assert verify_pretrace(z) < 1e-8
 
     def test_independence_audit(self):
         # the kernel path must be imported nowhere in this module except
