@@ -31,17 +31,14 @@ from .kernel import (
 )
 from .modgroup import (
     EllipticPoint,
-    StripRegion,
     coset_row,
     elliptic_points_in_strip,
-    in_bulk,
     min_displacement,
     stabilizer,
 )
 from .equidist import (
     BumpFunction2D,
     IntegralResult,
-    MeasureDensity,
     TestFunction,
     dim_cusp_forms,
     integrate_horizontal,
@@ -53,7 +50,7 @@ from .oracle import (
     PeterssonNorm,
     QExpansion,
     delta_coeffs,
-    eval_delta,
+    eval_delta_mp,
     petersson_norm_delta,
     verify_pretrace,
 )

@@ -21,7 +21,6 @@ from .errors import CutoffExceeded, CuspKernelError, SupportViolation
 from .halfplane import Point
 from .kernel import WeightConfig, bergman_R
 from .modgroup import (
-    StripRegion,
     elliptic_points_in_strip,
     min_displacement,
     sample_bulk,
@@ -37,6 +36,11 @@ from .equidist import (
 from .oracle import delta_coeffs, verify_pretrace, write_coeffs_csv
 
 RNG_NAME = "philox"
+
+
+def weight_list(text: str) -> list:
+    """Parse a comma-separated list of weights, e.g. '300,600,1200'."""
+    return [int(s) for s in text.split(",")]
 
 
 def parse_point(text: str) -> Point:
@@ -124,10 +128,7 @@ def cmd_scan(args) -> int:
 def cmd_lemmas(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    region = StripRegion(args.Y, args.delta)
-    elist = elliptic_points_in_strip(args.Y)
-    rng = _rng(args.seed)
-    zs = sample_bulk(region, elist, args.samples, rng)
+    zs = sample_bulk(args.Y, args.delta, args.samples, _rng(args.seed))
     bound = args.delta / (4.0 * args.Y)
     min_observed = math.inf
     worst = None
@@ -153,10 +154,9 @@ def cmd_lemmas(args) -> int:
 
 
 def _run_integral(args, runner):
-    """One record per swept weight; runner(k) returns an IntegralResult."""
-    ks = [int(s) for s in args.sweep.split(",")] if args.sweep else [args.k]
+    """One record per weight of --k; runner(k) returns an IntegralResult."""
     records = []
-    for k in ks:
+    for k in args.k:
         t0 = time.perf_counter()
         res = runner(k)
         ms = 1000.0 * (time.perf_counter() - t0)
@@ -309,8 +309,11 @@ _FLAGS = {
     "format": dict(choices=("csv", "json"), default="json"),
     "unsafe": dict(action="store_true",
                    help="lift the proved support-window preconditions"),
-    "sweep": dict(default=None, help="comma-separated k list"),
 }
+
+# --k of the integral subcommands: one record per listed weight
+_WEIGHTS = dict(type=weight_list, default=[12],
+                help="comma-separated even weights >= 4")
 
 
 def _add_flags(p, *names) -> None:
@@ -343,10 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "Y", "seed", "out")
     p.set_defaults(func=cmd_lemmas)
 
-    line_flags = ("k", "tol", "Y", "A", "out", "format", "unsafe", "sweep")
+    line_flags = ("tol", "Y", "A", "out", "format", "unsafe")
     p = sub.add_parser("vertical", help="vertical-geodesic mass integral")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--support", default="1,2", help="bump support a,b")
+    p.add_argument("--k", **_WEIGHTS)
     _add_flags(p, *line_flags)
     p.set_defaults(func=cmd_vertical)
 
@@ -354,13 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--psi", default="const",
                    help="const | indicator:a,b | bump:a,b")
+    p.add_argument("--k", **_WEIGHTS)
     _add_flags(p, *line_flags)
     p.set_defaults(func=cmd_horizontal)
 
     p = sub.add_parser("region", help="2-D bump mass integral")
     p.add_argument("--center", default="0.1,1.2", help="cx,cy")
     p.add_argument("--radius", type=float, default=0.2)
-    _add_flags(p, "k", "tol", "out", "format", "unsafe", "sweep")
+    p.add_argument("--k", **_WEIGHTS)
+    _add_flags(p, "tol", "out", "format", "unsafe")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("pretrace", help="weight-12 pre-trace verification")

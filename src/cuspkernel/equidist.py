@@ -150,22 +150,6 @@ class BumpFunction2D:
         return _bump(r)
 
 
-@dataclass(frozen=True)
-class MeasureDensity:
-    """Normalization data for the averaged mass density."""
-
-    k: int
-    dim: int
-    normalization: float
-
-    @classmethod
-    def for_weight(cls, k: int) -> "MeasureDensity":
-        dim = dim_cusp_forms(k)
-        if dim == 0:
-            raise NoCuspForms(f"weight {k} has no cusp forms")
-        return cls(k, dim, (k - 1) / (8.0 * math.pi * dim))
-
-
 class IntegralResult(NamedTuple):
     integral: float
     reference: float
@@ -173,21 +157,21 @@ class IntegralResult(NamedTuple):
     nodes: int
 
 
-def measure_density(z: Point, cfg: WeightConfig) -> float:
-    """(k-1)/(8 pi dim) * R_k(z, z); the imaginary part of the kernel on the
-    diagonal must vanish within its certified tail."""
-    density, _err = _density_with_error(z, cfg)
-    return density
-
-
-def _density_with_error(z: Point, cfg: WeightConfig):
-    md = MeasureDensity.for_weight(cfg.k)
+def measure_density(z: Point, cfg: WeightConfig):
+    """(density, certified error) at z: the density is
+    (k-1)/(8 pi dim) * R_k(z, z), its error the same multiple of the kernel's
+    tail bound.  The imaginary part of the kernel on the diagonal must
+    vanish within that tail."""
+    dim = dim_cusp_forms(cfg.k)
+    if dim == 0:
+        raise NoCuspForms(f"weight {cfg.k} has no cusp forms")
+    normalization = (cfg.k - 1) / (8.0 * math.pi * dim)
     res = bergman_R(z, z, cfg)
     if abs(res.value.imag) > res.tail_bound + 1e-9:
         raise CuspKernelError(
             f"diagonal kernel has spurious imaginary part {res.value.imag:.3e}"
         )
-    return md.normalization * res.value.real, md.normalization * res.tail_bound
+    return normalization * res.value.real, normalization * res.tail_bound
 
 
 def _integrand(p: float, x: float, y: float, cfg: WeightConfig, w: float):
@@ -195,7 +179,7 @@ def _integrand(p: float, x: float, y: float, cfg: WeightConfig, w: float):
     the base-measure denominator (y, 1 or y^2).  No kernel call where p = 0."""
     if p == 0.0:
         return (0.0, 0.0)
-    dens, derr = _density_with_error(Point(x, y), cfg)
+    dens, derr = measure_density(Point(x, y), cfg)
     return (p * dens / w, abs(p) * derr / w)
 
 

@@ -41,10 +41,12 @@ from .halfplane import (
 )
 from .modgroup import (
     EllipticPoint,
-    coset_row,
+    coset_table,
     elliptic_points_in_strip,
     min_displacement,
+    reduce_to_domain,
     solve_top_row,
+    translate_into_strip,
 )
 
 _HALF_PI = 0.5 * math.pi
@@ -150,12 +152,13 @@ def _shortest_vector_sq(zc: complex) -> float:
 
 
 def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
-               magnitudes_only: bool = False, exclude_identity: bool = False):
+               offdiagonal: bool = False):
     """Shared enumeration engine.
 
     Returns (complex_or_real_sum, tail_bound, terms_used, cosets_used) for
     the sum over one representative of each +/- pair; callers double both
-    the value and the tail for the full group.
+    the value and the tail for the full group.  The sum is of t_g(z, w)^k,
+    or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
     """
     y, x = z.y, z.x
     v, uw = w.y, w.x
@@ -206,18 +209,12 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
                 best_tail_bound=tail,
             )
 
-    # coset table: (c, d, Q) with Q = |cz+d|^2 <= R0, coprime, canonical sign
-    cosets = [(0, 1, 1.0)]
-    c = 1
-    while (c * y) ** 2 <= R0:
-        cosets += [(c, d, Q) for d, Q in coset_row(c, z, R0)]
-        c += 1
-
+    cosets = coset_table(z, R0)
     n_cosets = len(cosets)
     tol_line = 0.25 * tol / n_cosets
     eps_term = tol_line / 8.0
 
-    re_parts, im_parts, mag_parts = [], [], []
+    re_parts, im_parts = [], []
     n_terms = 0
 
     for c, d, Q in cosets:
@@ -242,13 +239,16 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         width = math.sqrt(width_sq) if width_sq > 0.0 else 0.0
         m_lo = math.ceil(t0 - width)
         m_hi = math.floor(t0 + width)
-        # grow the window until both side tails fit the per-line budget
+        # grow the window until both side tails fit the per-line budget;
+        # the pair computed last is that of the final window
         for _ in range(200):
             grew = False
-            if _side_tail(t0 - (m_lo - 1), alpha, beta, k) > 0.5 * tol_line:
+            lo = _side_tail(t0 - (m_lo - 1), alpha, beta, k)
+            if lo > 0.5 * tol_line:
                 m_lo -= max(4, (m_hi - m_lo + 1) // 2)
                 grew = True
-            if _side_tail((m_hi + 1) - t0, alpha, beta, k) > 0.5 * tol_line:
+            hi = _side_tail((m_hi + 1) - t0, alpha, beta, k)
+            if hi > 0.5 * tol_line:
                 m_hi += max(4, (m_hi - m_lo + 1) // 2)
                 grew = True
             if not grew:
@@ -256,46 +256,50 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         else:
             raise CutoffExceeded("m-line window failed to converge",
                                  best_tail_bound=tail)
-        tail += _side_tail(t0 - (m_lo - 1), alpha, beta, k)
-        tail += _side_tail((m_hi + 1) - t0, alpha, beta, k)
+        tail += lo
+        tail += hi
         if m_hi - m_lo + 1 > 5_000_000:
             raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
         if m_lo > m_hi:
             continue
         ms = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-        if exclude_identity and c == 0:
+        if offdiagonal and c == 0:
             ms = ms[ms != 0.0]
             if ms.size == 0:
                 continue
         offs = (X0 - uw) + ms
         u_arr = (offs * offs + beta) / alpha
-        logmag = -0.5 * k * np.log1p(u_arr)
+        mag = np.exp(-0.5 * k * np.log1p(u_arr))
         n_terms += ms.size
-        if magnitudes_only:
-            mag_parts.append(np.exp(logmag))
+        if offdiagonal:
+            re_parts.append(mag)
         else:
             ph = k * (_HALF_PI - np.arctan2(vp + v, offs) - argden)
             ph = np.remainder(ph + math.pi, 2.0 * math.pi) - math.pi
-            mag = np.exp(logmag)
             re_parts.append(mag * np.cos(ph))
             im_parts.append(mag * np.sin(ph))
 
     # terms whose magnitude underflows to zero are each below 5e-324
     tail += n_terms * 5e-324
 
-    if magnitudes_only:
-        flat = np.concatenate(mag_parts) if mag_parts else np.zeros(0)
-        return math.fsum(flat.tolist()), tail, n_terms, n_cosets
-
     re_flat = np.concatenate(re_parts) if re_parts else np.zeros(0)
     im_flat = np.concatenate(im_parts) if im_parts else np.zeros(0)
     re_sum = math.fsum(re_flat.tolist())
+    if offdiagonal:
+        return re_sum, tail, n_terms, n_cosets
     im_sum = math.fsum(im_flat.tolist())
     return complex(re_sum, im_sum), tail, n_terms, n_cosets
 
 
 def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
-    """Evaluate R_k(z, w) with a certified truncation bound <= cfg.tol."""
+    """Evaluate R_k(z, w) with a certified truncation bound <= cfg.tol.
+
+    R_k is 1-periodic in each argument on its own, so z and w are each
+    moved into |Re| <= 1/2 first (translate_into_strip, exact in floating
+    point).
+    """
+    _, z = translate_into_strip(z)
+    _, w = translate_into_strip(w)
     half, tail, n_terms, n_cosets = _sum_terms(z, w, cfg.k, 0.5 * cfg.tol)
     result = KernelResult(2.0 * half, 2.0 * tail, n_terms, n_cosets)
     if result.tail_bound > cfg.tol:
@@ -320,8 +324,7 @@ def offdiagonal_sum_bound(z: Point):
     guess = max(1.0, 0.5 * z.y)
     for _ in range(3):
         total, tail, _, _ = _sum_terms(
-            z, z, 4, 0.05 * max(guess, 1e-3), magnitudes_only=True,
-            exclude_identity=True,
+            z, z, 4, 0.05 * max(guess, 1e-3), offdiagonal=True,
         )
         guess = 2.0 * total
     return 2.0 * total + 2.0 * tail
@@ -333,10 +336,13 @@ def residual_certificate(z: Point, k: int) -> float:
     |R_k(z,z) - 2| <= sum_{g != +/-I} (1+u)^{-k/2}
                    <= (1+u_min)^{-(k-4)/2} * sum_{g != +/-I} (1+u)^{-2},
     with u_min certified by the displacement search and the weight-4 sum
-    bounded by its own certified enumeration.
+    bounded by its own certified enumeration.  Both sums are invariant under
+    z -> hz, so they are taken at reduce_to_domain(z), where the lattice
+    sum stays small at low points.
     """
     if k % 2 or k < 4:
         raise ValueError("k must be an even integer >= 4")
+    z = reduce_to_domain(z)
     _, d_min = min_displacement(z)
     u_min = u_from_distance(d_min)
     s2 = offdiagonal_sum_bound(z)

@@ -29,23 +29,6 @@ U_GENERATOR = GammaMatrix(1, -1, 1, 0)
 
 
 @dataclass(frozen=True)
-class StripRegion:
-    """The strip |Re z| <= 1/2 (closed), Im z > 1/Y, with a neighborhood
-    radius delta (hyperbolic units) used to carve out elliptic points."""
-
-    Y: float
-    delta: float
-
-    def __post_init__(self):
-        if not (0 < self.Y < math.inf and 0 < self.delta < math.inf):
-            raise ValueError(f"Y and delta must be positive and finite, "
-                             f"got {self.Y!r}, {self.delta!r}")
-
-    def contains(self, z: Point) -> bool:
-        return abs(z.x) <= 0.5 and z.y > 1.0 / self.Y
-
-
-@dataclass(frozen=True)
 class EllipticPoint:
     """An elliptic fixed point with its stabilizer order and a generator."""
 
@@ -70,6 +53,32 @@ class EllipticPoint:
         z = self.location
         if math.hypot(fp.x - z.x, fp.y - z.y) > 1e-9 * z.y:
             raise ValueError("generator does not fix the location")
+
+
+def translate_into_strip(z: Point):
+    """(n, T^-n z) with n = round(Re z) when |Re z| > 1/2, else (0, z);
+    floating point subtracts the integer n exactly."""
+    if abs(z.x) <= 0.5:
+        return 0, z
+    n = round(z.x)
+    return n, Point(z.x - n, z.y)
+
+
+def reduce_to_domain(z: Point) -> Point:
+    """hz in the standard fundamental domain |Re| <= 1/2, |z| >= 1, with the
+    translations and inversions S accumulated as one integer matrix h and
+    applied once.  A point of the domain, or one with |z|^2 within 1e-12
+    below 1, is returned as it is; that margin also makes each inversion
+    raise the height, so the loop ends."""
+    h, p = GammaMatrix.identity(), z
+    for _ in range(10_000):
+        n, p = translate_into_strip(p)
+        h = GammaMatrix.T(-n) * h
+        r = p.x * p.x + p.y * p.y
+        if r >= 1.0 - 1e-12:
+            return z if h == GammaMatrix.identity() else moebius_apply(h, z)
+        h, p = GammaMatrix.S() * h, Point(-p.x / r, p.y / r)
+    raise CutoffExceeded("reduction to the fundamental domain did not end")
 
 
 def solve_top_row(c: int, d: int) -> tuple:
@@ -110,6 +119,18 @@ def coset_row(c: int, z: Point, R: float) -> list:
     return row
 
 
+def coset_table(z: Point, R: float) -> list:
+    """Every translation coset with |cz+d|^2 <= R, as (c, d, Q) triples:
+    the identity coset (0, 1, 1.0) first, then coset_row(c, z, R) for
+    c = 1, 2, ... while c^2 y^2 <= R."""
+    cosets = [(0, 1, 1.0)]
+    c = 1
+    while (c * z.y) ** 2 <= R:
+        cosets += [(c, d, Q) for d, Q in coset_row(c, z, R)]
+        c += 1
+    return cosets
+
+
 def _orbit_points_in_strip(z0: Point, q_max: int, order: int,
                            generator0: GammaMatrix):
     """All Gamma-images of z0 at height >= Im(z0)/q_max inside |Re| <= 1/2.
@@ -121,14 +142,8 @@ def _orbit_points_in_strip(z0: Point, q_max: int, order: int,
     edge.
     """
     tol = 1e-9
-    R = q_max + 0.5
-    cosets = [(0, 1)]
-    c = 1
-    while (c * z0.y) ** 2 <= R:
-        cosets += [(c, d) for d, _ in coset_row(c, z0, R)]
-        c += 1
     found = {}
-    for c, d in cosets:
+    for c, d, _ in coset_table(z0, q_max + 0.5):
         a, b = solve_top_row(c, d)
         g0 = GammaMatrix(a, b, c, d)
         base = moebius_apply(g0, z0)
@@ -209,8 +224,11 @@ def min_displacement(z: Point, exclude_fixing: bool = False):
     matrix outside the examined window; the window shrinks as the running
     minimum improves, so the returned minimum is global.  Ties within 1e-12
     are broken lexicographically on (c, d, a, b) after canonicalizing to
-    c > 0 or (c, d) = (0, 1).
+    c > 0 or (c, d) = (0, 1).  A point with |Re z| > 1/2 is searched at
+    T^-n z (see translate_into_strip) and its minimizer g returned as
+    T^n g T^-n, with the distance found there.
     """
+    n, z = translate_into_strip(z)
     x, y = z.x, z.y
 
     candidates = []  # (u, key, GammaMatrix)
@@ -266,23 +284,22 @@ def min_displacement(z: Point, exclude_fixing: bool = False):
     candidates.sort(key=lambda t: t[1])
     u_min, _, g_min = candidates[0]
     gz = moebius_apply(g_min, z)
+    if n:
+        g_min = GammaMatrix.T(n) * g_min * GammaMatrix.T(-n)
     return g_min, hyp_distance(z, gz)
 
 
-def in_bulk(z: Point, region: StripRegion, elliptic_list) -> bool:
-    """True iff z is in the strip and > delta away from every listed point."""
-    if not region.contains(z):
-        return False
-    for e in elliptic_list:
-        if hyp_distance(z, e.location) <= region.delta:
-            return False
-    return True
+def sample_bulk(Y: float, delta: float, n: int, rng) -> list:
+    """n points of F_delta with Im z < 2, by rejection sampling.
 
-
-def sample_bulk(region: StripRegion, elliptic_list, n: int, rng) -> list:
-    """n points of F_delta with Im z < 2, by rejection sampling."""
+    F_delta is the strip |Re z| <= 1/2, Im z > 1/Y with the hyperbolic
+    delta-neighborhoods of elliptic_points_in_strip(Y) removed.
+    """
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    elliptic = elliptic_points_in_strip(Y)  # also rejects a bad Y
     out = []
-    y_lo = 1.0 / region.Y
+    y_lo = 1.0 / Y
     attempts = 0
     while len(out) < n:
         attempts += 1
@@ -291,7 +308,8 @@ def sample_bulk(region: StripRegion, elliptic_list, n: int, rng) -> list:
         x = rng.uniform(-0.5, 0.5)
         y = rng.uniform(y_lo, 2.0)
         z = Point(x, y)
-        if in_bulk(z, region, elliptic_list):
+        if y > y_lo and all(hyp_distance(z, e.location) > delta
+                            for e in elliptic):
             out.append(z)
     return out
 

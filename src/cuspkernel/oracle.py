@@ -105,35 +105,10 @@ def _coeff_tail_bound(N: int, y: float) -> float:
     return first / (1.0 - ratio)
 
 
-def eval_delta(z: Point, N: int | None = None) -> complex:
-    """Sum of a(n) e^{2 pi i n z} with the tail certified below 1e-16 of the
-    leading term; raises TailTooLarge if N is given and insufficient."""
-    if z.y < 0.5:
-        raise ValueError("evaluation requires Im z >= 0.5")
-    lead = math.exp(-2.0 * math.pi * z.y)
-    if N is None:
-        N = 10
-        while _coeff_tail_bound(N, z.y) > 1e-16 * lead:
-            N += 5
-            if N > 10_000:
-                raise TailTooLarge("cannot certify the q-series tail")
-    elif _coeff_tail_bound(N, z.y) > 1e-16 * lead:
-        raise TailTooLarge(
-            f"tail {_coeff_tail_bound(N, z.y):.3e} too large at N={N}, y={z.y}"
-        )
-    qexp = delta_coeffs(N)
-    q = complex(
-        math.exp(-2.0 * math.pi * z.y) * math.cos(2.0 * math.pi * z.x),
-        math.exp(-2.0 * math.pi * z.y) * math.sin(2.0 * math.pi * z.x),
-    )
-    acc = 0.0 + 0.0j
-    for n in range(N, 0, -1):
-        acc = (acc + qexp.coeffs[n - 1]) * q
-    return acc
-
-
 def eval_delta_mp(z: Point):
-    """Extended-precision evaluation (mpmath), tail below 10^-(_DPS+2)."""
+    """The discriminant form at z, sum of a(n) e^{2 pi i n z}, in extended
+    precision (mpmath), with the q-series tail certified below
+    10^-(_DPS+2) of the leading term."""
     with mp.workdps(_DPS + 8):
         y = mp.mpf(z.y)
         lead = mp.e ** (-2 * mp.pi * y)

@@ -26,7 +26,6 @@ import numpy as np
 from cuspkernel import (
     GammaMatrix,
     Point,
-    StripRegion,
     WeightConfig,
     b_term,
     bergman_R,
@@ -46,7 +45,7 @@ from cuspkernel import (
 from cuspkernel import BumpFunction2D
 from cuspkernel import TestFunction as BumpSpec
 from cuspkernel.cli import pretrace_points
-from cuspkernel.modgroup import elliptic_points_in_strip, sample_bulk
+from cuspkernel.modgroup import sample_bulk
 
 from test_halfplane import random_gamma, random_point
 
@@ -135,11 +134,9 @@ def test_criterion_7_lemma_suite():
     worst_margin = math.inf
     for Y in (5.0, 10.0, 20.0):
         delta = 0.05
-        region = StripRegion(Y, delta)
-        elist = elliptic_points_in_strip(Y)
         rng = np.random.Generator(np.random.Philox(SEED + int(Y)))
         bound = delta / (4.0 * Y)
-        for z in sample_bulk(region, elist, 1000, rng):
+        for z in sample_bulk(Y, delta, 1000, rng):
             _, d = min_displacement(z)
             assert d > bound
             worst_margin = min(worst_margin, d / bound)

@@ -4,6 +4,7 @@ import inspect
 
 import pytest
 
+import cuspkernel
 from cuspkernel import equidist, halfplane, kernel, modgroup, oracle
 
 EMPTY = inspect.Parameter.empty
@@ -25,7 +26,8 @@ SIGNATURES = {
     oracle.eval_delta_mp: [("z", EMPTY)],
     modgroup.min_displacement: [("z", EMPTY), ("exclude_fixing", False)],
     modgroup.sample_bulk:
-        [("region", EMPTY), ("elliptic_list", EMPTY), ("n", EMPTY), ("rng", EMPTY)],
+        [("Y", EMPTY), ("delta", EMPTY), ("n", EMPTY), ("rng", EMPTY)],
+    equidist.measure_density: [("z", EMPTY), ("cfg", EMPTY)],
 }
 
 
@@ -46,3 +48,22 @@ def test_line_integrals_do_not_take_a_region():
 ])
 def test_dead_members_are_gone(cls, member):
     assert member not in vars(cls)
+
+
+@pytest.mark.parametrize("module, name", [
+    (oracle, "eval_delta"),
+    (equidist, "MeasureDensity"),
+    (equidist, "_density_with_error"),
+    (modgroup, "StripRegion"),
+    (modgroup, "in_bulk"),
+])
+def test_second_entry_points_are_gone(module, name):
+    # each quantity has one way in: eval_delta_mp, measure_density and
+    # sample_bulk(Y, delta, n, rng)
+    assert not hasattr(module, name)
+    assert not hasattr(cuspkernel, name)
+
+
+def test_kernel_sum_has_one_mode_keyword():
+    params = inspect.signature(kernel._sum_terms).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["offdiagonal"]

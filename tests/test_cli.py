@@ -117,7 +117,7 @@ class TestLemmasCommand:
 class TestIntegralCommands:
     def test_vertical_sweep(self, capsys):
         rc, out, _ = run(capsys, "vertical", "--x", "0.13", "--support", "1,2",
-                         "--sweep", "300,600,1200", "--unsafe")
+                         "--k", "300,600,1200", "--unsafe")
         assert rc == 0
         recs = json.loads(out)
         gaps = [abs(r["gap"]) / r["reference"] for r in recs]
@@ -154,7 +154,7 @@ class TestIntegralCommands:
 
     def test_sweep_csv_rows(self, capsys):
         rc, out, _ = run(capsys, "vertical", "--x", "0.13", "--support", "1,2",
-                         "--sweep", "600,1200", "--unsafe", "--format", "csv")
+                         "--k", "600,1200", "--unsafe", "--format", "csv")
         lines = out.strip().splitlines()
         assert rc == 0
         assert lines[0] == ("k,x_or_y,integral,reference,gap,"
@@ -228,11 +228,10 @@ FLAGS = {
     "scan": {"grid", "k", "tol", "out"},
     "lemmas": {"samples", "Y", "delta", "seed", "out"},
     "vertical": {"x", "support", "k", "tol", "Y", "A", "out", "format",
-                 "unsafe", "sweep"},
+                 "unsafe"},
     "horizontal": {"y", "psi", "k", "tol", "Y", "A", "out", "format",
-                   "unsafe", "sweep"},
-    "region": {"center", "radius", "k", "tol", "out", "format", "unsafe",
-               "sweep"},
+                   "unsafe"},
+    "region": {"center", "radius", "k", "tol", "out", "format", "unsafe"},
     "pretrace": {"points", "seed", "max-residual", "out"},
     "elliptic": {"Y", "out"},
     "coeffs": {"n", "out"},
@@ -249,7 +248,7 @@ class TestFlags:
                          for opt in a.option_strings if opt != "--help"
                          and opt != "-h"}
         assert got == FLAGS
-        assert sum(len(v) for v in got.values()) == 51
+        assert sum(len(v) for v in got.values()) == 48
 
     def test_pretrace_refuses_a_weight(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -283,6 +282,8 @@ class TestFlags:
     (["kernel", "--z", "0+1i", "--out", "no-such-dir/out.json"], 2),
     (["vertical", "--x", "0.1", "--k", "1200", "--support", "1,inf"], 2),
     (["region", "--k", "1200", "--radius", "nan"], 2),
+    (["vertical", "--x", "0.1", "--k", "1200,x"], 2),
+    (["vertical", "--x", "0.13", "--k", "24", "--sweep", "1200"], 2),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:
@@ -312,20 +313,19 @@ COMMANDS = {
     "lemmas": ({"samples": ("3",)},
                {"Y": ("7", "1"), "delta": ("0.05", "5"), "seed": ("1",),
                 "out": ()}),
-    "vertical": ({"x": ("0.13", "0.7"), "k": ("1200",)},
+    "vertical": ({"x": ("0.13", "0.7"), "k": ("1200", "1200,1204")},
                  {"support": ("1,2", "nan,2", "1,inf", "2,1"), "tol": ("1e-6",),
                   "Y": ("7", "1"), "A": ("2",), "format": ("csv", "json"),
-                  "unsafe": None, "sweep": ("1200", "1200,1204"), "out": ()}),
-    "horizontal": ({"y": ("1.3", "3"), "k": ("1200",)},
+                  "unsafe": None, "out": ()}),
+    "horizontal": ({"y": ("1.3", "3"), "k": ("1200", "1200,1204")},
                    {"psi": ("const", "indicator:0,0.5", "bump:-0.4,0.4",
                             "bump:nan,0.4", "indicator:-inf,0.5", "wave"),
                     "tol": ("1e-6",), "Y": ("7", "1"), "A": ("2",),
-                    "format": ("csv", "json"), "unsafe": None,
-                    "sweep": ("1200", "1200,1204"), "out": ()}),
-    "region": ({"k": ("1200",), "radius": ("0.02",)},
+                    "format": ("csv", "json"), "unsafe": None, "out": ()}),
+    "region": ({"k": ("1200", "1200,1204"), "radius": ("0.02",)},
                {"center": ("0.1,1.2", "0.1,inf", "nan,1.2", "0.1"),
                 "tol": ("1e-6",), "format": ("csv", "json"), "unsafe": None,
-                "sweep": ("1200",), "out": ()}),
+                "out": ()}),
     "pretrace": ({"points": ()},
                  {"max-residual": ("1e-8",), "seed": ("1",), "out": ()}),
     "elliptic": ({}, {"Y": ("7", "1"), "out": ()}),

@@ -186,6 +186,28 @@ class TestBergmanR:
         b = bergman_R(img, img, cfg)
         assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound + 1e-11
 
+    @pytest.mark.parametrize("n", [1, -3, 10 ** 6, 10 ** 9, -10 ** 12])
+    def test_far_points_use_the_exact_translate(self, n):
+        # R_k is 1-periodic in each argument; each is moved into the strip
+        # by subtracting round(x), which floating point does exactly
+        cfg = WeightConfig(12, 1e-9)
+        z = Point(n + 0.13, 1.1)
+        w = Point(0.5 - n, 0.9)
+        zs = Point(z.x - round(z.x), z.y)
+        ws = Point(w.x - round(w.x), w.y)
+        res = bergman_R(z, z, cfg)
+        assert res == bergman_R(zs, zs, cfg)
+        assert abs(res.value.imag) <= res.tail_bound
+        assert bergman_R(z, w, cfg) == bergman_R(zs, ws, cfg)
+
+    def test_periodic_in_each_argument(self):
+        cfg = WeightConfig(24, 1e-12)
+        z, w = Point(0.21, 0.9), Point(-0.33, 1.3)
+        base = bergman_R(z, w, cfg)
+        for m, n in ((1, 0), (0, 1), (-1, 2), (3, -1)):
+            res = bergman_R(Point(z.x + m, z.y), Point(w.x + n, w.y), cfg)
+            assert abs(res.value - base.value) <= 1e-14 * abs(base.value)
+
 
 class TestMainTerm:
     def test_diagonal_is_two(self):
@@ -279,6 +301,15 @@ class TestResidualCertificate:
         # the weight-4 sum is about pi*y here; a first tolerance of 5% of
         # y/2 keeps its lattice tail certifiable within the coset cap
         z = Point(-0.007, 200.8)
+        cert = residual_certificate(z, 200)
+        res = bergman_R(z, z, WeightConfig(200, 1e-12))
+        assert math.isfinite(cert)
+        assert cert >= abs(res.value - 2.0) - res.tail_bound
+
+    def test_certificate_at_low_point(self):
+        # both sums behind the certificate are taken at the reduced point
+        # 1/0.3 i, where the weight-4 lattice sum certifies quickly
+        z = Point(0.0, 0.3)
         cert = residual_certificate(z, 200)
         res = bergman_R(z, z, WeightConfig(200, 1e-12))
         assert math.isfinite(cert)

@@ -9,18 +9,25 @@ import pytest
 from cuspkernel import (
     GammaMatrix,
     Point,
-    StripRegion,
     coset_row,
     elliptic_points_in_strip,
     fixed_point,
     hyp_distance,
-    in_bulk,
     min_displacement,
     moebius_apply,
     pair_invariant,
     stabilizer,
 )
-from cuspkernel.modgroup import sample_bulk, solve_top_row, write_elliptic_csv
+from cuspkernel.modgroup import (
+    coset_table,
+    reduce_to_domain,
+    sample_bulk,
+    solve_top_row,
+    translate_into_strip,
+    write_elliptic_csv,
+)
+
+from test_halfplane import random_gamma
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -78,6 +85,19 @@ class TestCosetReps:
         for start in range(-20, 16):
             window = [d for d in ds if start <= d < start + 5]
             assert len(window) == 4
+
+    def test_table_matches_brute_force(self):
+        # oracle: every (c, d) with c > 0 coprime, or the identity (0, 1),
+        # whose |cz+d|^2 is at most R
+        z = Point(0.31, 0.27)
+        R = 40.0
+        want = {(0, 1)} | {
+            (c, d) for c in range(1, 30) for d in range(-60, 61)
+            if math.gcd(c, d) == 1 and abs(c * z.as_complex + d) ** 2 <= R
+        }
+        table = coset_table(z, R)
+        assert table[0] == (0, 1, 1.0)
+        assert [(c, d) for c, d, _ in table] == sorted(want)
 
     def test_same_pair_differs_by_translation(self):
         # canonical rep has 0 <= a < c, so any other valid (a', b') for the
@@ -233,6 +253,56 @@ class TestMinDisplacement:
         z = Point(0.271, 1.313)
         assert min_displacement(z) == min_displacement(z)
 
+    @pytest.mark.parametrize("n", [1, -2, 37, 10 ** 6, -10 ** 9, 10 ** 12])
+    def test_far_point_gets_the_conjugate(self, n):
+        # d(z, gz) is invariant under conjugating g by T^n, so a point far
+        # along the real axis is searched at its translate into the strip
+        for x0 in (0.13, -0.41, 0.5):
+            z = Point(n + x0, 1.1)
+            shifted = Point(z.x - round(z.x), z.y)
+            assert abs(shifted.x) <= 0.5
+            g0, d0 = min_displacement(shifted)
+            g, d = min_displacement(z)
+            assert g == GammaMatrix.T(round(z.x)) * g0 * GammaMatrix.T(-round(z.x))
+            assert d == d0
+            g, d = min_displacement(z, exclude_fixing=True)
+            assert d == min_displacement(shifted, exclude_fixing=True)[1]
+
+
+class TestTranslationAndReduction:
+    def test_strip_points_are_kept(self):
+        for z in (Point(0.5, 1.0), Point(-0.5, 0.2), Point(0.0, 3.0)):
+            assert translate_into_strip(z) == (0, z)
+
+    @pytest.mark.parametrize("x", [0.5000001, -0.75, 1.5, 2.5, 1e12 + 0.13, -7e15])
+    def test_translation_is_exact(self, x):
+        n, p = translate_into_strip(Point(x, 0.7))
+        assert abs(p.x) <= 0.5 and p.y == 0.7
+        assert p.x + n == x  # nothing was rounded away
+
+    def test_domain_points_are_kept(self):
+        # rho's nearest double lies 1e-17 inside the unit circle; the
+        # relative margin of 1e-12 keeps it
+        for z in (Point(0.5, SQRT3_2), Point(-0.31, 1.2), Point(0.0, 1.0),
+                  Point(0.2, 40.0)):
+            assert reduce_to_domain(z) is z
+
+    def test_reduction_returns_the_domain_representative(self):
+        # oracle: an image g z0 of an interior point z0 of the domain
+        # reduces back to z0
+        gen = rng(23)
+        for _ in range(200):
+            while True:
+                z0 = Point(float(gen.uniform(-0.45, 0.45)),
+                           float(gen.uniform(0.9, 3.0)))
+                if abs(z0.as_complex) > 1.05:
+                    break
+            z = moebius_apply(random_gamma(gen), z0)
+            w = reduce_to_domain(z)
+            assert abs(w.x - z0.x) < 1e-9 and abs(w.y - z0.y) < 1e-9
+        w = reduce_to_domain(Point(0.0, 0.3))
+        assert (w.x, w.y) == (0.0, 1.0 / 0.3)
+
 
 class TestPaperBounds:
     def test_fixed_point_half_distance(self):
@@ -256,9 +326,7 @@ class TestPaperBounds:
     @pytest.mark.parametrize("Y", [5.0, 10.0, 20.0])
     def test_uniform_lower_bound_sampled(self, Y):
         delta = 0.05
-        region = StripRegion(Y, delta)
-        elist = elliptic_points_in_strip(Y)
-        zs = sample_bulk(region, elist, 200, rng(int(Y)))
+        zs = sample_bulk(Y, delta, 200, rng(int(Y)))
         bound = delta / (4.0 * Y)
         for z in zs:
             _, d = min_displacement(z)
@@ -295,30 +363,41 @@ class TestPaperBounds:
 
 
 class TestInBulk:
+    # sample_bulk draws x, then y, from the rng and keeps the points of
+    # F_delta: |x| <= 1/2, 1/Y < y < 2, farther than delta from every
+    # elliptic point of the strip
+
     def test_elliptic_point_excluded(self):
-        region = StripRegion(10.0, 0.1)
         elist = elliptic_points_in_strip(10.0)
-        assert not in_bulk(Point(0, 1), region, elist)
+        for z in sample_bulk(10.0, 0.1, 300, rng(5)):
+            assert min(hyp_distance(z, e.location) for e in elist) > 0.1
 
     def test_bulk_point(self):
-        region = StripRegion(10.0, 0.1)
-        elist = elliptic_points_in_strip(10.0)
-        z = Point(0.13, 1.1)
-        # oracle: closest listed point
-        dmin = min(hyp_distance(z, e.location) for e in elist)
-        assert dmin > 0.1
-        assert in_bulk(z, region, elist)
+        # oracle: replay the same draws and filter them independently,
+        # with the distance from the pair invariant
+        Y, delta, n = 10.0, 0.1, 50
+        elist = elliptic_points_in_strip(Y)
+        got = sample_bulk(Y, delta, n, rng(8))
+        gen = rng(8)
+        want = []
+        while len(want) < n:
+            z = Point(gen.uniform(-0.5, 0.5), gen.uniform(1.0 / Y, 2.0))
+            u_min = min(pair_invariant(z, e.location) for e in elist)
+            if math.acosh(1.0 + 2.0 * u_min) > delta:
+                want.append(z)
+        assert got == want
 
     def test_below_floor(self):
-        region = StripRegion(10.0, 0.1)
-        elist = elliptic_points_in_strip(10.0)
-        assert not in_bulk(Point(0, 0.05), region, elist)
+        for z in sample_bulk(10.0, 0.1, 300, rng(6)):
+            assert 0.1 < z.y < 2.0 and abs(z.x) <= 0.5
 
+    # also a delta that is not positive and a Y below 1
     @pytest.mark.parametrize("Y, delta", [(math.inf, 0.05), (math.nan, 0.05),
-                                          (7.0, math.inf), (7.0, math.nan)])
+                                          (7.0, math.inf), (7.0, math.nan),
+                                          (7.0, 0.0), (7.0, -0.1), (0.5, 0.05)])
     def test_region_rejects_non_finite(self, Y, delta):
         with pytest.raises(ValueError):
-            StripRegion(Y, delta)
+            sample_bulk(Y, delta, 1, rng(1))
 
     @pytest.mark.parametrize("Y", [math.inf, math.nan])
     def test_elliptic_search_rejects_non_finite(self, Y):
@@ -326,8 +405,7 @@ class TestInBulk:
             elliptic_points_in_strip(Y)
 
     def test_sampler_respects_bulk(self):
-        region = StripRegion(5.0, 0.05)
         elist = elliptic_points_in_strip(5.0)
-        for z in sample_bulk(region, elist, 100, rng(3)):
-            assert in_bulk(z, region, elist)
-            assert z.y < 2.0
+        for z in sample_bulk(5.0, 0.05, 100, rng(3)):
+            assert abs(z.x) <= 0.5 and 0.2 < z.y < 2.0
+            assert all(hyp_distance(z, e.location) > 0.05 for e in elist)

