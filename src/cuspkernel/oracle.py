@@ -2,11 +2,14 @@
 
 This module never touches the kernel lattice sum: coefficients come from
 the 24th power of the pentagonal-number series, evaluation from the
-q-expansion with a certified tail, and the Petersson norm from quadrature
-over the fundamental domain (Fourier-diagonalized in x, extended-precision
-in y).  The one function that compares the two code paths,
-verify_pretrace, imports the kernel locally so the independence of the
-module is auditable.
+q-expansion with a certified tail, and the Petersson norm from the
+fundamental domain integrated exactly in x and by extended-precision
+quadrature in y.  At each height y the x-integral of |Delta|^2 is the
+diagonal sum of u_n^2 plus the lag autocorrelations sum_m u_m u_{m+d} of
+u_n = a_n e^{-2 pi n y}, weighted by sin(2 pi d x0)/(pi d) where the arc
+cuts the strip at |x| = x0: one exponential and N - 1 sines per node.  The
+one function that compares the two code paths, verify_pretrace, imports
+the kernel locally so the independence of the module is auditable.
 """
 
 from __future__ import annotations
@@ -136,25 +139,70 @@ class PeterssonNorm:
 _norm_cache: dict = {}
 
 
-def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0) -> PeterssonNorm:
-    """The squared Petersson norm of the discriminant form.
+def _x_integrated_square(y, x0, coeffs):
+    """The integral of |sum_n a_n e^{2 pi i n (x + iy)}|^2 over
+    x0 <= |x| <= 1/2, at working precision.
 
-    Splits the fundamental domain at height y_cut: above it the x-integral
-    diagonalizes the Fourier series exactly and the y-integral is a sum of
-    upper incomplete gamma values; below it (down to the unit-circle arc)
-    the x-integral is still exact per Fourier pair and only the height
-    integral is done numerically, with tanh-sinh quadrature in extended
-    precision.  The reported error combines the quadrature estimates of two
-    precision levels with the certified series tails.
+    With q = e^{-2 pi y} and u_n = a_n q^n, the diagonal Fourier pairs give
+    (1 - 2 x0) sum u_n^2 and the pairs (m, m + d) give
+    -2 sin(2 pi d x0)/(pi d) times the lag-d autocorrelation
+    sum_m u_m u_{m+d}: one exponential and N - 1 sines per height.
     """
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not supported")
-    if y_cut < 1.0:
-        raise ValueError("the height cut must be >= 1")
-    key = (tol, y_cut)
-    if key in _norm_cache:
-        return _norm_cache[key]
+    q = mp.e ** (-2 * mp.pi * y)
+    u = []
+    qn = mp.mpf(1)
+    for a in coeffs:
+        qn *= q
+        u.append(a * qn)
+    total = (1 - 2 * x0) * mp.fdot(u, u)
+    if x0 > 0:
+        lags = [mp.fdot(u[:-d], u[d:]) for d in range(1, len(u))]
+        pi = +mp.pi  # the constant, evaluated once at working precision
+        sincs = [mp.sin(2 * pi * d * x0) / (pi * d) for d in range(1, len(u))]
+        total -= 2 * mp.fdot(lags, sincs)
+    return total
 
+
+def _series_tails(N: int, y_cut: float) -> float:
+    """Certified bound on what the norm omits beyond a(N): the Fourier pairs
+    of the lens and the band below y_cut (bounded at the lowest height, then
+    weighted by int y^10 dy) and the coefficients of the strip above it."""
+    lens_tail = 0.0
+    s = N + 1
+    while True:
+        t = (s ** 16 / 2.0 ** 15) * math.exp(-2.0 * math.pi * SQRT3_2 * s)
+        lens_tail += t
+        ratio = math.exp(-2.0 * math.pi * SQRT3_2) * ((s + 1) / s) ** 16
+        if ratio < 1.0 and t < 1e-60:
+            lens_tail += t * ratio / (1.0 - ratio)
+            break
+        s += 1
+        if s > N + 10_000:
+            break
+    try:
+        lens_tail *= y_cut ** 11 / 11.0
+    except OverflowError:
+        return math.inf
+    strip_tail = 0.0
+    n = N + 1
+    while 4.0 * math.pi * n * y_cut > 20.0:
+        # Gamma(11, a) <= 2 a^10 e^-a for a >= 20
+        t = n ** 14 * 2.0 * y_cut ** 10 * math.exp(
+            -4.0 * math.pi * n * y_cut
+        ) / (4.0 * math.pi)
+        strip_tail += t
+        ratio = math.exp(-4.0 * math.pi * y_cut) * ((n + 1) / n) ** 14
+        if ratio < 1.0 and t < 1e-60:
+            strip_tail += t * ratio / (1.0 - ratio)
+            break
+        n += 1
+        if n > N + 10_000:
+            break
+    return lens_tail + strip_tail
+
+
+def _norm_at(y_cut: float) -> PeterssonNorm:
+    """The norm with its error bound, split at height y_cut."""
     N = 30
     qexp = delta_coeffs(N)
     nodes = 0
@@ -171,30 +219,11 @@ def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0) -> PeterssonNor
                     11, s * y_cut
                 ) / s ** 11
 
-            def series_at(y, x0):
-                # x-integrated |Delta|^2 over {x0 <= |x| <= 1/2} at height y
-                total = mp.mpf(0)
-                for n in range(1, N + 1):
-                    an = qexp.coeffs[n - 1]
-                    total += mp.mpf(an) ** 2 * mp.e ** (-pi4 * n * y) * (1 - 2 * x0)
-                if x0 > 0:
-                    for m in range(1, N + 1):
-                        am = qexp.coeffs[m - 1]
-                        for n in range(m + 1, N + 1):
-                            an = qexp.coeffs[n - 1]
-                            d = n - m
-                            total -= (
-                                2 * mp.mpf(am) * an
-                                * mp.e ** (-2 * mp.pi * (m + n) * y)
-                                * mp.sin(2 * mp.pi * d * x0) / (mp.pi * d)
-                            )
-                return total
-
             def lens_integrand(y):
                 nonlocal nodes
                 nodes += 1
                 x0 = mp.sqrt(1 - y * y) if y < 1 else mp.mpf(0)
-                return y ** 10 * series_at(y, x0)
+                return y ** 10 * _x_integrated_square(y, x0, qexp.coeffs)
 
             lens, lens_err = mp.quad(
                 lens_integrand, [mp.sqrt(3) / 2, 1], error=True
@@ -210,45 +239,40 @@ def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0) -> PeterssonNor
     v1, e1 = compute(_DPS)
     v2, e2 = compute(_DPS + 10)
     value = float(v2)
-    # certified series tails beyond a(N): the omitted Fourier pairs in the
-    # lens (bounded at the lowest height, then weighted by int y^10 dy) and
-    # the omitted strip coefficients
-    lens_tail = 0.0
-    s = N + 1
-    while True:
-        t = (s ** 16 / 2.0 ** 15) * math.exp(-2.0 * math.pi * SQRT3_2 * s)
-        lens_tail += t
-        ratio = math.exp(-2.0 * math.pi * SQRT3_2) * ((s + 1) / s) ** 16
-        if ratio < 1.0 and t < 1e-60:
-            lens_tail += t * ratio / (1.0 - ratio)
-            break
-        s += 1
-        if s > N + 10_000:
-            break
-    lens_tail *= y_cut ** 11 / 11.0
-    strip_tail = 0.0
-    n = N + 1
-    while 4.0 * math.pi * n * y_cut > 20.0:
-        # Gamma(11, a) <= 2 a^10 e^-a for a >= 20
-        t = n ** 14 * 2.0 * y_cut ** 10 * math.exp(
-            -4.0 * math.pi * n * y_cut
-        ) / (4.0 * math.pi)
-        strip_tail += t
-        ratio = math.exp(-4.0 * math.pi * y_cut) * ((n + 1) / n) ** 14
-        if ratio < 1.0 and t < 1e-60:
-            strip_tail += t * ratio / (1.0 - ratio)
-            break
-        n += 1
-        if n > N + 10_000:
-            break
-    err = (abs(float(v1 - v2)) + float(e1 + e2) + lens_tail + strip_tail
+    err = (abs(float(v1 - v2)) + float(e1 + e2) + _series_tails(N, y_cut)
            + 1e-16 * value)  # floor at double-precision representation
-    if err > tol * value:
+    if not math.isfinite(err):
+        raise TailTooLarge(f"norm error bound {err} at y_cut = {y_cut!r}")
+    return PeterssonNorm(value, err, nodes)
+
+
+def petersson_norm_delta(tol: float = 1e-10, y_cut: float = 1.0) -> PeterssonNorm:
+    """The squared Petersson norm of the discriminant form, to a relative
+    error bound of at most tol.
+
+    Splits the fundamental domain at height y_cut: above it the x-integral
+    diagonalizes the Fourier series exactly and the y-integral is a sum of
+    upper incomplete gamma values; below it (down to the unit-circle arc)
+    the x-integral over x0 <= |x| <= 1/2 is exact too, the diagonal plus
+    one lag autocorrelation of the terms a_n q^n weighted by sines of
+    2 pi d x0 (_x_integrated_square), and only the height integral is done
+    numerically, with tanh-sinh quadrature in extended precision.  The
+    reported error combines the quadrature estimates of two precision
+    levels with the certified series tails.  One result is cached per
+    y_cut; tol only gates it.
+    """
+    if not 1e-12 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least 1e-12, got {tol!r}")
+    if not 1.0 <= y_cut < math.inf:
+        raise ValueError(f"the height cut must be finite and >= 1, got {y_cut!r}")
+    result = _norm_cache.get(y_cut)
+    if result is None:
+        result = _norm_cache[y_cut] = _norm_at(y_cut)
+    if result.error_bound > tol * result.value:
         raise TailTooLarge(
-            f"norm error bound {err:.3e} exceeds tol*value {tol * value:.3e}"
+            f"norm error bound {result.error_bound:.3e} exceeds tol*value "
+            f"{tol * result.value:.3e}"
         )
-    result = PeterssonNorm(value, err, nodes)
-    _norm_cache[key] = result
     return result
 
 

@@ -209,10 +209,13 @@ class TestDumpCommands:
 class TestGoldenBytes:
     # elliptic generators follow the coset enumeration order, and scan
     # prints 17 digits, so a change in either the order or the rounding
-    # of |cz+d|^2 shows here
+    # of |cz+d|^2 shows here; pretrace pins the oracle path, the Petersson
+    # norm included, against the kernel
     @pytest.mark.parametrize("argv, name", [
         (("scan", "--grid=-0.5,0.5,9,0.3,2.5,9", "--k", "24"), "scan_k24.csv"),
         (("elliptic", "--Y", "40"), "elliptic_Y40.csv"),
+        (("pretrace", "--points", "20", "--seed", "20250809"),
+         "pretrace_p20.json"),
     ])
     def test_output_matches_golden_file(self, capsys, tmp_path, argv, name):
         want = (GOLDEN / name).read_bytes()
@@ -297,9 +300,10 @@ def test_exits_with_a_documented_code(capsys, argv, code):
 
 # Property test: every subcommand, argv drawn from a small token pool.  Each
 # flag takes one of its cheap valid values or a bad one; flags whose default
-# would make a run slow (a weight-12 integral, 1000 lemma samples, a fresh
-# Petersson norm) are always drawn.  A valid pretrace costs seconds, so its
-# --points is always bad here; TestPretraceCommand covers the valid runs.
+# would make a run slow (a weight-12 integral, 1000 lemma samples, 20
+# pre-trace points) are always drawn.  A valid pretrace takes --points 1 or 2:
+# one kernel evaluation at tol 1e-14 per point, after one Petersson norm of
+# under a second that every later run reads from the cache.
 BAD = ("0", "-1", "nan", "inf", "x")
 # subcommand -> (flags always drawn, flags drawn or left out); flag -> the
 # valid tokens it adds to BAD, or None for a switch
@@ -326,7 +330,7 @@ COMMANDS = {
                {"center": ("0.1,1.2", "0.1,inf", "nan,1.2", "0.1"),
                 "tol": ("1e-6",), "format": ("csv", "json"), "unsafe": None,
                 "out": ()}),
-    "pretrace": ({"points": ()},
+    "pretrace": ({"points": ("1", "2")},
                  {"max-residual": ("1e-8",), "seed": ("1",), "out": ()}),
     "elliptic": ({}, {"Y": ("7", "1"), "out": ()}),
     "coeffs": ({}, {"n": ("5", "100000000000000000000"), "out": ()}),

@@ -4,18 +4,23 @@ import inspect
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cuspkernel import (
     Point,
+    TailTooLarge,
     delta_coeffs,
     eval_delta_mp,
     petersson_norm_delta,
     verify_pretrace,
 )
 from cuspkernel import oracle as oracle_module
-from cuspkernel.oracle import write_coeffs_csv
+from cuspkernel.oracle import PeterssonNorm, write_coeffs_csv
+
+# <Delta, Delta> over the fundamental domain with dx dy / y^2, to 19 digits
+NORM_LITERATURE = 1.035362056804320922e-6
 
 
 def naive_product_coeffs(order):
@@ -103,12 +108,80 @@ class TestEvaluation:
             assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
+def fourier_pair_sum(y, x0, coeffs):
+    """The x-integral of |sum a_n q^n e^{2 pi i n x}|^2 over x0 <= |x| <= 1/2,
+    summed over every ordered pair (m, n) of Fourier terms."""
+    total = mp.mpf(0)
+    for m, am in enumerate(coeffs, 1):
+        for n, an in enumerate(coeffs, 1):
+            d = abs(m - n)
+            weight = (1 - 2 * x0 if d == 0
+                      else -mp.sin(2 * mp.pi * d * x0) / (mp.pi * d))
+            total += am * an * mp.e ** (-2 * mp.pi * (m + n) * y) * weight
+    return total
+
+
+class TestXIntegratedSquare:
+    # lens heights with x0 on the unit circle, and one height above it
+    @pytest.mark.parametrize("y", [0.87, 0.93, 0.99, 1.2])
+    def test_matches_direct_quadrature_in_x(self, y):
+        with mp.workdps(20):
+            x0 = mp.sqrt(1 - mp.mpf(y) ** 2) if y < 1 else mp.mpf(0)
+            got = oracle_module._x_integrated_square(
+                mp.mpf(y), x0, delta_coeffs(30).coeffs)
+            # |Delta(-x + iy)| = |Delta(x + iy)|: the two halves are equal
+            want = 2 * mp.quad(
+                lambda x: abs(eval_delta_mp(Point(float(x), y))) ** 2,
+                [x0, 0.5])
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("y", [0.87, 0.99, 1.2])
+    def test_matches_the_fourier_pair_sum(self, y):
+        coeffs = delta_coeffs(30).coeffs
+        with mp.workdps(30):
+            x0 = mp.sqrt(1 - mp.mpf(y) ** 2) if y < 1 else mp.mpf(0)
+            got = oracle_module._x_integrated_square(mp.mpf(y), x0, coeffs)
+            want = fourier_pair_sum(mp.mpf(y), x0, coeffs)
+            assert abs(got - want) <= mp.mpf(10) ** -26 * want
+
+
 class TestPeterssonNorm:
     def test_positive_and_scale(self):
         norm = petersson_norm_delta(1e-10)
         assert norm.value > 0.0
-        assert 5e-7 < norm.value < 2e-6  # the quadrature is the oracle
         assert norm.error_bound <= 1e-10 * norm.value
+
+    def test_literature_value_within_the_bound(self):
+        norm = petersson_norm_delta(1e-10)
+        assert abs(norm.value - NORM_LITERATURE) <= norm.error_bound
+
+    def test_repr_is_pinned(self):
+        assert repr(petersson_norm_delta(1e-10)) == (
+            "PeterssonNorm(value=1.035362056804321e-06, "
+            "error_bound=1.0353620568043288e-22, nodes=258)")
+
+    def test_one_result_per_height_cut(self):
+        assert petersson_norm_delta(1e-9) is petersson_norm_delta(1e-10)
+
+    def test_tol_gates_the_cached_result(self, monkeypatch):
+        loose = PeterssonNorm(1.0, 1e-9, 0)
+        monkeypatch.setitem(oracle_module._norm_cache, 3.0, loose)
+        assert petersson_norm_delta(1e-8, y_cut=3.0) is loose
+        with pytest.raises(TailTooLarge):
+            petersson_norm_delta(1e-10, y_cut=3.0)
+
+    @pytest.mark.parametrize("tol, y_cut", [
+        (math.nan, 1.0), (math.inf, 1.0), (1e-10, math.nan),
+        (1e-10, math.inf), (1e-10, 0.99),
+    ])
+    def test_rejects_non_finite_or_out_of_range_input(self, tol, y_cut):
+        with pytest.raises(ValueError):
+            petersson_norm_delta(tol, y_cut)
+
+    def test_non_finite_error_is_not_certified(self):
+        # y_cut^11 in the lens tail overflows a double
+        with pytest.raises(TailTooLarge):
+            petersson_norm_delta(1e-10, y_cut=1e29)
 
     def test_height_cut_consistency(self):
         a = petersson_norm_delta(1e-10, y_cut=1.0)
