@@ -153,14 +153,15 @@ def cmd_lemmas(args) -> int:
     return 0 if passed else 4
 
 
-def _run_integral(args, runner):
-    """One record per weight of --k; runner(k) returns an IntegralResult."""
+def _run_integral(args, runner, x_or_y=None):
+    """One record per weight of --k; runner(k) returns an IntegralResult.
+    A line integral's records also carry the line's x_or_y."""
     records = []
     for k in args.k:
         t0 = time.perf_counter()
         res = runner(k)
         ms = 1000.0 * (time.perf_counter() - t0)
-        records.append({
+        record = {
             "k": k,
             "integral": res.integral,
             "reference": res.reference,
@@ -168,7 +169,10 @@ def _run_integral(args, runner):
             "reported_error": res.error,
             "nodes": res.nodes,
             "wall_time_ms": ms,
-        })
+        }
+        if x_or_y is not None:
+            record["x_or_y"] = x_or_y
+        records.append(record)
     return records
 
 
@@ -193,41 +197,39 @@ def _emit_records(args, records) -> None:
 
 def cmd_vertical(args) -> int:
     a, b = (float(s) for s in args.support.split(","))
-    psi = TestFunction.bump(a, b, weight="log")
+    psi = TestFunction.bump(a, b)
     records = _run_integral(
         args,
         lambda k: integrate_vertical(
-            args.x, psi, WeightConfig(k, args.tol, args.A), args.Y,
+            args.x, psi, WeightConfig(k, args.tol), args.Y,
             unsafe=args.unsafe,
         ),
+        args.x,
     )
-    for r in records:
-        r["x_or_y"] = args.x
     _emit_records(args, records)
     return 0
 
 
 def cmd_horizontal(args) -> int:
     if args.psi == "const":
-        psi = TestFunction.indicator(-0.5, 0.5, weight="lin")
+        psi = TestFunction.indicator(-0.5, 0.5)
     elif args.psi.startswith("indicator:"):
         a, b = (float(s) for s in args.psi.split(":", 1)[1].split(","))
-        psi = TestFunction.indicator(a, b, weight="lin")
+        psi = TestFunction.indicator(a, b)
     elif args.psi.startswith("bump:"):
         a, b = (float(s) for s in args.psi.split(":", 1)[1].split(","))
-        psi = TestFunction.bump(a, b, weight="lin")
+        psi = TestFunction.bump(a, b)
     else:
         print("--psi must be const, indicator:a,b or bump:a,b", file=sys.stderr)
         return 2
     records = _run_integral(
         args,
         lambda k: integrate_horizontal(
-            args.y, psi, WeightConfig(k, args.tol, args.A), args.Y,
+            args.y, psi, WeightConfig(k, args.tol), args.Y,
             unsafe=args.unsafe,
         ),
+        args.y,
     )
-    for r in records:
-        r["x_or_y"] = args.y
     _emit_records(args, records)
     return 0
 
@@ -303,7 +305,6 @@ _FLAGS = {
     "k": dict(type=int, default=12, help="even weight >= 4"),
     "tol": dict(type=float, default=1e-9, help="requested certified tail bound"),
     "Y": dict(type=float, default=7.0, help="strip parameter"),
-    "A": dict(type=float, default=2.0, help="squeeze constant"),
     "seed": dict(type=int, default=20250809, help="64-bit RNG seed"),
     "out": dict(default=None, help="output path (default stdout)"),
     "format": dict(choices=("csv", "json"), default="json"),
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "Y", "seed", "out")
     p.set_defaults(func=cmd_lemmas)
 
-    line_flags = ("tol", "Y", "A", "out", "format", "unsafe")
+    line_flags = ("tol", "Y", "out", "format", "unsafe")
     p = sub.add_parser("vertical", help="vertical-geodesic mass integral")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--support", default="1,2", help="bump support a,b")

@@ -42,68 +42,37 @@ def _bump(t: float) -> float:
 
 @dataclass
 class TestFunction:
-    """A 1-D test function with compact support and a frozen reference integral.
+    """A 1-D test function on the interval [a, b]: a smooth bump or an
+    indicator.  It carries no measure: the line it is integrated along
+    supplies dy/y (vertical) or dx (horizontal)."""
 
-    weight selects the base measure of the reference integral: "log" pairs
-    with dy/y on the positive axis (vertical geodesics), "lin" with dx on
-    the circle (horizontal segments).
-    """
-
-    kind: str  # smooth_bump | indicator | tabulated
+    kind: str  # smooth_bump | indicator
     a: float
     b: float
-    weight: str = "log"
-    values: tuple = ()  # tabulated only: samples on a uniform grid over [a, b]
-    reference_integral: float = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("smooth_bump", "indicator", "tabulated"):
+        if self.kind not in ("smooth_bump", "indicator"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.weight not in ("log", "lin"):
-            raise ValueError(f"unknown weight {self.weight!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError(f"support [{self.a}, {self.b}] must be finite")
         if not self.b > self.a:
             raise ValueError("support must be a nonempty interval")
-        if self.weight == "log" and self.a <= 0:
-            raise ValueError("log-weight support must stay positive")
-        if self.kind == "tabulated" and len(self.values) < 2:
-            raise ValueError("tabulated functions need at least two samples")
-        if self.weight == "log":
-            f = lambda y: self(y) / y
-        else:
-            f = lambda y: self(y)
-        val, err, _, _ = adaptive(f, self.a, self.b, rtol=1e-13, atol=1e-15)
-        if err > 1e-12 * max(abs(val), 1.0):
-            raise ValueError("reference integral did not converge to 1e-12")
-        self.reference_integral = val
 
     @classmethod
-    def bump(cls, a: float, b: float, weight: str = "log") -> "TestFunction":
-        return cls("smooth_bump", a, b, weight)
+    def bump(cls, a: float, b: float) -> "TestFunction":
+        return cls("smooth_bump", a, b)
 
     @classmethod
-    def indicator(cls, a: float, b: float, weight: str = "lin") -> "TestFunction":
-        return cls("indicator", a, b, weight)
-
-    @property
-    def support(self) -> tuple:
-        return (self.a, self.b)
+    def indicator(cls, a: float, b: float) -> "TestFunction":
+        return cls("indicator", a, b)
 
     def __call__(self, s: float) -> float:
         if self.kind == "indicator":
             return 1.0 if self.a <= s <= self.b else 0.0
         if s <= self.a or s >= self.b:
             return 0.0
-        if self.kind == "smooth_bump":
-            t = (2.0 * s - (self.a + self.b)) / (self.b - self.a)
-            return _bump(t)
-        # tabulated: linear interpolation
-        n = len(self.values) - 1
-        pos = (s - self.a) / (self.b - self.a) * n
-        i = min(int(pos), n - 1)
-        frac = pos - i
-        return self.values[i] * (1.0 - frac) + self.values[i + 1] * frac
+        t = (2.0 * s - (self.a + self.b)) / (self.b - self.a)
+        return _bump(t)
 
 
 @dataclass
@@ -190,7 +159,7 @@ def _check_window(lo: float, hi: float, cfg: WeightConfig, Y: float,
     if not (lo > bottom and hi < top):
         raise SupportViolation(
             f"{what} [{lo}, {hi}] outside the admissible window "
-            f"({bottom:.6g}, {top:.6g}) at k={cfg.k}, A={cfg.A}"
+            f"({bottom:.6g}, {top:.6g}) at k={cfg.k}"
         )
 
 
@@ -220,6 +189,25 @@ def _horizontal_crossings(y: float, elliptic_list, delta: float) -> list:
     return out
 
 
+def _line_integral(psi: TestFunction, at, breaks: list, cfg: WeightConfig,
+                   rtol: float) -> IntegralResult:
+    """Integral of psi(t) against the mass density along the line
+    t -> at(t) = (x, y, w), where w is the denominator of the line's base
+    measure, with the reference (3/pi) * int psi(t) dt / w."""
+
+    def density(t):
+        x, y, w = at(t)
+        return _integrand(psi(t), x, y, cfg, w)
+
+    val, qerr, extra, nodes = adaptive(density, psi.a, psi.b, rtol=rtol,
+                                       breakpoints=breaks)
+    ref, err, _, _ = adaptive(lambda t: psi(t) / at(t)[2], psi.a, psi.b,
+                              rtol=1e-13, atol=1e-15)
+    if err > 1e-12 * max(abs(ref), 1.0):
+        raise ValueError("reference integral did not converge to 1e-12")
+    return IntegralResult(val, THREE_OVER_PI * ref, qerr + extra, nodes)
+
+
 def integrate_vertical(x: float, psi: TestFunction, cfg: WeightConfig,
                        Y: float, *, unsafe: bool = False,
                        rtol: float = 1e-4) -> IntegralResult:
@@ -228,20 +216,15 @@ def integrate_vertical(x: float, psi: TestFunction, cfg: WeightConfig,
     parameter: the support must lie above 1/Y, and the quadrature breaks
     where the line crosses the cfg.delta_for(Y) neighborhoods of the
     strip's elliptic points."""
-    if psi.weight != "log":
-        raise ValueError("vertical test functions use the dy/y weight")
     if abs(x) > 0.5:
         raise ValueError("x must lie in [-1/2, 1/2]")
+    if psi.a <= 0:
+        raise ValueError("the support on a vertical line must stay above 0")
     elist = elliptic_points_in_strip(Y)  # also rejects a bad Y
     if not unsafe:
         _check_window(psi.a, psi.b, cfg, Y, "support")
     breaks = _vertical_crossings(x, elist, cfg.delta_for(Y))
-    val, qerr, extra, nodes = adaptive(
-        lambda y: _integrand(psi(y), x, y, cfg, y), psi.a, psi.b,
-        rtol=rtol, breakpoints=breaks,
-    )
-    ref = THREE_OVER_PI * psi.reference_integral
-    return IntegralResult(val, ref, qerr + extra, nodes)
+    return _line_integral(psi, lambda y: (x, y, y), breaks, cfg, rtol)
 
 
 def integrate_horizontal(y: float, psi: TestFunction, cfg: WeightConfig,
@@ -250,20 +233,13 @@ def integrate_horizontal(y: float, psi: TestFunction, cfg: WeightConfig,
     """Integral of psi(x) against the mass density along Im z = y over one
     period, with reference (3/pi) * int psi dx.  psi may be an indicator.
     Y plays the same part as in integrate_vertical."""
-    if psi.weight != "lin":
-        raise ValueError("horizontal test functions use the dx weight")
     elist = elliptic_points_in_strip(Y)  # also rejects a bad Y
     if not unsafe:
         _check_window(y, y, cfg, Y, "height")
         if psi.a < -0.5 - 1e-12 or psi.b > 0.5 + 1e-12:
             raise SupportViolation("support must fit in one period [-1/2, 1/2]")
     breaks = _horizontal_crossings(y, elist, cfg.delta_for(Y))
-    val, qerr, extra, nodes = adaptive(
-        lambda x: _integrand(psi(x), x, y, cfg, 1.0), psi.a, psi.b,
-        rtol=rtol, breakpoints=breaks,
-    )
-    ref = THREE_OVER_PI * psi.reference_integral
-    return IntegralResult(val, ref, qerr + extra, nodes)
+    return _line_integral(psi, lambda x: (x, y, 1.0), breaks, cfg, rtol)
 
 
 def integrate_region(phi: BumpFunction2D, cfg: WeightConfig, *,

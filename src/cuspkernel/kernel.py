@@ -51,29 +51,30 @@ from .modgroup import (
 
 _HALF_PI = 0.5 * math.pi
 
+# the squeeze constant A of the admissible window (delta_for, support_top)
+SQUEEZE_A = 2.0
+
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Weight, requested tail bound, and the squeeze constant A."""
+    """Weight and requested tail bound."""
 
     k: int
     tol: float = 1e-9
-    A: float = 2.0
 
     def __post_init__(self):
         if self.k % 2 != 0 or self.k < 4:
             raise ValueError(f"weight must be an even integer >= 4, got {self.k}")
-        if not (0 < self.tol < math.inf and 0 < self.A < math.inf):
-            raise ValueError(f"tol and A must be positive and finite, "
-                             f"got {self.tol!r}, {self.A!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
     def delta_for(self, Y: float) -> float:
         """Neighborhood radius sqrt(128 A) * Y * sqrt(log k / k)."""
-        return math.sqrt(128.0 * self.A) * Y * math.sqrt(math.log(self.k) / self.k)
+        return math.sqrt(128.0 * SQUEEZE_A) * Y * math.sqrt(math.log(self.k) / self.k)
 
     def support_top(self) -> float:
         """Upper end of the admissible height window, sqrt(k/(17 A log k))."""
-        return math.sqrt(self.k / (17.0 * self.A * math.log(self.k)))
+        return math.sqrt(self.k / (17.0 * SQUEEZE_A * math.log(self.k)))
 
 
 @dataclass(frozen=True)

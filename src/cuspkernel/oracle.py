@@ -165,30 +165,32 @@ def _x_integrated_square(y, x0, coeffs):
 
 def _series_tails(N: int, y_cut: float) -> float:
     """Certified bound on what the norm omits beyond a(N): the Fourier pairs
-    of the lens and the band below y_cut (bounded at the lowest height, then
-    weighted by int y^10 dy) and the coefficients of the strip above it."""
+    of the lens and the band below y_cut (each pair shell s weighted by
+    int y^10 e^{-2 pi s y} dy from the lowest height up) and the
+    coefficients of the strip above it."""
     lens_tail = 0.0
     s = N + 1
     while True:
-        t = (s ** 16 / 2.0 ** 15) * math.exp(-2.0 * math.pi * SQRT3_2 * s)
+        # the shell's height integral is Gamma(11, a)/(2 pi s)^11 at most,
+        # with a = pi sqrt(3) s >= 20 and Gamma(11, a) <= 2 a^10 e^-a
+        a = 2.0 * math.pi * SQRT3_2 * s
+        t = (s ** 16 / 2.0 ** 15) * 2.0 * a ** 10 * math.exp(-a) / (
+            2.0 * math.pi * s) ** 11
         lens_tail += t
-        ratio = math.exp(-2.0 * math.pi * SQRT3_2) * ((s + 1) / s) ** 16
+        ratio = math.exp(-2.0 * math.pi * SQRT3_2) * ((s + 1) / s) ** 15
         if ratio < 1.0 and t < 1e-60:
             lens_tail += t * ratio / (1.0 - ratio)
             break
         s += 1
         if s > N + 10_000:
             break
-    try:
-        lens_tail *= y_cut ** 11 / 11.0
-    except OverflowError:
-        return math.inf
     strip_tail = 0.0
     n = N + 1
     while 4.0 * math.pi * n * y_cut > 20.0:
-        # Gamma(11, a) <= 2 a^10 e^-a for a >= 20
-        t = n ** 14 * 2.0 * y_cut ** 10 * math.exp(
-            -4.0 * math.pi * n * y_cut
+        # Gamma(11, a) <= 2 a^10 e^-a for a >= 20; y_cut^10 joins the
+        # exponent so that it cannot overflow while e^-a underflows
+        t = n ** 14 * 2.0 * math.exp(
+            10.0 * math.log(y_cut) - 4.0 * math.pi * n * y_cut
         ) / (4.0 * math.pi)
         strip_tail += t
         ratio = math.exp(-4.0 * math.pi * y_cut) * ((n + 1) / n) ** 14

@@ -90,7 +90,7 @@ def test_criterion_3_bulk_asymptotic():
 
 
 def test_criterion_4_vertical_desk_scale():
-    psi = BumpSpec.bump(1.0, 2.0, weight="log")
+    psi = BumpSpec.bump(1.0, 2.0)
     gaps, errs = [], []
     for k in (300, 600, 1200):
         cfg = WeightConfig(k, 1e-9)
@@ -110,10 +110,10 @@ def test_criterion_4_vertical_desk_scale():
 
 def test_criterion_5_horizontal_desk_scale():
     cfg = WeightConfig(1200, 1e-9)
-    const = BumpSpec.indicator(-0.5, 0.5, weight="lin")
+    const = BumpSpec.indicator(-0.5, 0.5)
     res1 = integrate_horizontal(1.3, const, cfg, 7.0)
     gap1 = abs(res1.integral - res1.reference) / res1.reference
-    half = BumpSpec.indicator(0.0, 0.5, weight="lin")
+    half = BumpSpec.indicator(0.0, 0.5)
     res2 = integrate_horizontal(1.5, half, cfg, 7.0)
     gap2 = abs(res2.integral - res2.reference) / res2.reference
     assert gap1 < 0.01

@@ -1,5 +1,6 @@
 """Pins the public library signatures: each parameter is one some caller sets."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -37,6 +38,17 @@ def test_signature(fn):
     assert [(p.name, p.default) for p in params] == SIGNATURES[fn]
 
 
+@pytest.mark.parametrize("cls, names", [
+    # a 1-D test function carries no measure and no reference integral:
+    # the line it is integrated along supplies both
+    (equidist.TestFunction, ["kind", "a", "b"]),
+    # the squeeze constant A is kernel.SQUEEZE_A, not a setting
+    (kernel.WeightConfig, ["k", "tol"]),
+])
+def test_config_fields(cls, names):
+    assert [f.name for f in dataclasses.fields(cls)] == names
+
+
 def test_line_integrals_do_not_take_a_region():
     assert not hasattr(equidist, "StripRegion")
 
@@ -45,6 +57,7 @@ def test_line_integrals_do_not_take_a_region():
     (halfplane.Point, "from_complex"),
     (halfplane.LogComplex, "__mul__"),
     (halfplane.LogComplex, "magnitude"),
+    (equidist.TestFunction, "support"),
 ])
 def test_dead_members_are_gone(cls, member):
     assert member not in vars(cls)

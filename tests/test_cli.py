@@ -230,10 +230,8 @@ FLAGS = {
     "kernel": {"z", "w", "k", "tol", "out", "format"},
     "scan": {"grid", "k", "tol", "out"},
     "lemmas": {"samples", "Y", "delta", "seed", "out"},
-    "vertical": {"x", "support", "k", "tol", "Y", "A", "out", "format",
-                 "unsafe"},
-    "horizontal": {"y", "psi", "k", "tol", "Y", "A", "out", "format",
-                   "unsafe"},
+    "vertical": {"x", "support", "k", "tol", "Y", "out", "format", "unsafe"},
+    "horizontal": {"y", "psi", "k", "tol", "Y", "out", "format", "unsafe"},
     "region": {"center", "radius", "k", "tol", "out", "format", "unsafe"},
     "pretrace": {"points", "seed", "max-residual", "out"},
     "elliptic": {"Y", "out"},
@@ -251,7 +249,7 @@ class TestFlags:
                          for opt in a.option_strings if opt != "--help"
                          and opt != "-h"}
         assert got == FLAGS
-        assert sum(len(v) for v in got.values()) == 48
+        assert sum(len(v) for v in got.values()) == 46
 
     def test_pretrace_refuses_a_weight(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -287,6 +285,7 @@ class TestFlags:
     (["region", "--k", "1200", "--radius", "nan"], 2),
     (["vertical", "--x", "0.1", "--k", "1200,x"], 2),
     (["vertical", "--x", "0.13", "--k", "24", "--sweep", "1200"], 2),
+    (["horizontal", "--y", "1.3", "--k", "1200", "--A", "2"], 2),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:
@@ -319,12 +318,12 @@ COMMANDS = {
                 "out": ()}),
     "vertical": ({"x": ("0.13", "0.7"), "k": ("1200", "1200,1204")},
                  {"support": ("1,2", "nan,2", "1,inf", "2,1"), "tol": ("1e-6",),
-                  "Y": ("7", "1"), "A": ("2",), "format": ("csv", "json"),
+                  "Y": ("7", "1"), "format": ("csv", "json"),
                   "unsafe": None, "out": ()}),
     "horizontal": ({"y": ("1.3", "3"), "k": ("1200", "1200,1204")},
                    {"psi": ("const", "indicator:0,0.5", "bump:-0.4,0.4",
                             "bump:nan,0.4", "indicator:-inf,0.5", "wave"),
-                    "tol": ("1e-6",), "Y": ("7", "1"), "A": ("2",),
+                    "tol": ("1e-6",), "Y": ("7", "1"),
                     "format": ("csv", "json"), "unsafe": None, "out": ()}),
     "region": ({"k": ("1200", "1200,1204"), "radius": ("0.02",)},
                {"center": ("0.1,1.2", "0.1,inf", "nan,1.2", "0.1"),

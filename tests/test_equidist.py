@@ -105,56 +105,59 @@ class TestMeasureDensity:
         ]
 
 
+class _Zero1D:
+    """A test function that vanishes on its whole support [a, b]."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __call__(self, s):
+        return 0.0
+
+
 class TestTestFunction:
     def test_bump_vanishes_at_endpoints(self):
-        psi = BumpSpec.bump(1.0, 2.0, weight="log")
+        psi = BumpSpec.bump(1.0, 2.0)
         assert psi(1.0) == 0.0 and psi(2.0) == 0.0
         assert psi(0.9) == 0.0 and psi(2.1) == 0.0
         assert psi(1.5) == math.exp(-1.0)
 
     def test_reference_reproducible(self):
-        a = BumpSpec.bump(1.0, 2.0, weight="log").reference_integral
-        b = BumpSpec.bump(1.0, 2.0, weight="log").reference_integral
+        cfg = WeightConfig(1200, 1e-9)
+        a = integrate_vertical(0.13, BumpSpec.bump(1.0, 2.0), cfg, Y).reference
+        b = integrate_vertical(0.13, BumpSpec.bump(1.0, 2.0), cfg, Y).reference
         assert a == b
 
     def test_indicator_reference(self):
-        psi = BumpSpec.indicator(0.0, 0.5, weight="lin")
-        np.testing.assert_allclose(psi.reference_integral, 0.5, rtol=1e-12)
-        psi_log = BumpSpec("indicator", 1.0, 2.0, "log")
-        np.testing.assert_allclose(psi_log.reference_integral, math.log(2),
+        # the line supplies the measure: dx on a horizontal line, dy/y on a
+        # vertical one
+        cfg = WeightConfig(1200, 1e-9)
+        psi = BumpSpec.indicator(0.0, 0.5)
+        res = integrate_horizontal(1.3, psi, cfg, Y)
+        np.testing.assert_allclose(res.reference, 1.5 / math.pi, rtol=1e-12)
+        res = integrate_vertical(0.13, BumpSpec.indicator(1.0, 2.0), cfg, Y)
+        np.testing.assert_allclose(res.reference, 3.0 / math.pi * math.log(2),
                                    rtol=1e-12)
-
-    def test_tabulated_zero(self):
-        psi = BumpSpec("tabulated", 1.0, 2.0, "log", values=(0.0, 0.0, 0.0))
-        assert psi.reference_integral == 0.0
-
-    def test_tabulated_reference_against_exact(self):
-        values = (0.0, 0.5, 1.0, 0.3, 0.0)
-        psi = BumpSpec("tabulated", 1.0, 2.0, "log", values=values)
-        # oracle: closed-form integral of the linear interpolant against dy/y
-        knots = [1.0 + 0.25 * i for i in range(5)]
-        exact = 0.0
-        for i in range(4):
-            a, b = knots[i], knots[i + 1]
-            slope = (values[i + 1] - values[i]) / (b - a)
-            exact += (values[i] - slope * a) * math.log(b / a) + slope * (b - a)
-        np.testing.assert_allclose(psi.reference_integral, exact, rtol=1e-12)
 
     def test_bad_support(self):
         with pytest.raises(ValueError):
             BumpSpec.bump(2.0, 1.0)
         with pytest.raises(ValueError):
-            BumpSpec.bump(-1.0, 1.0, weight="log")
+            BumpSpec("tabulated", 1.0, 2.0)
+        # dy/y needs a positive support, with or without the window check
+        with pytest.raises(ValueError):
+            integrate_vertical(0.13, BumpSpec.bump(-1.0, 1.0),
+                               WeightConfig(1200, 1e-9), Y, unsafe=True)
 
 
 class TestVertical:
     def test_zero_function(self):
-        psi = BumpSpec("tabulated", 1.0, 2.0, "log", values=(0.0, 0.0))
-        res = integrate_vertical(0.13, psi, WeightConfig(1200, 1e-9), Y)
+        res = integrate_vertical(0.13, _Zero1D(1.0, 2.0),
+                                 WeightConfig(1200, 1e-9), Y)
         assert res.integral == 0.0 and res.reference == 0.0
 
     def test_bulk_bump_k1200(self):
-        psi = BumpSpec.bump(1.0, 2.0, weight="log")
+        psi = BumpSpec.bump(1.0, 2.0)
         res = integrate_vertical(0.13, psi, WeightConfig(1200, 1e-9), Y)
         gap = abs(res.integral - res.reference) / res.reference
         assert gap < 0.01
@@ -162,7 +165,7 @@ class TestVertical:
     def test_elliptic_signature_at_i(self):
         # the geodesic at x = 0 passes through i; the stabilizer terms flip
         # sign with k mod 4 and the integral tracks them
-        psi = BumpSpec.bump(0.8, 1.2, weight="log")
+        psi = BumpSpec.bump(0.8, 1.2)
         out = {}
         for k in (400, 402):
             cfg = WeightConfig(k, 1e-10)
@@ -173,7 +176,7 @@ class TestVertical:
         assert out[400] > 0.0 > out[402]
 
     def test_window_enforced(self):
-        psi = BumpSpec.bump(1.0, 2.0, weight="log")
+        psi = BumpSpec.bump(1.0, 2.0)
         with pytest.raises(SupportViolation):
             integrate_vertical(0.13, psi, WeightConfig(300, 1e-9), Y)
         res = integrate_vertical(0.13, psi, WeightConfig(300, 1e-9), Y,
@@ -181,7 +184,7 @@ class TestVertical:
         assert res.integral > 0.0
 
     def test_convergence_sweep_with_2400(self):
-        psi = BumpSpec.bump(1.0, 2.0, weight="log")
+        psi = BumpSpec.bump(1.0, 2.0)
         gaps, errs = [], []
         for k in (300, 600, 1200, 2400):
             cfg = WeightConfig(k, 1e-9)
@@ -193,13 +196,8 @@ class TestVertical:
         for earlier, later, err in zip(gaps, gaps[1:], errs[1:]):
             assert later <= earlier + err
 
-    def test_requires_log_weight(self):
-        psi = BumpSpec.indicator(0.0, 0.5, weight="lin")
-        with pytest.raises(ValueError):
-            integrate_vertical(0.0, psi, WeightConfig(1200, 1e-9), Y)
-
     def test_error_accounting(self):
-        psi = BumpSpec.bump(1.0, 2.0, weight="log")
+        psi = BumpSpec.bump(1.0, 2.0)
         cfg = WeightConfig(120, 1e-9)
         res = integrate_vertical(0.13, psi, cfg, Y, rtol=1e-4, unsafe=True)
         fine = integrate_vertical(0.13, psi, cfg, Y, rtol=2.5e-5, unsafe=True)
@@ -208,33 +206,33 @@ class TestVertical:
 
 class TestHorizontal:
     def test_constant_k1200(self):
-        psi = BumpSpec.indicator(-0.5, 0.5, weight="lin")
+        psi = BumpSpec.indicator(-0.5, 0.5)
         res = integrate_horizontal(1.3, psi, WeightConfig(1200, 1e-9), Y)
         gap = abs(res.integral - res.reference) / res.reference
         assert gap < 0.01
         np.testing.assert_allclose(res.reference, 3.0 / math.pi, rtol=1e-12)
 
     def test_half_indicator(self):
-        psi = BumpSpec.indicator(0.0, 0.5, weight="lin")
+        psi = BumpSpec.indicator(0.0, 0.5)
         res = integrate_horizontal(1.5, psi, WeightConfig(1200, 1e-9), Y)
         gap = abs(res.integral - res.reference) / res.reference
         assert gap < 0.015
         np.testing.assert_allclose(res.reference, 1.5 / math.pi, rtol=1e-12)
 
     def test_zero_function(self):
-        psi = BumpSpec("tabulated", -0.25, 0.25, "lin", values=(0.0, 0.0))
-        res = integrate_horizontal(1.3, psi, WeightConfig(1200, 1e-9), Y)
+        res = integrate_horizontal(1.3, _Zero1D(-0.25, 0.25),
+                                   WeightConfig(1200, 1e-9), Y)
         assert res.integral == 0.0 and res.reference == 0.0
 
     def test_height_window(self):
-        psi = BumpSpec.indicator(-0.5, 0.5, weight="lin")
+        psi = BumpSpec.indicator(-0.5, 0.5)
         with pytest.raises(SupportViolation):
             integrate_horizontal(3.0, psi, WeightConfig(1200, 1e-9), Y)
         with pytest.raises(SupportViolation):
             integrate_horizontal(0.1, psi, WeightConfig(1200, 1e-9), Y)
 
     def test_convergence_sweep(self):
-        psi = BumpSpec.indicator(-0.5, 0.5, weight="lin")
+        psi = BumpSpec.indicator(-0.5, 0.5)
         gaps, errs = [], []
         for k in (300, 600, 1200, 2400):
             cfg = WeightConfig(k, 1e-9)
@@ -253,10 +251,16 @@ class TestGoldenIntegrals:
     # arithmetic of the integrand or of the quadrature shows here
     CASES = {
         "vertical": lambda cfg: integrate_vertical(
-            0.13, BumpSpec.bump(1.0, 2.0, weight="log"), cfg, Y),
+            0.13, BumpSpec.bump(1.0, 2.0), cfg, Y),
         "horizontal": lambda cfg: integrate_horizontal(
-            1.3, BumpSpec.indicator(-0.5, 0.5, weight="lin"), cfg, Y),
+            1.3, BumpSpec.indicator(-0.5, 0.5), cfg, Y),
         "region": lambda cfg: integrate_region(BumpFunction2D(0.1, 1.2, 0.2), cfg),
+        # recorded before the line took over the choice of base measure
+        "horizontal_bump": lambda cfg: integrate_horizontal(
+            1.5, BumpSpec.bump(-0.3, 0.2), cfg, Y),
+        # the line passes about 0.22 from rho = (-1 + i sqrt 3)/2
+        "vertical_rho": lambda cfg: integrate_vertical(
+            -0.31, BumpSpec.bump(0.9, 1.9), cfg, Y),
     }
 
     @pytest.mark.parametrize("name", list(CASES))

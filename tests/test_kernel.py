@@ -336,18 +336,17 @@ class TestWeightConfig:
         with pytest.raises(ValueError):
             WeightConfig(12, -1.0)
 
-    @pytest.mark.parametrize("tol, A", [(math.inf, 2.0), (math.nan, 2.0),
-                                        (1e-9, math.inf), (1e-9, math.nan)])
-    def test_rejects_non_finite(self, tol, A):
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite(self, tol):
         with pytest.raises(ValueError):
-            WeightConfig(12, tol, A)
+            WeightConfig(12, tol)
 
     def test_delta_formula(self):
-        cfg = WeightConfig(1200, 1e-9, A=2.0)
+        cfg = WeightConfig(1200, 1e-9)
         want = math.sqrt(256.0) * 7.0 * math.sqrt(math.log(1200) / 1200)
         np.testing.assert_allclose(cfg.delta_for(7.0), want, rtol=1e-15)
 
     def test_support_top(self):
-        cfg = WeightConfig(1200, 1e-9, A=2.0)
+        cfg = WeightConfig(1200, 1e-9)
         want = math.sqrt(1200 / (17 * 2.0 * math.log(1200)))
         np.testing.assert_allclose(cfg.support_top(), want, rtol=1e-15)

@@ -178,10 +178,20 @@ class TestPeterssonNorm:
         with pytest.raises(ValueError):
             petersson_norm_delta(tol, y_cut)
 
-    def test_non_finite_error_is_not_certified(self):
-        # y_cut^11 in the lens tail overflows a double
+    def test_non_finite_error_is_not_certified(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_series_tails", lambda N, y: math.inf)
         with pytest.raises(TailTooLarge):
-            petersson_norm_delta(1e-10, y_cut=1e29)
+            petersson_norm_delta(1e-10, y_cut=1.5)
+        assert 1.5 not in oracle_module._norm_cache
+
+    def test_lens_tail_does_not_grow_with_the_height_cut(self):
+        # each omitted pair shell is weighted by its decaying height
+        # integral, so a high cut still certifies
+        assert (oracle_module._series_tails(30, 1e4)
+                <= oracle_module._series_tails(30, 1.0) < 1e-50)
+        norm = petersson_norm_delta(1e-10, y_cut=1e4)
+        assert norm.error_bound <= 1e-10 * norm.value
+        assert abs(norm.value - NORM_LITERATURE) <= norm.error_bound
 
     def test_height_cut_consistency(self):
         a = petersson_norm_delta(1e-10, y_cut=1.0)
