@@ -18,12 +18,16 @@ certificate:
     by disk packing and bounding each ring by its inner-edge term, closed
     by a geometric series whose ratio is controlled analytically.
 
-Summation is exact (Shewchuk fsum), so the result is order-independent
-and deterministic.
+The coset loop prunes, sizes each m-line window and adds the tails with
+scalar libm calls; it records each line as one row.  The terms of every
+row are then evaluated in one numpy pass per call.  Summation is exact
+(Shewchuk fsum, fed the term arrays through a memoryview rather than a list
+of Python floats), so the result is order-independent and deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +54,7 @@ from .modgroup import (
 )
 
 _HALF_PI = 0.5 * math.pi
+_TWO_PI = 2.0 * math.pi
 
 # the squeeze constant A of the admissible window (delta_for, support_top)
 SQUEEZE_A = 2.0
@@ -115,6 +120,7 @@ def bergman_main_term(z: Point, w: Point, k: int) -> complex:
     return 2.0 * val
 
 
+@functools.lru_cache(maxsize=64)  # once per kernel sum, for a few weights
 def _profile_constant(k: float) -> float:
     """sqrt(pi) * Gamma((k-1)/2) / Gamma(k/2): the full-line integral of the
     normalized m-line profile in units of its peak and of v + v'."""
@@ -163,13 +169,8 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
     """
     y, x = z.y, z.x
     v, uw = w.y, w.x
-    rho = 0.5 * math.sqrt(_shortest_vector_sq(z.as_complex))
     ck = _profile_constant(k)
-
-    def one_plus_ufloor(Q):
-        # 1 + min u over the coset of size Q: (s+1)^2/(4s), s = vQ/y
-        s = v * Q / y
-        return (s + 1.0) ** 2 / (4.0 * s)
+    nhk = -0.5 * k  # a term's magnitude is exp(nhk * log(1 + u))
 
     def npm(R):
         # upper bound on the number of +/- lattice pairs with |cz+d|^2 <= R
@@ -183,46 +184,58 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         Q = R0
         term = None
         for _ in range(250):
-            opf = one_plus_ufloor(Q)
-            g0 = math.exp(-0.5 * k * math.log(opf))
+            # 1 + min u over the coset of size Q is (s+1)^2/(4s)
+            s = v * Q / y
+            g0 = math.exp(nhk * math.log((s + 1.0) ** 2 / (4.0 * s)))
             term = npm(2.0 * Q) * g0 * (2.0 + ck * (v + y / Q))
             total += term
-            s = v * Q / y
             growth = (2.0 * s + 1.0) ** 2 / (2.0 * (s + 1.0) ** 2)
-            rb = 2.0 * math.exp(-0.5 * k * math.log(growth))
+            rb = 2.0 * math.exp(nhk * math.log(growth))
             if rb < 1.0 and term < max(1e-4 * total, 1e-300):
                 return total + term * rb / (1.0 - rb)
             Q *= 2.0
         return math.inf
 
     # the working radius must keep the coset table enumerable as well as
-    # push the lattice tail under budget
+    # push the lattice tail under budget.  Below Im z of about 1e-154 the
+    # lattice is too fine for these bounds in floating point: the squared
+    # shortest vector underflows to 0 or the lattice-point count overflows
     max_cosets = 3e6
     R0 = max(4.0 * y / v, 8.0)
-    while True:
-        tail = lattice_tail(R0)
-        if tail <= 0.5 * tol:
-            break
-        R0 *= 2.0
-        if R0 > 1e14 or npm(R0) > max_cosets:
-            raise CutoffExceeded(
-                f"tail bound {tail:.3e} not reachable at tol {tol:.3e}",
-                best_tail_bound=tail,
-            )
+    try:
+        rho = 0.5 * math.sqrt(_shortest_vector_sq(z.as_complex))
+        while True:
+            tail = lattice_tail(R0)
+            if tail <= 0.5 * tol:
+                break
+            R0 *= 2.0
+            if R0 > 1e14 or npm(R0) > max_cosets:
+                raise CutoffExceeded(
+                    f"tail bound {tail:.3e} not reachable at tol {tol:.3e}",
+                    best_tail_bound=tail,
+                )
+    except (OverflowError, ZeroDivisionError):
+        raise CutoffExceeded(
+            f"lattice tail bound not representable at Im z = {y:.3e}",
+            best_tail_bound=math.inf,
+        ) from None
 
     cosets = coset_table(z, R0)
     n_cosets = len(cosets)
     tol_line = 0.25 * tol / n_cosets
-    eps_term = tol_line / 8.0
+    half_line = 0.5 * tol_line
+    u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
 
-    re_parts, im_parts = [], []
+    # six values per m-line segment, (m_lo - terms before it, X0 - uw, beta,
+    # alpha, vp + v, argden), one after another, and its term count
+    rows, counts = [], []
     n_terms = 0
 
     for c, d, Q in cosets:
         vp = y / Q
         alpha = 4.0 * v * vp
         beta = (v - vp) ** 2
-        g_max = math.exp(-0.5 * k * math.log1p(beta / alpha))
+        g_max = math.exp(nhk * math.log1p(beta / alpha))
         lf = 2.0 + ck * (v + vp)
         if g_max * lf <= tol_line:
             tail += g_max * lf
@@ -235,7 +248,6 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
             X0 = a0 / c - (c * x + d) / (c * Q)
             argden = math.atan2(c * y, c * x + d)
         t0 = uw - X0
-        u_cut = eps_term ** (-2.0 / k) - 1.0
         width_sq = alpha * u_cut - beta
         width = math.sqrt(width_sq) if width_sq > 0.0 else 0.0
         m_lo = math.ceil(t0 - width)
@@ -245,11 +257,11 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         for _ in range(200):
             grew = False
             lo = _side_tail(t0 - (m_lo - 1), alpha, beta, k)
-            if lo > 0.5 * tol_line:
+            if lo > half_line:
                 m_lo -= max(4, (m_hi - m_lo + 1) // 2)
                 grew = True
             hi = _side_tail((m_hi + 1) - t0, alpha, beta, k)
-            if hi > 0.5 * tol_line:
+            if hi > half_line:
                 m_hi += max(4, (m_hi - m_lo + 1) // 2)
                 grew = True
             if not grew:
@@ -261,34 +273,39 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         tail += hi
         if m_hi - m_lo + 1 > 5_000_000:
             raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
-        if m_lo > m_hi:
-            continue
-        ms = np.arange(m_lo, m_hi + 1, dtype=np.float64)
         if offdiagonal and c == 0:
-            ms = ms[ms != 0.0]
-            if ms.size == 0:
-                continue
-        offs = (X0 - uw) + ms
-        u_arr = (offs * offs + beta) / alpha
-        mag = np.exp(-0.5 * k * np.log1p(u_arr))
-        n_terms += ms.size
-        if offdiagonal:
-            re_parts.append(mag)
+            # the identity is not an off-diagonal term: skip m = 0
+            segments = ((m_lo, min(m_hi, -1)), (max(m_lo, 1), m_hi))
         else:
-            ph = k * (_HALF_PI - np.arctan2(vp + v, offs) - argden)
-            ph = np.remainder(ph + math.pi, 2.0 * math.pi) - math.pi
-            re_parts.append(mag * np.cos(ph))
-            im_parts.append(mag * np.sin(ph))
+            segments = ((m_lo, m_hi),)
+        for lo_m, hi_m in segments:
+            if lo_m <= hi_m:
+                rows += (lo_m - n_terms, X0 - uw, beta, alpha, vp + v, argden)
+                counts.append(hi_m - lo_m + 1)
+                n_terms += hi_m - lo_m + 1
 
     # terms whose magnitude underflows to zero are each below 5e-324
     tail += n_terms * 5e-324
 
-    re_flat = np.concatenate(re_parts) if re_parts else np.zeros(0)
-    im_flat = np.concatenate(im_parts) if im_parts else np.zeros(0)
-    re_sum = math.fsum(re_flat.tolist())
+    # every term in one pass: the arithmetic of one line, with each
+    # segment's values taken out to its terms.  numpy evaluates a long pass
+    # in place, reusing each temporary that nothing else refers to
+    tab = np.array(rows, dtype=np.float64)
+    first, x0, beta, alpha, vpv, argden = (
+        tab[0::6], tab[1::6], tab[2::6], tab[3::6], tab[4::6], tab[5::6])
+    at = np.arange(len(counts)).repeat(counts)
+    ms = np.arange(n_terms, dtype=np.float64) + first[at]
+    offs = x0[at] + ms
+    del ms
+    mag = np.exp(nhk * np.log1p((offs * offs + beta[at]) / alpha[at]))
     if offdiagonal:
-        return re_sum, tail, n_terms, n_cosets
-    im_sum = math.fsum(im_flat.tolist())
+        return math.fsum(memoryview(mag)), tail, n_terms, n_cosets
+    # float(k): numpy scales by a Python float faster than by an int
+    ph = float(k) * (_HALF_PI - np.arctan2(vpv[at], offs) - argden[at])
+    del at, offs
+    ph = np.remainder(ph + math.pi, _TWO_PI) - math.pi
+    re_sum = math.fsum(memoryview(mag * np.cos(ph)))
+    im_sum = math.fsum(memoryview(mag * np.sin(ph)))
     return complex(re_sum, im_sum), tail, n_terms, n_cosets
 
 

@@ -1,6 +1,8 @@
 """Tests for the certified kernel evaluation and its analytic contracts."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from test_halfplane import random_gamma, random_point
 
 I_PT = Point(0.0, 1.0)
 BULK = Point(0.13, 1.1)
+GOLDEN = Path(__file__).resolve().parent / "golden" / "kernel_regimes.txt"
 
 
 def rng(seed=20250809):
@@ -200,6 +203,33 @@ class TestBergmanR:
         assert abs(res.value.imag) <= res.tail_bound
         assert bergman_R(z, w, cfg) == bergman_R(zs, ws, cfg)
 
+    @pytest.mark.parametrize("y", [1e-155, 1e-160, 1e-200, 1e-300])
+    def test_very_low_point_is_a_cutoff(self, y):
+        # below Im z of about 1e-154 the lattice-point count overflows or
+        # the shortest vector underflows; both end in CutoffExceeded
+        z = Point(0.1, y)
+        for k in (12, 1200):
+            with pytest.raises(CutoffExceeded) as exc:
+                bergman_R(z, z, WeightConfig(k))
+            assert exc.value.best_tail_bound == math.inf
+        with pytest.raises(CutoffExceeded):
+            offdiagonal_sum_bound(z)
+
+    def test_term_pass_memory_per_term(self):
+        # the terms are evaluated in one array pass and summed through a
+        # memoryview, without a list of one Python float (32 bytes) per term
+        z = Point(0.0, 3000.0)
+        cfg = WeightConfig(12)
+        bergman_R(z, z, cfg)
+        tracemalloc.start()
+        try:
+            res = bergman_R(z, z, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.terms_used == 213018
+        assert peak < 64 * res.terms_used
+
     def test_periodic_in_each_argument(self):
         cfg = WeightConfig(24, 1e-12)
         z, w = Point(0.21, 0.9), Point(-0.33, 1.3)
@@ -207,6 +237,32 @@ class TestBergmanR:
         for m, n in ((1, 0), (0, 1), (-1, 2), (3, -1)):
             res = bergman_R(Point(z.x + m, z.y), Point(w.x + n, w.y), cfg)
             assert abs(res.value - base.value) <= 1e-14 * abs(base.value)
+
+
+class TestGoldenRegimes:
+    # repr of each result, recorded before the terms of a sum were
+    # evaluated in one array pass: a low point with 65k cosets, a single
+    # c = 0 line of 213k terms, an off-diagonal pair, and the weight-4
+    # off-identity sum behind residual_certificate at three points of F_delta
+    CASES = {
+        "low": lambda: bergman_R(
+            Point(0.1, 0.12), Point(0.1, 0.12), WeightConfig(12, 1e-12)),
+        "line_3000i": lambda: bergman_R(
+            Point(0.0, 3000.0), Point(0.0, 3000.0), WeightConfig(12)),
+        "offdiag": lambda: bergman_R(
+            Point(0.13, 1.1), Point(-0.21, 0.9), WeightConfig(24, 1e-12)),
+    }
+    for i, z in enumerate([Point(0.13, 1.1), Point(-0.31, 1.45), Point(0.42, 2.3)]):
+        CASES[f"offdiagonal_sum_bound_{i}"] = lambda z=z: offdiagonal_sum_bound(z)
+        for k in (200, 1600):
+            CASES[f"residual_certificate_{i}_{k}"] = \
+                lambda z=z, k=k: residual_certificate(z, k)
+    del i, z, k
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bit_identical(self, name):
+        want = dict(line.split(" ", 1) for line in GOLDEN.read_text().splitlines())
+        assert repr(self.CASES[name]()) == want[name]
 
 
 class TestMainTerm:
