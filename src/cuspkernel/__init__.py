@@ -10,7 +10,6 @@ from .errors import (
 )
 from .halfplane import (
     GammaMatrix,
-    LogComplex,
     Point,
     automorphy_factor,
     fixed_point,

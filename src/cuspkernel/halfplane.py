@@ -1,25 +1,14 @@
 """Primitives for the upper half-plane and the integer Moebius group.
 
 Everything here is pure, deterministic double-precision arithmetic: the
-Moebius action of SL(2,Z), the point-pair invariant u, hyperbolic distance,
-the automorphy factor cz+d, and a log-domain complex type used to raise
-near-unit complex numbers to very large integer powers without underflow.
+Moebius action of SL(2,Z), the point-pair invariant u, hyperbolic distance
+and the automorphy factor cz+d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-TWO_PI = 2.0 * math.pi
-
-
-def reduce_phase(p: float) -> float:
-    """Reduce a real phase into (-pi, pi] using one exact IEEE remainder."""
-    r = math.remainder(p, TWO_PI)
-    if r <= -math.pi:
-        r += TWO_PI
-    return r
 
 
 @dataclass(frozen=True)
@@ -167,37 +156,3 @@ def fixed_point(g: GammaMatrix) -> Point:
 def automorphy_factor(g: GammaMatrix, z: Point) -> complex:
     """The factor j(g, z) = cz + d."""
     return complex(g.c * z.x + g.d, g.c * z.y)
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex value stored as (log magnitude, phase).
-
-    Stable for k-th powers with k up to ~10^4: the magnitude is handled in
-    the log domain and the phase is reduced with a single exact remainder
-    after the multiplication by k (iterative subtraction would lose digits
-    once k*phase reaches thousands of radians).
-    """
-
-    logmag: float
-    phase: float
-
-    @classmethod
-    def from_complex(cls, t: complex) -> "LogComplex":
-        mag = abs(t)
-        if mag == 0.0:
-            return cls(-math.inf, 0.0)
-        return cls(math.log(mag), math.atan2(t.imag, t.real))
-
-    @classmethod
-    def from_parts(cls, logmag: float, phase: float) -> "LogComplex":
-        return cls(logmag, reduce_phase(phase))
-
-    def to_complex(self) -> complex:
-        if self.logmag == -math.inf:
-            return 0.0 + 0.0j
-        m = math.exp(self.logmag)
-        return complex(m * math.cos(self.phase), m * math.sin(self.phase))
-
-    def pow(self, k: int) -> "LogComplex":
-        return LogComplex(k * self.logmag, reduce_phase(k * self.phase))

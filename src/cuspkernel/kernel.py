@@ -36,7 +36,6 @@ import numpy as np
 from .errors import CutoffExceeded
 from .halfplane import (
     GammaMatrix,
-    LogComplex,
     Point,
     automorphy_factor,
     hyp_distance,
@@ -44,6 +43,7 @@ from .halfplane import (
     u_from_distance,
 )
 from .modgroup import (
+    MAX_COSETS,
     EllipticPoint,
     coset_table,
     elliptic_points_in_strip,
@@ -90,34 +90,25 @@ class KernelResult:
     cosets_used: int
 
 
-def b_term(g: GammaMatrix, z: Point, w: Point) -> LogComplex:
+def b_term(g: GammaMatrix, z: Point, w: Point) -> complex:
     """Normalized single term t_g(z, w) = sqrt(yv) * (2i/(gz - conj(w))) / (cz+d).
 
     Computed directly from the factors (not via the point-pair invariant),
     so the magnitude identity |t_g| = (1 + u(w, gz))^{-1/2} is a genuine
-    cross-check on this routine rather than a tautology.
+    cross-check rather than a tautology.  Dividing out one factor at a time
+    keeps every intermediate in the double range at any height.
     """
     gz = moebius_apply(g, z)
-    dr = gz.x - w.x
-    di = gz.y + w.y  # gz - conj(w)
-    j = automorphy_factor(g, z)
-    logmag = (
-        0.5 * (math.log(z.y) + math.log(w.y))
-        + math.log(2.0)
-        - 0.5 * math.log(dr * dr + di * di)
-        - math.log(abs(j))
-    )
-    phase = _HALF_PI - math.atan2(di, dr) - math.atan2(j.imag, j.real)
-    return LogComplex.from_parts(logmag, phase)
+    t = complex(0.0, 2.0 * math.sqrt(z.y) * math.sqrt(w.y))
+    t /= complex(gz.x - w.x, gz.y + w.y)  # gz - conj(w)
+    return t / automorphy_factor(g, z)
 
 
 def bergman_main_term(z: Point, w: Point, k: int) -> complex:
     """The leading term 2 * (2i sqrt(yv) / (z - conj(w)))^k."""
     if k % 2 != 0:
         raise ValueError("weight must be even")
-    t = b_term(GammaMatrix.identity(), z, w)
-    val = t.pow(k).to_complex()
-    return 2.0 * val
+    return 2.0 * b_term(GammaMatrix.identity(), z, w) ** k
 
 
 @functools.lru_cache(maxsize=64)  # once per kernel sum, for a few weights
@@ -200,7 +191,6 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
     # push the lattice tail under budget.  Below Im z of about 1e-154 the
     # lattice is too fine for these bounds in floating point: the squared
     # shortest vector underflows to 0 or the lattice-point count overflows
-    max_cosets = 3e6
     R0 = max(4.0 * y / v, 8.0)
     try:
         rho = 0.5 * math.sqrt(_shortest_vector_sq(z.as_complex))
@@ -209,7 +199,7 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
             if tail <= 0.5 * tol:
                 break
             R0 *= 2.0
-            if R0 > 1e14 or npm(R0) > max_cosets:
+            if R0 > 1e14 or npm(R0) > MAX_COSETS:
                 raise CutoffExceeded(
                     f"tail bound {tail:.3e} not reachable at tol {tol:.3e}",
                     best_tail_bound=tail,
@@ -387,7 +377,7 @@ def elliptic_correction(z: Point, e: EllipticPoint, k: int) -> complex:
         raise ValueError("weight must be even")
     total = 0.0 + 0.0j
     for g in stabilizer_elements(e):
-        total += b_term(g, z, z).pow(k).to_complex()
+        total += b_term(g, z, z) ** k
     return total
 
 

@@ -27,6 +27,9 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 # order-6 rotation fixing e^{i pi/3}
 U_GENERATOR = GammaMatrix(1, -1, 1, 0)
 
+# the most cosets a coset table may hold: about half a gigabyte of triples
+MAX_COSETS = 3_000_000
+
 
 @dataclass(frozen=True)
 class EllipticPoint:
@@ -122,11 +125,15 @@ def coset_row(c: int, z: Point, R: float) -> list:
 def coset_table(z: Point, R: float) -> list:
     """Every translation coset with |cz+d|^2 <= R, as (c, d, Q) triples:
     the identity coset (0, 1, 1.0) first, then coset_row(c, z, R) for
-    c = 1, 2, ... while c^2 y^2 <= R."""
+    c = 1, 2, ... while c^2 y^2 <= R.  Raises CutoffExceeded as soon as a
+    row takes the table past MAX_COSETS."""
     cosets = [(0, 1, 1.0)]
     c = 1
     while (c * z.y) ** 2 <= R:
         cosets += [(c, d, Q) for d, Q in coset_row(c, z, R)]
+        if len(cosets) > MAX_COSETS:
+            raise CutoffExceeded(
+                f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {R:.3e}")
         c += 1
     return cosets
 
@@ -216,7 +223,7 @@ def _u_height_floor(Q: float) -> float:
     return (Q - 1.0) ** 2 / (4.0 * Q)
 
 
-def min_displacement(z: Point, exclude_fixing: bool = False):
+def min_displacement(z: Point):
     """Certified minimizer of d(z, gz) over g != +/-I.
 
     Enumerates translation cosets (c, d) and translation powers m, pruning
@@ -237,8 +244,6 @@ def min_displacement(z: Point, exclude_fixing: bool = False):
         nonlocal best_u
         gz = moebius_apply(g, z)
         u = pair_invariant(z, gz)
-        if exclude_fixing and u < 1e-24:
-            return
         if g.c < 0 or (g.c == 0 and g.d < 0):
             g = -g
         key = (g.c, g.d, g.a, g.b)

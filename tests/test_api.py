@@ -25,7 +25,7 @@ SIGNATURES = {
     oracle.verify_pretrace: [("z", EMPTY)],
     oracle.petersson_norm_delta: [("tol", 1e-10), ("y_cut", 1.0)],
     oracle.eval_delta_mp: [("z", EMPTY)],
-    modgroup.min_displacement: [("z", EMPTY), ("exclude_fixing", False)],
+    modgroup.min_displacement: [("z", EMPTY)],
     modgroup.sample_bulk:
         [("Y", EMPTY), ("delta", EMPTY), ("n", EMPTY), ("rng", EMPTY)],
     equidist.measure_density: [("z", EMPTY), ("cfg", EMPTY)],
@@ -55,8 +55,6 @@ def test_line_integrals_do_not_take_a_region():
 
 @pytest.mark.parametrize("cls, member", [
     (halfplane.Point, "from_complex"),
-    (halfplane.LogComplex, "__mul__"),
-    (halfplane.LogComplex, "magnitude"),
     (equidist.TestFunction, "support"),
 ])
 def test_dead_members_are_gone(cls, member):
@@ -69,10 +67,13 @@ def test_dead_members_are_gone(cls, member):
     (equidist, "_density_with_error"),
     (modgroup, "StripRegion"),
     (modgroup, "in_bulk"),
+    (halfplane, "LogComplex"),
+    (halfplane, "reduce_phase"),
 ])
 def test_second_entry_points_are_gone(module, name):
-    # each quantity has one way in: eval_delta_mp, measure_density and
-    # sample_bulk(Y, delta, n, rng)
+    # each quantity has one way in: eval_delta_mp, measure_density,
+    # sample_bulk(Y, delta, n, rng), and a single term's k-th power is
+    # Python's complex power
     assert not hasattr(module, name)
     assert not hasattr(cuspkernel, name)
 

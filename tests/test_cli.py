@@ -287,6 +287,7 @@ class TestFlags:
     (["vertical", "--x", "0.13", "--k", "24", "--sweep", "1200"], 2),
     (["horizontal", "--y", "1.3", "--k", "1200", "--A", "2"], 2),
     (["kernel", "--z", "0.1+1e-200i", "--k", "12"], 3),
+    (["kernel", "--z", "0.1+1e-8i", "--k", "1200"], 3),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:

@@ -1,6 +1,5 @@
-"""Tests for the half-plane primitives and the log-domain complex type."""
+"""Tests for the half-plane primitives."""
 
-import cmath
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from cuspkernel import (
     GammaMatrix,
-    LogComplex,
     Point,
     automorphy_factor,
     fixed_point,
@@ -205,51 +203,3 @@ class TestAutomorphyFactor:
             lhs = automorphy_factor(g1 * g2, z)
             rhs = automorphy_factor(g1, moebius_apply(g2, z)) * automorphy_factor(g2, z)
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs) + 1e-12
-
-
-def _pow_by_squaring(t: complex, k: int) -> complex:
-    out = 1.0 + 0.0j
-    base = t
-    while k:
-        if k & 1:
-            out *= base
-        base *= base
-        k >>= 1
-    return out
-
-
-class TestLogComplex:
-    def test_round_trip(self):
-        gen = rng()
-        for _ in range(500):
-            logmag = float(gen.uniform(-700, 700))
-            phase = float(gen.uniform(-math.pi, math.pi))
-            t = LogComplex(logmag, phase)
-            back = LogComplex.from_complex(t.to_complex())
-            assert abs(back.logmag - logmag) < 1e-14 * max(1.0, abs(logmag))
-            assert abs(back.phase - phase) < 1e-13
-
-    def test_zero(self):
-        t = LogComplex.from_complex(0j)
-        assert t.to_complex() == 0j
-
-    def test_power_matches_repeated_squaring(self):
-        gen = rng()
-        checked = 0
-        while checked < 400:
-            k = int(gen.integers(1, 10_001))
-            mag_floor = math.exp(-280.0 * math.log(10.0) / k)
-            mag = float(gen.uniform(mag_floor, 1.0))
-            phase = float(gen.uniform(-math.pi, math.pi))
-            t = cmath.rect(mag, phase)
-            if abs(t) ** k <= 1e-280:
-                continue
-            got = LogComplex.from_complex(t).pow(k).to_complex()
-            want = _pow_by_squaring(t, k)
-            assert abs(got - want) <= 1e-10 * abs(want)
-            checked += 1
-
-    def test_phase_stays_reduced(self):
-        t = LogComplex.from_complex(cmath.rect(1.0, 3.0))
-        p = t.pow(9973)
-        assert -math.pi < p.phase <= math.pi

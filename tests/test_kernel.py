@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,8 +22,9 @@ from cuspkernel import (
     pair_invariant,
     residual_certificate,
 )
+from cuspkernel import modgroup
 from cuspkernel.kernel import offdiagonal_sum_bound
-from cuspkernel.modgroup import elliptic_points_in_strip
+from cuspkernel.modgroup import coset_table, elliptic_points_in_strip
 
 from test_modgroup import brute_force_sl2
 from test_halfplane import random_gamma, random_point
@@ -39,14 +41,14 @@ def rng(seed=20250809):
 class TestBTerm:
     def test_identity_at_i(self):
         t = b_term(GammaMatrix.identity(), I_PT, I_PT)
-        assert abs(t.logmag) < 1e-15 and abs(t.phase) < 1e-15
+        assert abs(abs(t) - 1.0) < 1e-15 and abs(t.imag) < 1e-15
 
     def test_inversion_at_i(self):
-        t = b_term(GammaMatrix.S(), I_PT, I_PT).to_complex()
+        t = b_term(GammaMatrix.S(), I_PT, I_PT)
         np.testing.assert_allclose((t.real, t.imag), (0.0, -1.0), atol=1e-15)
 
     def test_translation_at_i(self):
-        t = b_term(GammaMatrix.T(), I_PT, I_PT).to_complex()
+        t = b_term(GammaMatrix.T(), I_PT, I_PT)
         np.testing.assert_allclose((t.real, t.imag), (0.8, 0.4), rtol=1e-15)
         np.testing.assert_allclose(abs(t), (1 + 0.25) ** -0.5, rtol=1e-15)
 
@@ -58,23 +60,48 @@ class TestBTerm:
             t = b_term(g, z, w)
             u = pair_invariant(w, moebius_apply(g, z))
             np.testing.assert_allclose(
-                math.exp(t.logmag), (1.0 + u) ** -0.5, rtol=1e-12
+                abs(t), (1.0 + u) ** -0.5, rtol=1e-12
             )
 
     def test_sign_flip(self):
         gen = rng(5)
         for _ in range(50):
             g, z, w = random_gamma(gen), random_point(gen), random_point(gen)
-            t1 = b_term(g, z, w).to_complex()
-            t2 = b_term(-g, z, w).to_complex()
+            t1 = b_term(g, z, w)
+            t2 = b_term(-g, z, w)
             assert abs(t1 + t2) < 1e-12 * abs(t1)
+
+    @pytest.mark.parametrize("y", [1e-300, 1e-200, 1e-160, 1e160, 1e200])
+    def test_identity_term_at_every_height(self, y):
+        # t_I(z, z) = 1 however far z is from i: no intermediate of the term
+        # may overflow or underflow on its way there
+        z = Point(0.1, y)
+        assert abs(b_term(GammaMatrix.identity(), z, z) - 1.0) < 1e-15
+        assert abs(bergman_main_term(z, z, 12) - 2.0) < 1e-14
+
+    @pytest.mark.parametrize("k", [12, 400, 1600, 10000])
+    def test_power_against_extended_precision(self, k):
+        # the k-th power of a near-diagonal term, |t|^k >= e^-2, against the
+        # same double raised at 40 digits: this checks the power alone (the
+        # magnitude law above checks the term)
+        gen = rng(k)
+        r = math.sqrt(8.0 / k)
+        for _ in range(200):
+            g, z = random_gamma(gen), random_point(gen)
+            gz = moebius_apply(g, z)
+            w = Point(gz.x + gz.y * float(gen.uniform(-r, r)),
+                      gz.y * math.exp(float(gen.uniform(-r, r))))
+            t = b_term(g, z, w)
+            with mp.workdps(40):
+                want = complex(mp.mpc(t) ** k)
+            assert abs(t ** k - want) <= 1e-11 * abs(want)
 
 
 def brute_force_R(z, w, k, entry_bound=6):
     """Direct long summation over all small matrices (independent oracle)."""
     total = 0j
     for g in brute_force_sl2(entry_bound):
-        total += b_term(g, z, w).pow(k).to_complex()
+        total += b_term(g, z, w) ** k
     return total
 
 
@@ -174,6 +201,19 @@ class TestBergmanR:
         with pytest.raises(CutoffExceeded):
             bergman_R(I_PT, I_PT, WeightConfig(6, 1e-13))
         assert time.time() - t0 < 5.0
+
+    def test_coset_table_is_capped_while_it_is_built(self, monkeypatch):
+        # the lattice tail meets its budget at the first radius here, so
+        # only the count kept while the table is built can refuse it
+        z = Point(0.1, 0.01)
+        n = len(coset_table(z, 8.0))
+        monkeypatch.setattr(modgroup, "MAX_COSETS", n)
+        assert len(coset_table(z, 8.0)) == n
+        monkeypatch.setattr(modgroup, "MAX_COSETS", n - 1)
+        with pytest.raises(CutoffExceeded):
+            coset_table(z, 8.0)
+        with pytest.raises(CutoffExceeded):
+            bergman_R(z, z, WeightConfig(1200))
 
     def test_diagonal_group_invariance_at_low_point(self):
         # the diagonal kernel is invariant under the group action; a point

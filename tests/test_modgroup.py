@@ -232,11 +232,6 @@ class TestMinDisplacement:
         assert d == 0.0
         assert g.entries() == (0, -1, 1, 0)
 
-    def test_at_i_excluding_stabilizer(self):
-        g, d = min_displacement(Point(0, 1), exclude_fixing=True)
-        np.testing.assert_allclose(d, math.acosh(1.5), rtol=1e-12)
-        assert g.entries() in {(1, 1, 0, 1), (1, -1, 0, 1)}
-
     def test_matches_brute_force(self):
         # oracle: direct minimum over all small matrices
         pool = [g for g in brute_force_sl2(6)
@@ -265,8 +260,6 @@ class TestMinDisplacement:
             g, d = min_displacement(z)
             assert g == GammaMatrix.T(round(z.x)) * g0 * GammaMatrix.T(-round(z.x))
             assert d == d0
-            g, d = min_displacement(z, exclude_fixing=True)
-            assert d == min_displacement(shifted, exclude_fixing=True)[1]
 
 
 class TestTranslationAndReduction:
