@@ -20,12 +20,7 @@ import numpy as np
 from .errors import CutoffExceeded, CuspKernelError, SupportViolation
 from .halfplane import Point
 from .kernel import WeightConfig, bergman_R
-from .modgroup import (
-    elliptic_points_in_strip,
-    min_displacement,
-    sample_bulk,
-    write_elliptic_csv,
-)
+from .modgroup import elliptic_points_in_strip, min_displacement, sample_bulk
 from .equidist import (
     BumpFunction2D,
     TestFunction,
@@ -33,7 +28,7 @@ from .equidist import (
     integrate_region,
     integrate_vertical,
 )
-from .oracle import delta_coeffs, verify_pretrace, write_coeffs_csv
+from .oracle import delta_coeffs, verify_pretrace
 
 RNG_NAME = "philox"
 
@@ -71,8 +66,16 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _emit_csv(args, header, rows) -> None:
+    """Write a header and rows as CSV: a float as 17 significant digits,
+    anything else (an int, or a string the caller formatted) as it is."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format(v, ".17g") if isinstance(v, float) else v
+                    for v in row])
+    _emit(args, buf.getvalue())
 
 
 def cmd_kernel(args) -> int:
@@ -89,13 +92,7 @@ def cmd_kernel(args) -> int:
     if args.format == "json":
         _emit(args, _json(record))
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(record.keys())
-        w.writerow([record["k"], _fmt(record["re"]), _fmt(record["im"]),
-                    _fmt(record["tail_bound"]), record["terms_used"],
-                    record["cosets_used"]])
-        _emit(args, buf.getvalue())
+        _emit_csv(args, record.keys(), [record.values()])
     return 0
 
 
@@ -112,16 +109,14 @@ def cmd_scan(args) -> int:
     cfg = WeightConfig(args.k, args.tol)
     xs = [x0] if nx == 1 else [x0 + i * (x1 - x0) / (nx - 1) for i in range(nx)]
     ys = [y0] if ny == 1 else [y0 + j * (y1 - y0) / (ny - 1) for j in range(ny)]
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["x", "y", "k", "re_R", "im_R", "tail_bound", "terms_used"])
+    rows = []
     for y in ys:
         for x in xs:
             res = bergman_R(Point(x, y), Point(x, y), cfg)
-            w.writerow([_fmt(x), _fmt(y), args.k, _fmt(res.value.real),
-                        _fmt(res.value.imag), _fmt(res.tail_bound),
-                        res.terms_used])
-    _emit(args, buf.getvalue())
+            rows.append([x, y, args.k, res.value.real, res.value.imag,
+                         res.tail_bound, res.terms_used])
+    _emit_csv(args, ["x", "y", "k", "re_R", "im_R", "tail_bound",
+                     "terms_used"], rows)
     return 0
 
 
@@ -161,36 +156,25 @@ def _run_integral(args, runner, x_or_y=None):
         t0 = time.perf_counter()
         res = runner(k)
         ms = 1000.0 * (time.perf_counter() - t0)
-        record = {
-            "k": k,
-            "integral": res.integral,
-            "reference": res.reference,
-            "gap": res.integral - res.reference,
-            "reported_error": res.error,
-            "nodes": res.nodes,
-            "wall_time_ms": ms,
-        }
+        record = {"k": k}
         if x_or_y is not None:
             record["x_or_y"] = x_or_y
+        record.update(
+            integral=res.integral,
+            reference=res.reference,
+            gap=res.integral - res.reference,
+            reported_error=res.error,
+            nodes=res.nodes,
+            wall_time_ms=ms,
+        )
         records.append(record)
     return records
-
-
-_SWEEP_COLUMNS = ("k", "x_or_y", "integral", "reference", "gap",
-                  "reported_error", "nodes", "wall_time_ms")
 
 
 def _emit_records(args, records) -> None:
     """Sweep results as a JSON list or as CSV rows per weight."""
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        cols = [c for c in _SWEEP_COLUMNS if c in records[0]]
-        w.writerow(cols)
-        for r in records:
-            w.writerow([r[c] if isinstance(r[c], int) else _fmt(r[c])
-                        for c in cols])
-        _emit(args, buf.getvalue())
+        _emit_csv(args, records[0].keys(), [r.values() for r in records])
     else:
         _emit(args, _json(records))
 
@@ -286,16 +270,17 @@ def cmd_pretrace(args) -> int:
 
 
 def cmd_elliptic(args) -> int:
-    buf = io.StringIO()
-    write_elliptic_csv(elliptic_points_in_strip(args.Y), buf)
-    _emit(args, buf.getvalue())
+    # repr, not 17 digits: elliptic_Y40.csv pins the shortest form (0.0,1.0)
+    rows = [[repr(e.location.x), repr(e.location.y), e.stabilizer_order,
+             *e.generator.entries()]
+            for e in elliptic_points_in_strip(args.Y)]
+    _emit_csv(args, ["x", "y", "stab_order", "gen_a", "gen_b", "gen_c",
+                     "gen_d"], rows)
     return 0
 
 
 def cmd_coeffs(args) -> int:
-    buf = io.StringIO()
-    write_coeffs_csv(delta_coeffs(args.n), buf)
-    _emit(args, buf.getvalue())
+    _emit_csv(args, ["n", "a_n"], enumerate(delta_coeffs(args.n).coeffs, 1))
     return 0
 
 

@@ -102,12 +102,19 @@ def moebius_apply(g: GammaMatrix, z: Point) -> Point:
 
     The imaginary part is computed as y/|cz+d|^2 directly, which keeps it
     exactly positive and matches the invariant Im(gz) = Im z / |j(g,z)|^2.
+    Only when |cz+d|^2 overflows (|cz+d| above about 1e154) are cz+d and
+    az+b first divided by s = max(|Re|, |Im|) of cz+d.
     """
     cr = g.c * z.x + g.d
     ci = g.c * z.y
     q = cr * cr + ci * ci
     nr = g.a * z.x + g.b
     ni = g.a * z.y
+    if q == math.inf:
+        s = max(abs(cr), abs(ci))
+        cr, ci, nr, ni = cr / s, ci / s, nr / s, ni / s
+        q = cr * cr + ci * ci
+        return Point((nr * cr + ni * ci) / q, z.y / s / s / q)
     x_new = (nr * cr + ni * ci) / q
     y_new = z.y / q
     return Point(x_new, y_new)

@@ -55,6 +55,8 @@ from .modgroup import (
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
+# most terms one m-line may contribute
+_MAX_LINE_TERMS = 5_000_000
 
 # the squeeze constant A of the admissible window (delta_for, support_top)
 SQUEEZE_A = 2.0
@@ -240,6 +242,9 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         t0 = uw - X0
         width_sq = alpha * u_cut - beta
         width = math.sqrt(width_sq) if width_sq > 0.0 else 0.0
+        # the window below holds more than 2 * width - 1 terms
+        if 2.0 * width - 1.0 >= _MAX_LINE_TERMS:
+            raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
         m_lo = math.ceil(t0 - width)
         m_hi = math.floor(t0 + width)
         # grow the window until both side tails fit the per-line budget;
@@ -261,7 +266,7 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
                                  best_tail_bound=tail)
         tail += lo
         tail += hi
-        if m_hi - m_lo + 1 > 5_000_000:
+        if m_hi - m_lo + 1 > _MAX_LINE_TERMS:
             raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
         if offdiagonal and c == 0:
             # the identity is not an off-diagonal term: skip m = 0

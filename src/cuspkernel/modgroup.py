@@ -8,7 +8,6 @@ search window can be shrunk as better candidates are found.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -106,6 +105,8 @@ def coset_row(c: int, z: Point, R: float) -> list:
     """
     if c < 1:
         raise ValueError("coset rows start at c = 1")
+    if c * z.y > math.sqrt(R):  # before squaring, which may overflow
+        return []
     cy2 = (c * z.y) ** 2
     if cy2 > R:
         return []
@@ -129,7 +130,8 @@ def coset_table(z: Point, R: float) -> list:
     row takes the table past MAX_COSETS."""
     cosets = [(0, 1, 1.0)]
     c = 1
-    while (c * z.y) ** 2 <= R:
+    r = math.sqrt(R)  # c y <= r, not c^2 y^2 <= R, which may overflow
+    while c * z.y <= r:
         cosets += [(c, d, Q) for d, Q in coset_row(c, z, R)]
         if len(cosets) > MAX_COSETS:
             raise CutoffExceeded(
@@ -218,11 +220,6 @@ def stabilizer(z0: Point, search_bound: int = 3) -> list:
     return found
 
 
-def _u_height_floor(Q: float) -> float:
-    """Lower bound on u(z, gz) from image height alone: (Q-1)^2/(4Q)."""
-    return (Q - 1.0) ** 2 / (4.0 * Q)
-
-
 def min_displacement(z: Point):
     """Certified minimizer of d(z, gz) over g != +/-I.
 
@@ -262,15 +259,15 @@ def min_displacement(z: Point):
     c = 0
     while True:
         c += 1
-        cy2 = (c * y) ** 2
-        # Q >= c^2 y^2 on this line; once that alone forces u > best, stop
-        if cy2 > 1.0 and _u_height_floor(cy2) > best_u + 1e-12:
-            break
         b_cur = best_u + 1e-9
         # admissible Q window: (Q-1)^2/(4Q) <= b  =>  Q in [1/Q+, Q+]
         q_hi = 1.0 + 2.0 * b_cur + 2.0 * math.sqrt(b_cur * (1.0 + b_cur))
+        # Q >= c^2 y^2 on this row, and q_hi only shrinks: past it, stop
+        if c * y > math.sqrt(q_hi):
+            break
         for d, Q in coset_row(c, z, q_hi):
-            if _u_height_floor(Q) > best_u + 1e-12:
+            # the image height alone bounds u(z, gz) >= (Q-1)^2/(4Q)
+            if (Q - 1.0) ** 2 / (4.0 * Q) > best_u + 1e-12:
                 continue
             a0, b0 = solve_top_row(c, d)
             g0 = GammaMatrix(a0, b0, c, d)
@@ -317,15 +314,3 @@ def sample_bulk(Y: float, delta: float, n: int, rng) -> list:
                             for e in elliptic):
             out.append(z)
     return out
-
-
-def write_elliptic_csv(points, fh) -> None:
-    """Write an elliptic-point list with stabilizer data as CSV to a text stream."""
-    writer = csv.writer(fh)
-    writer.writerow(["x", "y", "stab_order", "gen_a", "gen_b", "gen_c", "gen_d"])
-    for e in points:
-        g = e.generator
-        writer.writerow(
-            [repr(e.location.x), repr(e.location.y), e.stabilizer_order,
-             g.a, g.b, g.c, g.d]
-        )

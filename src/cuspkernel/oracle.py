@@ -14,7 +14,6 @@ the kernel locally so the independence of the module is auditable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -291,11 +290,3 @@ def verify_pretrace(z: Point) -> float:
     res = bergman_R(z, z, WeightConfig(12, 1e-14))
     rhs = (11.0 / (8.0 * math.pi)) * res.value.real
     return abs(lhs - rhs) / abs(rhs)
-
-
-def write_coeffs_csv(qexp: QExpansion, fh) -> None:
-    """Write the coefficients n, a_n as CSV to a text stream."""
-    writer = csv.writer(fh)
-    writer.writerow(["n", "a_n"])
-    for n in range(1, qexp.N + 1):
-        writer.writerow([n, qexp.a(n)])

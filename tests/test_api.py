@@ -69,11 +69,13 @@ def test_dead_members_are_gone(cls, member):
     (modgroup, "in_bulk"),
     (halfplane, "LogComplex"),
     (halfplane, "reduce_phase"),
+    (modgroup, "write_elliptic_csv"),
+    (oracle, "write_coeffs_csv"),
 ])
 def test_second_entry_points_are_gone(module, name):
     # each quantity has one way in: eval_delta_mp, measure_density,
-    # sample_bulk(Y, delta, n, rng), and a single term's k-th power is
-    # Python's complex power
+    # sample_bulk(Y, delta, n, rng), a single term's k-th power is
+    # Python's complex power, and CSV is written by the CLI alone
     assert not hasattr(module, name)
     assert not hasattr(cuspkernel, name)
 

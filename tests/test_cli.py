@@ -59,10 +59,24 @@ class TestKernelCommand:
         assert rc == 3 and "cutoff" in err
 
     def test_csv_format(self, capsys):
-        rc, out, _ = run(capsys, "kernel", "--z", "0+1i", "--k", "400",
-                         "--format", "csv")
-        lines = out.strip().splitlines()
-        assert rc == 0 and lines[0].startswith("k,re,im,tail_bound")
+        # the CSV row holds the JSON record's values, each float in a
+        # form that reads back to the same double
+        for points in (("--z", "0+1i"),
+                       ("--z", "0.3+0.7i", "--w", "0.1+0.9i")):
+            argv = ("kernel", *points, "--k", "400")
+            rc, out, _ = run(capsys, *argv, "--format", "csv")
+            rc2, out2, _ = run(capsys, *argv)
+            assert rc == rc2 == 0
+            rec = json.loads(out2)
+            header, row = out.splitlines()
+            assert header == "k,re,im,tail_bound,terms_used,cosets_used"
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert cells.keys() == rec.keys()
+            for key, value in rec.items():
+                if isinstance(value, float):
+                    assert float(cells[key]) == value
+                else:
+                    assert cells[key] == str(value)
 
     def test_off_diagonal_argument(self, capsys):
         rc, out, _ = run(capsys, "kernel", "--z", "0.3+0.7i", "--w", "0.1+0.9i",
@@ -160,7 +174,16 @@ class TestIntegralCommands:
         assert lines[0] == ("k,x_or_y,integral,reference,gap,"
                             "reported_error,nodes,wall_time_ms")
         assert len(lines) == 3
-        assert lines[1].startswith("600,") and lines[2].startswith("1200,")
+        assert lines[1].startswith("600,0.13,")
+        assert lines[2].startswith("1200,0.13,")
+        # a region has no line, so no x_or_y column
+        rc, out, _ = run(capsys, "region", "--center", "0.1,1.2",
+                         "--radius", "0.2", "--k", "120", "--format", "csv")
+        lines = out.splitlines()
+        assert rc == 0 and len(lines) == 2
+        assert lines[0] == ("k,integral,reference,gap,reported_error,"
+                            "nodes,wall_time_ms")
+        assert lines[1].startswith("120,")
 
     def test_zero_support_gap(self, capsys):
         # a bump well inside the bulk at high weight: tiny gap
@@ -203,7 +226,8 @@ class TestDumpCommands:
     def test_coeffs(self, capsys):
         rc, out, _ = run(capsys, "coeffs", "--n", "5")
         lines = out.strip().splitlines()
-        assert rc == 0 and lines[1] == "1,1" and lines[2] == "2,-24"
+        assert rc == 0 and lines[0] == "n,a_n"
+        assert lines[1] == "1,1" and lines[2] == "2,-24" and len(lines) == 6
 
 
 class TestGoldenBytes:

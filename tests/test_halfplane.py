@@ -1,6 +1,7 @@
 """Tests for the half-plane primitives."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ class TestMoebius:
             w = moebius_apply(g, z)
             j = automorphy_factor(g, z)
             np.testing.assert_allclose(w.y, z.y / abs(j) ** 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("y", [1e155, 1e160, 1e300])
+    def test_far_up_the_cusp(self, y):
+        # |cz+d|^2 overflows a double here although the image is
+        # representable; compare with the exact rational image
+        z = Point(0.1, y)
+        X, Y = Fraction(z.x), Fraction(z.y)
+        for g in (S, GammaMatrix(2, 1, 1, 1), GammaMatrix(1, 0, 3, 1),
+                  GammaMatrix(-1, 0, -2, -1)):
+            w = moebius_apply(g, z)
+            q = (g.c * X + g.d) ** 2 + (g.c * Y) ** 2
+            x_ref = ((g.a * X + g.b) * (g.c * X + g.d) + g.a * g.c * Y * Y) / q
+            assert w.y == pytest.approx(float(Y / q), rel=1e-15)
+            x_ref = float(x_ref)
+            assert abs(w.x - x_ref) <= 1e-15 * abs(x_ref) + 1e-320
 
 
 class TestPairInvariant:

@@ -255,6 +255,27 @@ class TestBergmanR:
         with pytest.raises(CutoffExceeded):
             offdiagonal_sum_bound(z)
 
+    @pytest.mark.parametrize("y", [1e78, 1e155, 1e300])
+    def test_very_high_point_returns_or_cuts_off(self, y):
+        # squares such as (c y)^2 and (Q - 1)^2 overflow up here; each entry
+        # point must still return a finite value or raise CutoffExceeded
+        z, w = Point(0.1, y), Point(0.2, 1.0)
+        calls = [(offdiagonal_sum_bound, z), (residual_certificate, z, 200)]
+        for k in (12, 1200):
+            cfg = WeightConfig(k)
+            calls += [(bergman_R, a, b, cfg)
+                      for a, b in ((z, z), (z, w), (w, z))]
+        for f, *args in calls:
+            try:
+                out = f(*args)
+            except CutoffExceeded:
+                continue
+            assert math.isfinite(getattr(out, "tail_bound", out))
+        g, d = modgroup.min_displacement(z)
+        assert g.c == 0 and abs(g.b) == 1
+        if y < 1e150:
+            assert d == pytest.approx(2.0 * math.asinh(0.5 / y), rel=1e-12)
+
     def test_term_pass_memory_per_term(self):
         # the terms are evaluated in one array pass and summed through a
         # memoryview, without a list of one Python float (32 bytes) per term

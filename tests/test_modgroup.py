@@ -1,6 +1,5 @@
 """Tests for coset enumeration, elliptic points, and displacement bounds."""
 
-import io
 import math
 
 import numpy as np
@@ -24,7 +23,6 @@ from cuspkernel.modgroup import (
     sample_bulk,
     solve_top_row,
     translate_into_strip,
-    write_elliptic_csv,
 )
 
 from test_halfplane import random_gamma
@@ -193,14 +191,6 @@ class TestEllipticPoints:
             EllipticPoint(rho, 6, -u)  # order 3 only
         with pytest.raises(ValueError):
             EllipticPoint(rho, 6, u * u)  # order 3 only
-
-    def test_csv_export(self):
-        pts = elliptic_points_in_strip(2)
-        buf = io.StringIO()
-        write_elliptic_csv(pts, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "x,y,stab_order,gen_a,gen_b,gen_c,gen_d"
-        assert len(lines) == len(pts) + 1
 
 
 class TestStabilizer:
