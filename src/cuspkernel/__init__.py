@@ -23,7 +23,6 @@ from .kernel import (
     asymptotic_residual,
     b_term,
     bergman_R,
-    bergman_main_term,
     elliptic_correction,
     offdiagonal_sum_bound,
     residual_certificate,
@@ -47,7 +46,6 @@ from .equidist import (
 )
 from .oracle import (
     PeterssonNorm,
-    QExpansion,
     delta_coeffs,
     eval_delta_mp,
     petersson_norm_delta,

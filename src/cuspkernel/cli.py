@@ -280,7 +280,7 @@ def cmd_elliptic(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    _emit_csv(args, ["n", "a_n"], enumerate(delta_coeffs(args.n).coeffs, 1))
+    _emit_csv(args, ["n", "a_n"], enumerate(delta_coeffs(args.n), 1))
     return 0
 
 

@@ -121,18 +121,36 @@ def moebius_apply(g: GammaMatrix, z: Point) -> Point:
 
 
 def pair_invariant(z: Point, w: Point) -> float:
-    """u(z, w) = |z - w|^2 / (4 Im z Im w); nonnegative, Gamma-invariant."""
+    """u(z, w) = |z - w|^2 / (4 Im z Im w); nonnegative, Gamma-invariant.
+
+    Only when 4 Im z Im w overflows (Im z Im w above about 4.5e307) is u
+    taken as the square of _root_invariant instead.
+    """
     dx = z.x - w.x
     dy = z.y - w.y
-    return (dx * dx + dy * dy) / (4.0 * z.y * w.y)
+    den = 4.0 * z.y * w.y
+    if den == math.inf:
+        return _root_invariant(z, w) ** 2
+    return (dx * dx + dy * dy) / den
+
+
+def _root_invariant(z: Point, w: Point) -> float:
+    """sqrt(u(z, w)) = |z - w| / (2 sqrt(Im z) sqrt(Im w)), with no square
+    that could overflow or underflow on the way."""
+    return math.hypot(z.x - w.x, z.y - w.y) / (
+        2.0 * math.sqrt(z.y) * math.sqrt(w.y))
 
 
 def hyp_distance(z: Point, w: Point) -> float:
     """Hyperbolic distance, via cosh d = 2u + 1.
 
     Evaluated as 2*asinh(sqrt(u)), which is exact at u = 0 and loses no
-    digits for nearby points, unlike acosh(1 + 2u).
+    digits for nearby points, unlike acosh(1 + 2u).  Where 4 Im z Im w
+    overflows, sqrt(u) comes from _root_invariant, so two points 1e-300
+    apart far up the cusp are not at distance 0.
     """
+    if 4.0 * z.y * w.y == math.inf:
+        return 2.0 * math.asinh(_root_invariant(z, w))
     return 2.0 * math.asinh(math.sqrt(pair_invariant(z, w)))
 
 

@@ -106,13 +106,6 @@ def b_term(g: GammaMatrix, z: Point, w: Point) -> complex:
     return t / automorphy_factor(g, z)
 
 
-def bergman_main_term(z: Point, w: Point, k: int) -> complex:
-    """The leading term 2 * (2i sqrt(yv) / (z - conj(w)))^k."""
-    if k % 2 != 0:
-        raise ValueError("weight must be even")
-    return 2.0 * b_term(GammaMatrix.identity(), z, w) ** k
-
-
 @functools.lru_cache(maxsize=64)  # once per kernel sum, for a few weights
 def _profile_constant(k: float) -> float:
     """sqrt(pi) * Gamma((k-1)/2) / Gamma(k/2): the full-line integral of the

@@ -16,7 +16,8 @@ criterion.  The numbered criteria:
      fixed-point half-distance triples
   8. kernel algebra: magnitude law, Hermitian symmetry, weight-12
      automorphy, truncation certificate
-  9. oracle integrity: exact multiplicativity, norm refinement stability
+  9. oracle integrity: exact multiplicativity, the norm stable across two
+     Kloosterman cut-offs
 """
 
 import math
@@ -42,7 +43,7 @@ from cuspkernel import (
     residual_certificate,
     verify_pretrace,
 )
-from cuspkernel import BumpFunction2D
+from cuspkernel import BumpFunction2D, oracle
 from cuspkernel import TestFunction as BumpSpec
 from cuspkernel.cli import pretrace_points
 from cuspkernel.modgroup import sample_bulk
@@ -202,7 +203,7 @@ def test_criterion_8_kernel_algebra():
 
 def test_criterion_9_oracle_integrity():
     N = 400
-    qexp = delta_coeffs(N)
+    coeffs = delta_coeffs(N)
     pairs, m = [], 2
     while len(pairs) < 50:
         for n in range(m + 1, N // m + 1):
@@ -212,9 +213,10 @@ def test_criterion_9_oracle_integrity():
                     break
         m += 1
     for m, n in pairs:
-        assert qexp.a(m * n) == qexp.a(m) * qexp.a(n)
-    a = petersson_norm_delta(1e-10, y_cut=1.0)
-    b = petersson_norm_delta(1e-10, y_cut=2.0)
+        assert coeffs[m * n - 1] == coeffs[m - 1] * coeffs[n - 1]
+    a = petersson_norm_delta(1e-10)
+    b = oracle._norm(2 * a.nodes)
     assert abs(a.value - b.value) <= a.error_bound + b.error_bound
     report(9, f"50 coprime pairs exactly multiplicative; norm stable "
-              f"across refinement levels ({a.value:.6e} vs {b.value:.6e})")
+              f"across Kloosterman cut-offs {a.nodes} and {b.nodes} "
+              f"({a.value:.6e} vs {b.value:.6e})")

@@ -23,7 +23,7 @@ SIGNATURES = {
     kernel.offdiagonal_sum_bound: [("z", EMPTY)],
     kernel.residual_certificate: [("z", EMPTY), ("k", EMPTY)],
     oracle.verify_pretrace: [("z", EMPTY)],
-    oracle.petersson_norm_delta: [("tol", 1e-10), ("y_cut", 1.0)],
+    oracle.petersson_norm_delta: [("tol", 1e-10)],
     oracle.eval_delta_mp: [("z", EMPTY)],
     modgroup.min_displacement: [("z", EMPTY)],
     modgroup.sample_bulk:
@@ -71,11 +71,17 @@ def test_dead_members_are_gone(cls, member):
     (halfplane, "reduce_phase"),
     (modgroup, "write_elliptic_csv"),
     (oracle, "write_coeffs_csv"),
+    (oracle, "QExpansion"),
+    (oracle, "_x_integrated_square"),
+    (oracle, "_series_tails"),
+    (kernel, "bergman_main_term"),
 ])
 def test_second_entry_points_are_gone(module, name):
     # each quantity has one way in: eval_delta_mp, measure_density,
     # sample_bulk(Y, delta, n, rng), a single term's k-th power is
-    # Python's complex power, and CSV is written by the CLI alone
+    # Python's complex power (the main term too), CSV is written by the
+    # CLI alone, coefficients are a plain tuple, and the Petersson norm is
+    # one Kloosterman-Bessel series
     assert not hasattr(module, name)
     assert not hasattr(cuspkernel, name)
 

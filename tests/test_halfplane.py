@@ -159,6 +159,17 @@ class TestDistance:
     def test_coincident(self):
         assert hyp_distance(Point(0.3, 0.8), Point(0.3, 0.8)) == 0.0
 
+    @pytest.mark.parametrize("y", [1e155, 1e300])
+    def test_far_up_the_cusp(self, y):
+        # 4 Im z Im w overflows here; the true distance of z and z + 1 is
+        # 2 asinh(1/(2y)), about 1/y, not 0
+        z, w = Point(0.1, y), Point(1.1, y)
+        want = 2.0 * math.asinh(1.0 / (2.0 * y))
+        assert hyp_distance(z, w) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert hyp_distance(w, z) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert pair_invariant(z, w) == pytest.approx(
+            math.sinh(want / 2.0) ** 2, rel=1e-15, abs=1e-320)
+
     def test_quarter_invariant(self):
         np.testing.assert_allclose(
             hyp_distance(Point(0, 1), Point(1, 1)), math.acosh(1.5), rtol=1e-15

@@ -238,6 +238,15 @@ class TestMinDisplacement:
         z = Point(0.271, 1.313)
         assert min_displacement(z) == min_displacement(z)
 
+    @pytest.mark.parametrize("y", [1e155, 1e300])
+    def test_far_up_the_cusp(self, y):
+        # a unit translation is the least displacement, 2 asinh(1/(2y)),
+        # although 4 Im z Im gz overflows a double
+        g, d = min_displacement(Point(0.1, y))
+        assert g.c == 0 and abs(g.b) == 1
+        want = 2.0 * math.asinh(1.0 / (2.0 * y))
+        assert d == pytest.approx(want, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("n", [1, -2, 37, 10 ** 6, -10 ** 9, 10 ** 12])
     def test_far_point_gets_the_conjugate(self, n):
         # d(z, gz) is invariant under conjugating g by T^n, so a point far

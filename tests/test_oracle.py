@@ -1,10 +1,10 @@
 """Tests for the weight-12 q-expansion oracle and its Petersson norm."""
 
+import cmath
 import inspect
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from cuspkernel import (
@@ -48,16 +48,15 @@ def is_prime(n):
 class TestCoefficients:
     def test_first_values_against_naive_expansion(self):
         oracle = naive_product_coeffs(12)
-        qexp = delta_coeffs(12)
-        for n in range(1, 13):
-            assert qexp.a(n) == oracle[n - 1]
-        assert qexp.a(1) == 1
-        assert qexp.a(2) == -24
-        assert qexp.a(6) == qexp.a(2) * qexp.a(3) == -6048
+        coeffs = delta_coeffs(12)
+        assert coeffs == tuple(oracle[:12])
+        assert coeffs[0] == 1
+        assert coeffs[1] == -24
+        assert coeffs[5] == coeffs[1] * coeffs[2] == -6048
 
     def test_multiplicativity_on_coprime_pairs(self):
         N = 400
-        qexp = delta_coeffs(N)
+        coeffs = delta_coeffs(N)
         pairs = []
         m = 2
         while len(pairs) < 50:
@@ -69,13 +68,13 @@ class TestCoefficients:
             m += 1
         assert len(pairs) == 50
         for m, n in pairs:
-            assert qexp.a(m * n) == qexp.a(m) * qexp.a(n)
+            assert coeffs[m * n - 1] == coeffs[m - 1] * coeffs[n - 1]
 
     def test_deligne_bound_screen(self):
-        qexp = delta_coeffs(400)
+        coeffs = delta_coeffs(400)
         for p in range(2, 401):
             if is_prime(p):
-                assert abs(qexp.a(p)) <= 2.0 * p ** 5.5
+                assert abs(coeffs[p - 1]) <= 2.0 * p ** 5.5
 
 
 class TestEvaluation:
@@ -100,41 +99,30 @@ class TestEvaluation:
             assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
-def fourier_pair_sum(y, x0, coeffs):
-    """The x-integral of |sum a_n q^n e^{2 pi i n x}|^2 over x0 <= |x| <= 1/2,
-    summed over every ordered pair (m, n) of Fourier terms."""
-    total = mp.mpf(0)
-    for m, am in enumerate(coeffs, 1):
-        for n, an in enumerate(coeffs, 1):
-            d = abs(m - n)
-            weight = (1 - 2 * x0 if d == 0
-                      else -mp.sin(2 * mp.pi * d * x0) / (mp.pi * d))
-            total += am * an * mp.e ** (-2 * mp.pi * (m + n) * y) * weight
+def brute_kloosterman(c):
+    """S(1, 1; c) as the literal sum of e^{2 pi i (d + d')/c} over the units
+    d mod c, each inverse d' found by search."""
+    total = 0j
+    for d in range(c):
+        if math.gcd(d, c) == 1:
+            inv = next(e for e in range(c) if (d * e) % c == 1 % c)
+            total += cmath.exp(2j * math.pi * (d + inv) / c)
     return total
 
 
-class TestXIntegratedSquare:
-    # lens heights with x0 on the unit circle, and one height above it
-    @pytest.mark.parametrize("y", [0.87, 0.93, 0.99, 1.2])
-    def test_matches_direct_quadrature_in_x(self, y):
-        with mp.workdps(20):
-            x0 = mp.sqrt(1 - mp.mpf(y) ** 2) if y < 1 else mp.mpf(0)
-            got = oracle_module._x_integrated_square(
-                mp.mpf(y), x0, delta_coeffs(30).coeffs)
-            # |Delta(-x + iy)| = |Delta(x + iy)|: the two halves are equal
-            want = 2 * mp.quad(
-                lambda x: abs(eval_delta_mp(Point(float(x), y))) ** 2,
-                [x0, 0.5])
-        assert abs(got - want) <= 1e-13 * want
+class TestKloosterman:
+    def test_matches_the_exponential_sum(self):
+        for c in range(1, 61):
+            brute = brute_kloosterman(c)
+            assert abs(brute.imag) <= 1e-12 * c
+            got = float(oracle_module._kloosterman(c))
+            assert abs(got - brute.real) <= 1e-12 * c
 
-    @pytest.mark.parametrize("y", [0.87, 0.99, 1.2])
-    def test_matches_the_fourier_pair_sum(self, y):
-        coeffs = delta_coeffs(30).coeffs
-        with mp.workdps(30):
-            x0 = mp.sqrt(1 - mp.mpf(y) ** 2) if y < 1 else mp.mpf(0)
-            got = oracle_module._x_integrated_square(mp.mpf(y), x0, coeffs)
-            want = fourier_pair_sum(mp.mpf(y), x0, coeffs)
-            assert abs(got - want) <= mp.mpf(10) ** -26 * want
+    def test_weil_bound_at_primes(self):
+        # |S(1, 1; p)| <= 2 sqrt(p), far below the phi(p) the rest bound uses
+        for p in range(2, 102):
+            if is_prime(p):
+                assert abs(oracle_module._kloosterman(p)) <= 2.0 * math.sqrt(p)
 
 
 class TestPeterssonNorm:
@@ -150,44 +138,43 @@ class TestPeterssonNorm:
     def test_repr_is_pinned(self):
         assert repr(petersson_norm_delta(1e-10)) == (
             "PeterssonNorm(value=1.035362056804321e-06, "
-            "error_bound=1.0353620568043288e-22, nodes=258)")
+            "error_bound=1.0353963357308274e-22, nodes=126)")
 
-    def test_one_result_per_height_cut(self):
+    def test_one_cached_result(self):
         assert petersson_norm_delta(1e-9) is petersson_norm_delta(1e-10)
 
     def test_tol_gates_the_cached_result(self, monkeypatch):
         loose = PeterssonNorm(1.0, 1e-9, 0)
-        monkeypatch.setitem(oracle_module._norm_cache, 3.0, loose)
-        assert petersson_norm_delta(1e-8, y_cut=3.0) is loose
+        monkeypatch.setattr(oracle_module, "_norm", lambda C: loose)
+        assert petersson_norm_delta(1e-8) is loose
         with pytest.raises(TailTooLarge):
-            petersson_norm_delta(1e-10, y_cut=3.0)
+            petersson_norm_delta(1e-10)
 
-    @pytest.mark.parametrize("tol, y_cut", [
-        (math.nan, 1.0), (math.inf, 1.0), (1e-10, math.nan),
-        (1e-10, math.inf), (1e-10, 0.99),
-    ])
-    def test_rejects_non_finite_or_out_of_range_input(self, tol, y_cut):
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_or_out_of_range_input(self, tol):
         with pytest.raises(ValueError):
-            petersson_norm_delta(tol, y_cut)
+            petersson_norm_delta(tol)
 
     def test_non_finite_error_is_not_certified(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "_series_tails", lambda N, y: math.inf)
+        cached = oracle_module._norm.cache_info().currsize
+        monkeypatch.setattr(oracle_module, "_REST_SCALE", math.inf)
         with pytest.raises(TailTooLarge):
-            petersson_norm_delta(1e-10, y_cut=1.5)
-        assert 1.5 not in oracle_module._norm_cache
+            oracle_module._norm(5)
+        assert oracle_module._norm.cache_info().currsize == cached
 
-    def test_lens_tail_does_not_grow_with_the_height_cut(self):
-        # each omitted pair shell is weighted by its decaying height
-        # integral, so a high cut still certifies
-        assert (oracle_module._series_tails(30, 1e4)
-                <= oracle_module._series_tails(30, 1.0) < 1e-50)
-        norm = petersson_norm_delta(1e-10, y_cut=1e4)
-        assert norm.error_bound <= 1e-10 * norm.value
-        assert abs(norm.value - NORM_LITERATURE) <= norm.error_bound
+    @pytest.mark.parametrize("C", [2, 10])
+    def test_rest_bound_covers_the_omitted_terms(self, C):
+        # the closed-form rest against the next 150 terms of the series
+        omitted = 2 * math.pi * sum(
+            abs(float(oracle_module._kloosterman(c)) / c
+                * float(mp.besselj(11, 4 * mp.pi / c)))
+            for c in range(C + 1, C + 151))
+        assert 0.0 < omitted <= oracle_module._REST_SCALE / C ** 10
 
-    def test_height_cut_consistency(self):
-        a = petersson_norm_delta(1e-10, y_cut=1.0)
-        b = petersson_norm_delta(1e-10, y_cut=2.0)
+    def test_two_kloosterman_cutoffs_agree(self):
+        a = petersson_norm_delta(1e-10)
+        b = oracle_module._norm(2 * a.nodes)
+        assert b.nodes == 2 * a.nodes
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
     def test_rejects_overtight_tol(self):
