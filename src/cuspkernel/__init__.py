@@ -4,7 +4,6 @@ from .errors import (
     CuspKernelError,
     CutoffExceeded,
     NoCuspForms,
-    StabilizerSearchFailed,
     SupportViolation,
     TailTooLarge,
 )
@@ -32,7 +31,6 @@ from .modgroup import (
     coset_row,
     elliptic_points_in_strip,
     min_displacement,
-    stabilizer,
 )
 from .equidist import (
     BumpFunction2D,

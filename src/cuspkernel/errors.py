@@ -26,7 +26,3 @@ class NoCuspForms(CuspKernelError):
 
 class TailTooLarge(CuspKernelError):
     """A q-series truncation cannot meet the requested tail bound."""
-
-
-class StabilizerSearchFailed(CuspKernelError):
-    """Brute-force stabilizer search returned a set that is not group-closed."""

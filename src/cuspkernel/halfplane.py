@@ -145,13 +145,16 @@ def hyp_distance(z: Point, w: Point) -> float:
     """Hyperbolic distance, via cosh d = 2u + 1.
 
     Evaluated as 2*asinh(sqrt(u)), which is exact at u = 0 and loses no
-    digits for nearby points, unlike acosh(1 + 2u).  Where 4 Im z Im w
-    overflows, sqrt(u) comes from _root_invariant, so two points 1e-300
-    apart far up the cusp are not at distance 0.
+    digits for nearby points, unlike acosh(1 + 2u).  Where 4 Im z Im w or
+    u itself overflows, sqrt(u) comes from _root_invariant: two points
+    1e-300 apart far up the cusp are not at distance 0, and 1e200 i and
+    1e-200 i are at distance 400 log 10, not inf.
     """
-    if 4.0 * z.y * w.y == math.inf:
-        return 2.0 * math.asinh(_root_invariant(z, w))
-    return 2.0 * math.asinh(math.sqrt(pair_invariant(z, w)))
+    if 4.0 * z.y * w.y < math.inf:
+        r = math.sqrt(pair_invariant(z, w))
+        if r < math.inf:
+            return 2.0 * math.asinh(r)
+    return 2.0 * math.asinh(_root_invariant(z, w))
 
 
 def u_from_distance(d: float) -> float:

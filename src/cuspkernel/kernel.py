@@ -18,11 +18,16 @@ certificate:
     by disk packing and bounding each ring by its inner-edge term, closed
     by a geometric series whose ratio is controlled analytically.
 
-The coset loop prunes, sizes each m-line window and adds the tails with
-scalar libm calls; it records each line as one row.  The terms of every
-row are then evaluated in one numpy pass per call.  Summation is exact
-(Shewchuk fsum, fed the term arrays through a memoryview rather than a list
-of Python floats), so the result is order-independent and deterministic.
+The coset loop prunes, sizes each m-line window and adds the tails; it
+records each line as one row.  It has two forms, chosen by the expected
+size of the coset table: below ARRAY_MIN_COSETS (every weight-1200 call)
+a scalar loop over coset_table, from it one array pass over coset_arrays.
+Both give the same bits: numpy does only exactly rounded arithmetic, and
+every exp, log, log1p, atan2 and square is libm's, mapped over the array
+one Python float at a time.  The terms of every row are then evaluated in
+one numpy pass per call.  Summation is exact (Shewchuk fsum, fed the term
+arrays through a memoryview rather than a list of Python floats), so the
+result is order-independent and deterministic.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .halfplane import (
 from .modgroup import (
     MAX_COSETS,
     EllipticPoint,
+    coset_arrays,
     coset_table,
     elliptic_points_in_strip,
     min_displacement,
@@ -57,6 +65,13 @@ _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 # most terms one m-line may contribute
 _MAX_LINE_TERMS = 5_000_000
+# most rounds of growth of one m-line window
+_MAX_GROWTH = 200
+# coset tables expected to hold this many cosets or more go through the
+# array coset loop (_array_lines), smaller ones through the scalar one: at
+# about 100 cosets the two take the same time, and at the 6-8 cosets of a
+# weight-1200 call numpy's fixed set-up makes the array loop 10x slower
+ARRAY_MIN_COSETS = 100
 
 # the squeeze constant A of the admissible window (delta_for, support_top)
 SQUEEZE_A = 2.0
@@ -127,6 +142,21 @@ def _side_tail(M: float, alpha: float, beta: float, k: float) -> float:
     return f * (1.0 + alpha * h / (M * (k - 2.0)))
 
 
+def _libm(f, *args):
+    """f over arrays (or other iterables) one Python float at a time: every
+    value is libm's, bit for bit, where numpy's own exp, log1p or arctan2
+    differ in the last bit for a few percent of arguments."""
+    lists = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
+    return np.fromiter(map(f, *lists), np.float64, len(lists[0]))
+
+
+def _side_tails(M, alpha, beta, k: float):
+    """_side_tail over arrays, with the same bits."""
+    h = 1.0 + (M * M + beta) / alpha
+    f = _libm(math.exp, -0.5 * k * _libm(math.log, h))
+    return f * (1.0 + alpha * h / (M * (k - 2.0)))
+
+
 def _shortest_vector_sq(zc: complex) -> float:
     """Squared length of the shortest nonzero vector of the lattice Z + Z z,
     by Gauss-Lagrange basis reduction.  Used as the packing radius for the
@@ -144,17 +174,10 @@ def _shortest_vector_sq(zc: complex) -> float:
     return u.real * u.real + u.imag * u.imag
 
 
-def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
-               offdiagonal: bool = False):
-    """Shared enumeration engine.
-
-    Returns (complex_or_real_sum, tail_bound, terms_used, cosets_used) for
-    the sum over one representative of each +/- pair; callers double both
-    the value and the tail for the full group.  The sum is of t_g(z, w)^k,
-    or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
-    """
-    y, x = z.y, z.x
-    v, uw = w.y, w.x
+def _lattice_radius(z: Point, w: Point, k: int, tol: float):
+    """(R0, tail): a working radius R0 whose lattice tail, the mass of
+    every coset with |cz+d|^2 > R0, is at most tol / 2, and that tail."""
+    y, v = z.y, w.y
     ck = _profile_constant(k)
     nhk = -0.5 * k  # a term's magnitude is exp(nhk * log(1 + u))
 
@@ -192,7 +215,7 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         while True:
             tail = lattice_tail(R0)
             if tail <= 0.5 * tol:
-                break
+                return R0, tail
             R0 *= 2.0
             if R0 > 1e14 or npm(R0) > MAX_COSETS:
                 raise CutoffExceeded(
@@ -205,14 +228,26 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
             best_tail_bound=math.inf,
         ) from None
 
-    cosets = coset_table(z, R0)
-    n_cosets = len(cosets)
-    tol_line = 0.25 * tol / n_cosets
+
+def _scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
+                  tail: float, offdiagonal: bool):
+    """The coset loop, one (c, d, Q) triple at a time in scalar libm
+    arithmetic.
+
+    A coset whose whole line is below tol_line is pruned; every other line
+    gets a window [m_lo, m_hi] grown until both side tails are below
+    tol_line / 2.  Each omitted mass is added to tail in coset order.
+    Returns (rows, counts, tail): six values per m-line segment, one after
+    another, (m_lo - terms before it, X0 - Re w, beta, alpha,
+    Im gz + Im w, arg(cz+d)), and each segment's term count.
+    """
+    y, x = z.y, z.x
+    v, uw = w.y, w.x
+    ck = _profile_constant(k)
+    nhk = -0.5 * k
     half_line = 0.5 * tol_line
     u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
 
-    # six values per m-line segment, (m_lo - terms before it, X0 - uw, beta,
-    # alpha, vp + v, argden), one after another, and its term count
     rows, counts = [], []
     n_terms = 0
 
@@ -242,7 +277,7 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
         m_hi = math.floor(t0 + width)
         # grow the window until both side tails fit the per-line budget;
         # the pair computed last is that of the final window
-        for _ in range(200):
+        for _ in range(_MAX_GROWTH):
             grew = False
             lo = _side_tail(t0 - (m_lo - 1), alpha, beta, k)
             if lo > half_line:
@@ -271,30 +306,152 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
                 rows += (lo_m - n_terms, X0 - uw, beta, alpha, vp + v, argden)
                 counts.append(hi_m - lo_m + 1)
                 n_terms += hi_m - lo_m + 1
+    return rows, counts, tail
 
-    # terms whose magnitude underflows to zero are each below 5e-324
-    tail += n_terms * 5e-324
 
-    # every term in one pass: the arithmetic of one line, with each
-    # segment's values taken out to its terms.  numpy evaluates a long pass
-    # in place, reusing each temporary that nothing else refers to
-    tab = np.array(rows, dtype=np.float64)
+def _array_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
+                 tail: float, offdiagonal: bool):
+    """_scalar_lines over a coset_arrays table (c, d, Q) in array passes,
+    with the same bits.
+
+    numpy does only exactly rounded arithmetic (+ - * / sqrt, floor, ceil)
+    on values that are the scalar loop's; every exp, log, log1p, atan2 and
+    square goes through libm (_libm), and each top row through
+    solve_top_row.  The tail takes its additions in the scalar loop's order
+    (with np.add.accumulate): a pruned coset adds g_max lf, a summed line
+    lo, then hi.  Each window grows in rounds, hi's step after lo's, as in
+    the scalar loop.
+    The first coset that ends in CutoffExceeded is handed to the scalar
+    loop, which raises it with the same message and tail.
+    """
+    c_all, d_all, Q_all = cosets
+    # the identity coset, first in every table, is the one c = 0 line
+    head, head_counts, tail = _scalar_lines(
+        [(0, 1, 1.0)], z, w, k, tol_line, tail, offdiagonal)
+    c, d, Q = c_all[1:], d_all[1:], Q_all[1:]
+    y, x = z.y, z.x
+    v, uw = w.y, w.x
+    ck = _profile_constant(k)
+    nhk = -0.5 * k
+    half_line = 0.5 * tol_line
+    u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
+
+    vp = y / Q
+    alpha = 4.0 * v * vp
+    beta = _libm(pow, v - vp, repeat(2))
+    # what each coset adds to the tail, in turn: g_max lf (and 0) if it is
+    # pruned, else the side tails lo and hi of its final window
+    added = np.zeros((len(Q), 2))
+    added[:, 0] = (_libm(math.exp, nhk * _libm(math.log1p, beta / alpha))
+                   * (2.0 + ck * (v + vp)))
+    kept = np.flatnonzero(~(added[:, 0] <= tol_line))
+    c, d, Q, vp, alpha, beta = (a[kept] for a in (c, d, Q, vp, alpha, beta))
+
+    top_rows = map(solve_top_row, c.tolist(), d.tolist())
+    a0 = np.fromiter(map(itemgetter(0), top_rows), np.int64, len(c))
+    cxd = c * x + d
+    X0 = a0 / c - cxd / (c * Q)
+    argden = _libm(math.atan2, c * y, cxd)
+    t0 = uw - X0
+    width_sq = alpha * u_cut - beta
+    width = np.sqrt(np.where(width_sq > 0.0, width_sq, 0.0))
+    m_lo = np.ceil(t0 - width) + 0.0  # -0.0 to 0.0, as the scalar loop's ints
+    m_hi = np.floor(t0 + width)
+    lo, hi = np.zeros(len(c)), np.zeros(len(c))
+    # a line that is sure to end in CutoffExceeded; windows only grow, so
+    # one past _MAX_LINE_TERMS stops growing here (its ends stay exact)
+    bad = 2.0 * width - 1.0 >= _MAX_LINE_TERMS
+    grow = np.flatnonzero(~bad)
+    for _ in range(_MAX_GROWTH):
+        if not grow.size:
+            break
+        t, al, be = t0[grow], alpha[grow], beta[grow]
+        mlo, mhi = m_lo[grow], m_hi[grow]
+        lo_g = _side_tails(t - (mlo - 1.0), al, be, k)
+        grew = lo_g > half_line
+        step = np.maximum(4.0, (mhi - mlo + 1.0) // 2.0)
+        mlo = np.where(grew, mlo - step, mlo)
+        hi_g = _side_tails((mhi + 1.0) - t, al, be, k)
+        up = hi_g > half_line
+        step = np.maximum(4.0, (mhi - mlo + 1.0) // 2.0)
+        mhi = np.where(up, mhi + step, mhi)
+        grew |= up
+        lo[grow], hi[grow], m_lo[grow], m_hi[grow] = lo_g, hi_g, mlo, mhi
+        over = mhi - mlo + 1.0 > _MAX_LINE_TERMS
+        bad[grow[over]] = True
+        grow = grow[grew & ~over]
+    bad[grow] = True  # still growing after _MAX_GROWTH rounds
+
+    added[kept, 0] = lo
+    added[kept, 1] = hi
+    acc = np.add.accumulate(np.concatenate(([tail], added.ravel())))
+    if bad.any():
+        i = kept[np.flatnonzero(bad)[0]]
+        coset = (int(c_all[i + 1]), int(d_all[i + 1]), float(Q_all[i + 1]))
+        _scalar_lines([coset], z, w, k, tol_line, float(acc[2 * i]),
+                      offdiagonal)
+        raise RuntimeError("the array coset loop lost a CutoffExceeded")
+
+    count = (m_hi - m_lo + 1.0).astype(np.int64)
+    seg = count > 0
+    count = count[seg]
+    before = sum(head_counts) + np.cumsum(count) - count
+    body = np.column_stack((m_lo[seg] - before, (X0 - uw)[seg], beta[seg],
+                            alpha[seg], (vp + v)[seg], argden[seg]))
+    return (np.concatenate((head, body.ravel())),
+            np.concatenate((np.array(head_counts, dtype=np.int64), count)),
+            float(acc[-1]))
+
+
+def _term_sums(rows, counts, k: int, offdiagonal: bool):
+    """(sum, terms) over every term of every segment of a line stage, in
+    one array pass: the arithmetic of one line, with each segment's values
+    taken out to its terms.  numpy evaluates a long pass in place, reusing
+    each temporary that nothing else refers to."""
+    tab = np.asarray(rows, dtype=np.float64)
     first, x0, beta, alpha, vpv, argden = (
         tab[0::6], tab[1::6], tab[2::6], tab[3::6], tab[4::6], tab[5::6])
     at = np.arange(len(counts)).repeat(counts)
+    n_terms = len(at)
     ms = np.arange(n_terms, dtype=np.float64) + first[at]
     offs = x0[at] + ms
     del ms
-    mag = np.exp(nhk * np.log1p((offs * offs + beta[at]) / alpha[at]))
+    mag = np.exp(-0.5 * k * np.log1p((offs * offs + beta[at]) / alpha[at]))
     if offdiagonal:
-        return math.fsum(memoryview(mag)), tail, n_terms, n_cosets
+        return math.fsum(memoryview(mag)), n_terms
     # float(k): numpy scales by a Python float faster than by an int
     ph = float(k) * (_HALF_PI - np.arctan2(vpv[at], offs) - argden[at])
     del at, offs
     ph = np.remainder(ph + math.pi, _TWO_PI) - math.pi
     re_sum = math.fsum(memoryview(mag * np.cos(ph)))
     im_sum = math.fsum(memoryview(mag * np.sin(ph)))
-    return complex(re_sum, im_sum), tail, n_terms, n_cosets
+    return complex(re_sum, im_sum), n_terms
+
+
+def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
+               offdiagonal: bool = False):
+    """Shared enumeration engine.
+
+    Returns (complex_or_real_sum, tail_bound, terms_used, cosets_used) for
+    the sum over one representative of each +/- pair; callers double both
+    the value and the tail for the full group.  The sum is of t_g(z, w)^k,
+    or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
+    """
+    R0, tail = _lattice_radius(z, w, k, tol)
+    # |cz+d|^2 <= R0 is an ellipse of area pi R0 / y in the (c, d) plane;
+    # 6/pi^2 of its lattice points are coprime, two to a +/- pair
+    if 3.0 * R0 / (math.pi * z.y) < ARRAY_MIN_COSETS:
+        cosets = coset_table(z, R0)
+        n_cosets, stage = len(cosets), _scalar_lines
+    else:
+        cosets = coset_arrays(z, R0)
+        n_cosets, stage = len(cosets[0]), _array_lines
+    rows, counts, tail = stage(cosets, z, w, k, 0.25 * tol / n_cosets, tail,
+                               offdiagonal)
+    total, n_terms = _term_sums(rows, counts, k, offdiagonal)
+    # terms whose magnitude underflows to zero are each below 5e-324
+    tail += n_terms * 5e-324
+    return total, tail, n_terms, n_cosets
 
 
 def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:

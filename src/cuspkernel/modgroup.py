@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
-from .errors import CutoffExceeded, StabilizerSearchFailed
+import numpy as np
+
+from .errors import CutoffExceeded
 from .halfplane import (
     GammaMatrix,
     Point,
@@ -28,6 +31,9 @@ U_GENERATOR = GammaMatrix(1, -1, 1, 0)
 
 # the most cosets a coset table may hold: about half a gigabyte of triples
 MAX_COSETS = 3_000_000
+
+# the most (c, d) candidates one block of coset_arrays rows may hold
+_BLOCK_CANDIDATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,56 @@ def coset_table(z: Point, R: float) -> list:
     return cosets
 
 
+def coset_arrays(z: Point, R: float):
+    """coset_table(z, R) as three arrays, c and d (int64) and Q (float64),
+    in the same order and with the same bits.
+
+    The (c, d) candidates are taken a block of at most _BLOCK_CANDIDATES
+    at a time (a block of rows, or a slice of one long row), each block's
+    gcd filter and Q in one numpy pass of exactly rounded operations; the
+    squares (c y)^2 go through Python's float power (libm pow), as in
+    coset_row.  Raises CutoffExceeded as soon as a block takes the table
+    past MAX_COSETS.
+    """
+    r = math.sqrt(R)
+    # a row holds at most 2 sqrt(R) + 1 candidates d
+    step = max(1, _BLOCK_CANDIDATES // (2 * math.floor(r) + 3))
+    cs, ds, qs = [np.zeros(1, np.int64)], [np.ones(1, np.int64)], [np.ones(1)]
+    n, c0 = 1, 1
+    while True:
+        c = np.arange(c0, c0 + step, dtype=np.int64)
+        c = c[c * z.y <= r]  # a prefix: c y grows with c
+        last = len(c) < step
+        cy2 = np.fromiter(map(pow, (c * z.y).tolist(), repeat(2)),
+                          np.float64, len(c))
+        c, cy2 = c[cy2 <= R], cy2[cy2 <= R]
+        s = np.sqrt(R - cy2)
+        cx = c * z.x
+        d_lo = np.ceil(-cx - s)
+        counts = np.maximum(np.floor(-cx + s) - d_lo + 1.0, 0.0).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        total = int(counts.sum())
+        for j0 in range(0, total, _BLOCK_CANDIDATES):
+            j = np.arange(j0, min(j0 + _BLOCK_CANDIDATES, total))
+            row = np.searchsorted(starts, j, side="right") - 1
+            d = d_lo[row].astype(np.int64) + (j - starts[row])
+            keep = np.gcd(c[row], d) == 1
+            row, d = row[keep], d[keep]
+            t = cx[row] + d
+            Q = t * t + cy2[row]
+            keep = Q <= R
+            cs.append(c[row[keep]])
+            ds.append(d[keep])
+            qs.append(Q[keep])
+            n += len(qs[-1])
+            if n > MAX_COSETS:
+                raise CutoffExceeded(
+                    f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {R:.3e}")
+        if last:
+            return np.concatenate(cs), np.concatenate(ds), np.concatenate(qs)
+        c0 += step
+
+
 def _orbit_points_in_strip(z0: Point, q_max: int, order: int,
                            generator0: GammaMatrix):
     """All Gamma-images of z0 at height >= Im(z0)/q_max inside |Re| <= 1/2.
@@ -190,34 +246,6 @@ def elliptic_points_in_strip(Y: float) -> list:
     pts += _orbit_points_in_strip(Point(0.5, SQRT3_2), q_max_r, 6, U_GENERATOR)
     pts.sort(key=lambda e: (-e.location.y, e.location.x))
     return pts
-
-
-def stabilizer(z0: Point, search_bound: int = 3) -> list:
-    """Brute-force the full finite group {g : g z0 = z0}.
-
-    Searches all determinant-1 matrices with entries bounded by
-    search_bound and verifies the result is closed under multiplication.
-    """
-    found = []
-    bound = search_bound
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            for c in range(-bound, bound + 1):
-                for d in range(-bound, bound + 1):
-                    if a * d - b * c != 1:
-                        continue
-                    g = GammaMatrix(a, b, c, d)
-                    if pair_invariant(moebius_apply(g, z0), z0) < 1e-20:
-                        found.append(g)
-    entries = {g.entries() for g in found}
-    for g in found:
-        for h in found:
-            if (g * h).entries() not in entries:
-                raise StabilizerSearchFailed(
-                    f"stabilizer not closed at bound {search_bound}; "
-                    f"missing {(g * h).entries()}"
-                )
-    return found
 
 
 def min_displacement(z: Point):

@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import cuspkernel
-from cuspkernel import equidist, halfplane, kernel, modgroup, oracle
+from cuspkernel import equidist, errors, halfplane, kernel, modgroup, oracle
 
 EMPTY = inspect.Parameter.empty
 
@@ -75,13 +75,16 @@ def test_dead_members_are_gone(cls, member):
     (oracle, "_x_integrated_square"),
     (oracle, "_series_tails"),
     (kernel, "bergman_main_term"),
+    (modgroup, "stabilizer"),
+    (errors, "StabilizerSearchFailed"),
 ])
 def test_second_entry_points_are_gone(module, name):
     # each quantity has one way in: eval_delta_mp, measure_density,
     # sample_bulk(Y, delta, n, rng), a single term's k-th power is
     # Python's complex power (the main term too), CSV is written by the
     # CLI alone, coefficients are a plain tuple, and the Petersson norm is
-    # one Kloosterman-Bessel series
+    # one Kloosterman-Bessel series; the brute-force stabilizer search is
+    # a test oracle, kept in tests/test_modgroup.py
     assert not hasattr(module, name)
     assert not hasattr(cuspkernel, name)
 

@@ -170,6 +170,15 @@ class TestDistance:
         assert pair_invariant(z, w) == pytest.approx(
             math.sinh(want / 2.0) ** 2, rel=1e-15, abs=1e-320)
 
+    def test_invariant_past_the_double_range(self):
+        # u = 1e400 / 4 overflows although the distance, 400 log 10, is
+        # finite; sqrt(u) = 5e199 is still a double
+        z, w = Point(0.0, 1e200), Point(0.0, 1e-200)
+        assert hyp_distance(z, w) == 921.0340371976183
+        assert hyp_distance(w, z) == 921.0340371976183
+        assert hyp_distance(z, w) == pytest.approx(400.0 * math.log(10.0),
+                                                   rel=1e-15)
+
     def test_quarter_invariant(self):
         np.testing.assert_allclose(
             hyp_distance(Point(0, 1), Point(1, 1)), math.acosh(1.5), rtol=1e-15

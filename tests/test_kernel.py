@@ -21,9 +21,9 @@ from cuspkernel import (
     pair_invariant,
     residual_certificate,
 )
-from cuspkernel import modgroup
+from cuspkernel import kernel, modgroup
 from cuspkernel.kernel import offdiagonal_sum_bound
-from cuspkernel.modgroup import coset_table, elliptic_points_in_strip
+from cuspkernel.modgroup import coset_arrays, coset_table, elliptic_points_in_strip
 
 from test_modgroup import brute_force_sl2
 from test_halfplane import random_gamma, random_point
@@ -208,11 +208,28 @@ class TestBergmanR:
         n = len(coset_table(z, 8.0))
         monkeypatch.setattr(modgroup, "MAX_COSETS", n)
         assert len(coset_table(z, 8.0)) == n
+        assert len(coset_arrays(z, 8.0)[0]) == n
         monkeypatch.setattr(modgroup, "MAX_COSETS", n - 1)
         with pytest.raises(CutoffExceeded):
             coset_table(z, 8.0)
         with pytest.raises(CutoffExceeded):
+            coset_arrays(z, 8.0)
+        with pytest.raises(CutoffExceeded):
             bergman_R(z, z, WeightConfig(1200))
+
+    def test_a_long_row_is_enumerated_in_blocks(self):
+        # w far below z puts 4e8 candidates d in row c = 1 of the table;
+        # they are taken a block at a time, so the cap refuses the table
+        # before it holds much more than MAX_COSETS cosets (24 bytes each)
+        z, w = Point(0.1, 1.0), Point(0.2, 1e-16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CutoffExceeded, match="more than"):
+                bergman_R(z, w, WeightConfig(1200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * modgroup.MAX_COSETS
 
     def test_diagonal_group_invariance_at_low_point(self):
         # the diagonal kernel is invariant under the group action; a point
@@ -290,6 +307,22 @@ class TestBergmanR:
         assert res.terms_used == 213018
         assert peak < 64 * res.terms_used
 
+    def test_array_stage_memory_per_coset(self):
+        # 97k cosets and 16k terms: the peak is the array coset loop's, a
+        # few float64 columns of the table and one list of Python floats
+        # at a time for libm (about 190 bytes a coset)
+        z = Point(0.159202, 0.080638)
+        cfg = WeightConfig(12, 1e-12)
+        bergman_R(z, z, cfg)
+        tracemalloc.start()
+        try:
+            res = bergman_R(z, z, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.cosets_used == 97033
+        assert peak < 224 * res.cosets_used
+
     def test_periodic_in_each_argument(self):
         cfg = WeightConfig(24, 1e-12)
         z, w = Point(0.21, 0.9), Point(-0.33, 1.3)
@@ -297,6 +330,108 @@ class TestBergmanR:
         for m, n in ((1, 0), (0, 1), (-1, 2), (3, -1)):
             res = bergman_R(Point(z.x + m, z.y), Point(w.x + n, w.y), cfg)
             assert abs(res.value - base.value) <= 1e-14 * abs(base.value)
+
+
+def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
+    """The scalar and the array coset loop, each called directly on its own
+    table of the radius _sum_terms picks: per stage, the repr of
+    (rows, counts, tail), or of the CutoffExceeded it raised.  None for a
+    table of more than max_cosets."""
+    R0, tail = kernel._lattice_radius(z, w, k, tol)
+    table = coset_table(z, R0)
+    if max_cosets is not None and len(table) > max_cosets:
+        return None
+    tol_line = 0.25 * tol / len(table)
+    out = []
+    for stage, cosets in ((kernel._scalar_lines, table),
+                          (kernel._array_lines, coset_arrays(z, R0))):
+        try:
+            rows, counts, t = stage(cosets, z, w, k, tol_line, tail,
+                                    offdiagonal)
+        except CutoffExceeded as exc:
+            out.append(repr((str(exc), exc.best_tail_bound)))
+            continue
+        rows = np.asarray(rows, dtype=np.float64).tolist()
+        out.append(repr((rows, np.asarray(counts).tolist(), t)))
+    return out
+
+
+def assert_same(scalar, array, case=None):
+    # the reprs run to megabytes: say where they part instead of a diff
+    if scalar != array:
+        i = next((i for i, (a, b) in enumerate(zip(scalar, array)) if a != b),
+                 min(len(scalar), len(array)))
+        at = slice(max(i - 60, 0), i + 60)
+        pytest.fail(f"{case}: the stages part at character {i}: "
+                    f"{scalar[at]!r} against {array[at]!r}")
+
+
+class TestArrayCosetLoop:
+    # _array_lines must reproduce _scalar_lines bit for bit: the rows it
+    # hands to the term pass, their counts and the tail, or the same
+    # CutoffExceeded with the same tail
+
+    def test_random_cases(self):
+        gen = rng(12)
+        cases = 0
+        while cases < 150:
+            k = 2 * round(math.exp(gen.uniform(math.log(2), math.log(600))))
+            y = math.exp(gen.uniform(math.log(0.1), math.log(50.0)))
+            z = Point(float(gen.uniform(-0.5, 0.5)), y)
+            if gen.uniform() < 0.5:
+                w = z
+            else:
+                w = Point(float(gen.uniform(-0.5, 0.5)),
+                          y * math.exp(gen.uniform(-1.0, 1.0)))
+            tol = 10.0 ** gen.uniform(-14.0, -3.0)
+            offdiagonal = bool(gen.uniform() < 0.3)
+            try:
+                # tables past 5000 cosets are skipped for time; the low
+                # points below have 20k-100k
+                out = both_line_stages(z, w, k, tol, offdiagonal, 5000)
+            except CutoffExceeded:
+                continue  # the lattice radius is out of reach: no table
+            if out is not None:
+                assert_same(*out, (z, w, k, tol, offdiagonal))
+                cases += 1
+
+    @pytest.mark.parametrize("z", [Point(0.159202, 0.080638),
+                                   Point(-0.301377, 0.121047),
+                                   Point(0.420853, 0.181562),
+                                   Point(-0.072304, 0.273911)])
+    def test_low_points(self, z):
+        # the benchmark's low points at k 12, tol 1e-12 (half of it per
+        # +/- representative, as bergman_R asks _sum_terms)
+        R0, _ = kernel._lattice_radius(z, z, 12, 0.5e-12)
+        assert len(coset_table(z, R0)) > 20000
+        assert_same(*both_line_stages(z, z, 12, 0.5e-12))
+
+    def test_a_line_past_the_term_cap(self, monkeypatch):
+        # at 0.1+0.3i the identity line is shorter than the longest c >= 1
+        # line; a cap between the two stops the sum in the array part
+        z = Point(0.1, 0.3)
+        R0, tail = kernel._lattice_radius(z, z, 12, 1e-12)
+        table = coset_table(z, R0)
+        _, counts, _ = kernel._scalar_lines(table, z, z, 12, 0.25e-12 / len(table),
+                                            tail, False)
+        assert counts[0] < max(counts)
+        cap = (counts[0] + max(counts)) // 2
+        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", cap)
+        scalar, array = both_line_stages(z, z, 12, 1e-12)
+        assert "m-line window too large" in scalar
+        assert_same(scalar, array)
+
+    def test_a_window_that_does_not_converge(self, monkeypatch):
+        # one round of growth only: the first line that has to grow ends
+        # the sum, and here that is a c >= 1 line
+        z = Point(0.1, 0.3)
+        monkeypatch.setattr(kernel, "_MAX_GROWTH", 1)
+        R0, tail = kernel._lattice_radius(z, z, 12, 1e-12)
+        tol_line = 0.25 * 1e-12 / len(coset_table(z, R0))
+        kernel._scalar_lines([(0, 1, 1.0)], z, z, 12, tol_line, tail, False)
+        scalar, array = both_line_stages(z, z, 12, 1e-12)
+        assert "failed to converge" in scalar
+        assert_same(scalar, array)
 
 
 class TestGoldenRegimes:

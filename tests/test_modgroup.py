@@ -15,9 +15,10 @@ from cuspkernel import (
     min_displacement,
     moebius_apply,
     pair_invariant,
-    stabilizer,
 )
+from cuspkernel import modgroup
 from cuspkernel.modgroup import (
+    coset_arrays,
     coset_table,
     reduce_to_domain,
     sample_bulk,
@@ -45,6 +46,29 @@ def brute_force_sl2(entry_bound):
                     if a * d - b * c == 1:
                         out.append(GammaMatrix(a, b, c, d))
     return out
+
+
+class StabilizerSearchFailed(Exception):
+    """The brute-force stabilizer search found a set that is not a group."""
+
+
+def stabilizer(z0, search_bound=3):
+    """Brute-force the full finite group {g : g z0 = z0}.
+
+    Searches all determinant-1 matrices with entries bounded by
+    search_bound and verifies the result is closed under multiplication.
+    """
+    found = [g for g in brute_force_sl2(search_bound)
+             if pair_invariant(moebius_apply(g, z0), z0) < 1e-20]
+    entries = {g.entries() for g in found}
+    for g in found:
+        for h in found:
+            if (g * h).entries() not in entries:
+                raise StabilizerSearchFailed(
+                    f"stabilizer not closed at bound {search_bound}; "
+                    f"missing {(g * h).entries()}"
+                )
+    return found
 
 
 class TestCosetReps:
@@ -96,6 +120,23 @@ class TestCosetReps:
         table = coset_table(z, R)
         assert table[0] == (0, 1, 1.0)
         assert [(c, d) for c, d, _ in table] == sorted(want)
+
+    @pytest.mark.parametrize("block", [None, 40])
+    def test_arrays_match_the_table(self, monkeypatch, block):
+        # coset_arrays is coset_table as arrays, triple for triple and bit
+        # for bit, also when its rows are taken a few at a time
+        if block is not None:
+            monkeypatch.setattr(modgroup, "_BLOCK_CANDIDATES", block)
+        gen = rng(17)
+        for _ in range(150):
+            y = math.exp(gen.uniform(math.log(0.01), math.log(50.0)))
+            z = Point(float(gen.uniform(-2.0, 2.0)), y)
+            # at most about 3000 cosets, and now and then none past (0, 1)
+            R = math.exp(gen.uniform(math.log(0.5), math.log(3000.0 * y)))
+            c, d, Q = coset_arrays(z, R)
+            assert (c.dtype, d.dtype, Q.dtype) == (np.int64, np.int64, np.float64)
+            table = list(zip(c.tolist(), d.tolist(), Q.tolist()))
+            assert repr(table) == repr(coset_table(z, R))
 
     def test_same_pair_differs_by_translation(self):
         # canonical rep has 0 <= a < c, so any other valid (a', b') for the
