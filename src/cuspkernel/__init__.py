@@ -19,10 +19,8 @@ from .halfplane import (
 from .kernel import (
     KernelResult,
     WeightConfig,
-    asymptotic_residual,
     b_term,
     bergman_R,
-    elliptic_correction,
     offdiagonal_sum_bound,
     residual_certificate,
 )

@@ -12,9 +12,16 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import CuspKernelError, NoCuspForms, SupportViolation
+import numpy as np
+
+from .errors import (
+    CuspKernelError,
+    CutoffExceeded,
+    NoCuspForms,
+    SupportViolation,
+)
 from .halfplane import Point
-from .kernel import WeightConfig, bergman_R
+from .kernel import WeightConfig, _libm, bergman_R, bergman_R_diagonal
 from .modgroup import elliptic_points_in_strip
 from .quadrature import adaptive
 
@@ -33,11 +40,14 @@ def dim_cusp_forms(k: int) -> int:
     return max(dim_mk - 1, 0)
 
 
-def _bump(t: float) -> float:
-    """The standard flat template exp(-1/(1-t^2)) on (-1, 1)."""
-    if abs(t) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - t * t))
+def _bump(t):
+    """The standard flat template exp(-1/(1-t^2)) on (-1, 1), over an array
+    (libm's exp, as in kernel._libm)."""
+    out = np.zeros(t.shape)
+    inside = np.abs(t) < 1.0
+    t = t[inside]
+    out[inside] = _libm(math.exp, -1.0 / (1.0 - t * t))
+    return out
 
 
 @dataclass
@@ -66,13 +76,13 @@ class TestFunction:
     def indicator(cls, a: float, b: float) -> "TestFunction":
         return cls("indicator", a, b)
 
-    def __call__(self, s: float) -> float:
+    def __call__(self, s):
+        """psi at the nodes s (an array)."""
+        s = np.asarray(s, dtype=np.float64)
         if self.kind == "indicator":
-            return 1.0 if self.a <= s <= self.b else 0.0
-        if s <= self.a or s >= self.b:
-            return 0.0
+            return np.where((self.a <= s) & (s <= self.b), 1.0, 0.0)
         t = (2.0 * s - (self.a + self.b)) / (self.b - self.a)
-        return _bump(t)
+        return np.where((self.a < s) & (s < self.b), _bump(t), 0.0)
 
 
 @dataclass
@@ -93,12 +103,9 @@ class BumpFunction2D:
             raise ValueError("support must stay in the upper half-plane")
 
         def inner(x):
-            lo, hi = self._chord(x)
-            if hi <= lo:
-                return 0.0
-            val, err, _, _ = adaptive(
-                lambda y: self(x, y) / (y * y), lo, hi, rtol=1e-12, atol=1e-16
-            )
+            val, _, _, _ = _chord_integrals(
+                self, x, lambda x, y: self(x, y) / (y * y), rtol=1e-12,
+                atol=1e-16)
             return val
 
         val, err, _, _ = adaptive(
@@ -114,9 +121,27 @@ class BumpFunction2D:
         h = math.sqrt(h2)
         return (self.center_y - h, self.center_y + h)
 
-    def __call__(self, x: float, y: float) -> float:
-        r = math.hypot(x - self.center_x, y - self.center_y) / self.radius
-        return _bump(r)
+    def __call__(self, x, y):
+        """phi at the points x + iy (two arrays of one length)."""
+        dx, dy = x - self.center_x, y - self.center_y
+        return _bump(_libm(math.hypot, dx, dy) / self.radius)
+
+
+def _chord_integrals(phi, x, f, **kw):
+    """The integrals of f(x, y) dy along the chords of phi's support at the
+    abscissae x (an array), all in lockstep: (values, quadrature errors,
+    extra errors) as arrays, zero where the chord is empty, and the number
+    of nodes."""
+    lo, hi = np.array([phi._chord(t) for t in x.tolist()]).reshape(-1, 2).T
+    live = np.flatnonzero(hi > lo)
+    out = np.zeros((3, len(x)))
+    if not live.size:
+        return (*out, 0)
+    xs = x[live]
+    val, qerr, extra, nodes = adaptive(
+        lambda y, i: f(xs[i], y), lo[live].tolist(), hi[live].tolist(), **kw)
+    out[:, live] = val, qerr, extra
+    return (*out, nodes)
 
 
 class IntegralResult(NamedTuple):
@@ -126,30 +151,57 @@ class IntegralResult(NamedTuple):
     nodes: int
 
 
-def measure_density(z: Point, cfg: WeightConfig):
+def measure_density(z, cfg: WeightConfig):
     """(density, certified error) at z: the density is
     (k-1)/(8 pi dim) * R_k(z, z), its error the same multiple of the kernel's
     tail bound.  The imaginary part of the kernel on the diagonal must
-    vanish within that tail."""
+    vanish within that tail.
+
+    z is a Point, or a list of Points, for which both are arrays and the
+    kernel is bergman_R_diagonal; a list raises the error of its first
+    point that would raise one on its own."""
     dim = dim_cusp_forms(cfg.k)
     if dim == 0:
         raise NoCuspForms(f"weight {cfg.k} has no cusp forms")
     normalization = (cfg.k - 1) / (8.0 * math.pi * dim)
-    res = bergman_R(z, z, cfg)
+    if isinstance(z, Point):
+        res = bergman_R(z, z, cfg)
+        _check_imaginary_part(res)
+        return normalization * res.value.real, normalization * res.tail_bound
+    try:
+        results = bergman_R_diagonal(z, cfg)
+    except CutoffExceeded:
+        for point in z:  # the first point that fails on its own
+            measure_density(point, cfg)
+        raise
+    for res in results:
+        _check_imaginary_part(res)
+    values = np.array([res.value.real for res in results])
+    tails = np.array([res.tail_bound for res in results])
+    return normalization * values, normalization * tails
+
+
+def _check_imaginary_part(res) -> None:
     if abs(res.value.imag) > res.tail_bound + 1e-9:
         raise CuspKernelError(
             f"diagonal kernel has spurious imaginary part {res.value.imag:.3e}"
         )
-    return normalization * res.value.real, normalization * res.tail_bound
 
 
-def _integrand(p: float, x: float, y: float, cfg: WeightConfig, w: float):
-    """(p * density / w, |p| * certified density error / w) at x + iy; w is
-    the base-measure denominator (y, 1 or y^2).  No kernel call where p = 0."""
-    if p == 0.0:
-        return (0.0, 0.0)
-    dens, derr = measure_density(Point(x, y), cfg)
-    return (p * dens / w, abs(p) * derr / w)
+def _integrand(p, x, y, w, cfg: WeightConfig):
+    """(p * density / w, |p| * certified density error / w) at the points
+    x + iy, as arrays; p is an array, x, y and w (the base-measure
+    denominator: y, 1 or y^2) arrays or scalars.  No kernel call where
+    p = 0."""
+    vals, errs = np.zeros(len(p)), np.zeros(len(p))
+    at = np.flatnonzero(p)
+    if at.size:
+        p, x, y, w = (np.broadcast_to(a, vals.shape)[at] for a in (p, x, y, w))
+        points = list(map(Point, x.tolist(), y.tolist()))
+        dens, derr = measure_density(points, cfg)
+        vals[at] = p * dens / w
+        errs[at] = np.abs(p) * derr / w
+    return vals, errs
 
 
 def _check_window(lo: float, hi: float, cfg: WeightConfig, Y: float,
@@ -196,8 +248,7 @@ def _line_integral(psi: TestFunction, at, breaks: list, cfg: WeightConfig,
     measure, with the reference (3/pi) * int psi(t) dt / w."""
 
     def density(t):
-        x, y, w = at(t)
-        return _integrand(psi(t), x, y, cfg, w)
+        return _integrand(psi(t), *at(t), cfg)
 
     val, qerr, extra, nodes = adaptive(density, psi.a, psi.b, rtol=rtol,
                                        breakpoints=breaks)
@@ -255,13 +306,9 @@ def integrate_region(phi: BumpFunction2D, cfg: WeightConfig, *,
 
     def outer(x):
         nonlocal nodes_total
-        lo, hi = phi._chord(x)
-        if hi <= lo:
-            return (0.0, 0.0)
-        val, qerr, extra, nodes = adaptive(
-            lambda y: _integrand(phi(x, y), x, y, cfg, y * y), lo, hi,
-            rtol=0.25 * rtol,
-        )
+        val, qerr, extra, nodes = _chord_integrals(
+            phi, x, lambda x, y: _integrand(phi(x, y), x, y, y * y, cfg),
+            rtol=0.25 * rtol)
         nodes_total += nodes
         return (val, qerr + extra)
 

@@ -11,6 +11,10 @@ import math
 from dataclasses import dataclass
 
 
+# the smallest positive normal double, sys.float_info.min
+_MIN_NORMAL = 2.2250738585072014e-308
+
+
 @dataclass(frozen=True)
 class Point:
     """A point x + iy of the upper half-plane (finite, y > 0)."""
@@ -123,34 +127,44 @@ def moebius_apply(g: GammaMatrix, z: Point) -> Point:
 def pair_invariant(z: Point, w: Point) -> float:
     """u(z, w) = |z - w|^2 / (4 Im z Im w); nonnegative, Gamma-invariant.
 
-    Only when 4 Im z Im w overflows (Im z Im w above about 4.5e307) is u
-    taken as the square of _root_invariant instead.
+    Only where 4 Im z Im w overflows (Im z Im w above about 4.5e307) or
+    underflows below the normal range (Im z Im w below about 5.6e-309) is
+    u taken as the square of _root_invariant instead, or inf where that
+    square overflows.
     """
     dx = z.x - w.x
     dy = z.y - w.y
     den = 4.0 * z.y * w.y
-    if den == math.inf:
-        return _root_invariant(z, w) ** 2
+    if not _MIN_NORMAL <= den < math.inf:
+        try:
+            return _root_invariant(z, w) ** 2
+        except OverflowError:
+            return math.inf
     return (dx * dx + dy * dy) / den
 
 
 def _root_invariant(z: Point, w: Point) -> float:
     """sqrt(u(z, w)) = |z - w| / (2 sqrt(Im z) sqrt(Im w)), with no square
-    that could overflow or underflow on the way."""
-    return math.hypot(z.x - w.x, z.y - w.y) / (
-        2.0 * math.sqrt(z.y) * math.sqrt(w.y))
+    that could overflow or underflow on the way.  Where Re z - Re w
+    overflows, both differences are taken of halves, exactly."""
+    dx, dy, two = z.x - w.x, z.y - w.y, 2.0
+    if math.isinf(dx):
+        dx, dy, two = 0.5 * z.x - 0.5 * w.x, 0.5 * z.y - 0.5 * w.y, 1.0
+    return math.hypot(dx, dy) / (two * math.sqrt(z.y) * math.sqrt(w.y))
 
 
 def hyp_distance(z: Point, w: Point) -> float:
     """Hyperbolic distance, via cosh d = 2u + 1.
 
     Evaluated as 2*asinh(sqrt(u)), which is exact at u = 0 and loses no
-    digits for nearby points, unlike acosh(1 + 2u).  Where 4 Im z Im w or
-    u itself overflows, sqrt(u) comes from _root_invariant: two points
-    1e-300 apart far up the cusp are not at distance 0, and 1e200 i and
-    1e-200 i are at distance 400 log 10, not inf.
+    digits for nearby points, unlike acosh(1 + 2u).  Where 4 Im z Im w is
+    not a normal double, or u itself overflows, sqrt(u) comes from
+    _root_invariant: two points 1e-300 apart far up the cusp are not at
+    distance 0, and 1e200 i and 1e-200 i are at distance 400 log 10, not
+    inf.  Down at 1e-300 i and 0.1 + 1e-300 i the distance is 598 log 10,
+    and 1e308 + i and -1e308 + i are about 1420 apart, not inf.
     """
-    if 4.0 * z.y * w.y < math.inf:
+    if _MIN_NORMAL <= 4.0 * z.y * w.y < math.inf:
         r = math.sqrt(pair_invariant(z, w))
         if r < math.inf:
             return 2.0 * math.asinh(r)

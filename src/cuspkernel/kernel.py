@@ -28,6 +28,13 @@ one Python float at a time.  The terms of every row are then evaluated in
 one numpy pass per call.  Summation is exact (Shewchuk fsum, fed the term
 arrays through a memoryview rather than a list of Python floats), so the
 result is order-independent and deterministic.
+
+bergman_R_diagonal evaluates the diagonal at many points at once, bit for
+bit as bergman_R at each: the array pass carries an owner index per
+coset, so the small tables of all the points go through one coset pass
+and one term pass, with one fsum per point.  numpy's exp, log1p, arctan2,
+cos, sin and remainder give an element the same bits in a long array as
+in a short one, so sharing the term pass changes no point's sum.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -45,18 +52,16 @@ from .halfplane import (
     GammaMatrix,
     Point,
     automorphy_factor,
-    hyp_distance,
     moebius_apply,
     u_from_distance,
 )
 from .modgroup import (
     MAX_COSETS,
-    EllipticPoint,
     coset_arrays,
     coset_table,
-    elliptic_points_in_strip,
     min_displacement,
     reduce_to_domain,
+    small_coset_arrays,
     solve_top_row,
     translate_into_strip,
 )
@@ -309,34 +314,46 @@ def _scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     return rows, counts, tail
 
 
-def _array_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
-                 tail: float, offdiagonal: bool):
-    """_scalar_lines over a coset_arrays table (c, d, Q) in array passes,
-    with the same bits.
+def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
+    """_scalar_lines over the coset tables of one or several pairs (z, w)
+    in array passes, with the same bits.
 
+    cosets = (c, d, Q, owner): coset tables (coset_arrays or
+    small_coset_arrays) one after another, the cosets of pair j = owner[i]
+    (zs[j], ws[j], with tol_lines[j] and starting tail tails[j]) contiguous
+    and in increasing j, each table's identity coset first.
     numpy does only exactly rounded arithmetic (+ - * / sqrt, floor, ceil)
     on values that are the scalar loop's; every exp, log, log1p, atan2 and
     square goes through libm (_libm), and each top row through
-    solve_top_row.  The tail takes its additions in the scalar loop's order
-    (with np.add.accumulate): a pruned coset adds g_max lf, a summed line
-    lo, then hi.  Each window grows in rounds, hi's step after lo's, as in
-    the scalar loop.
-    The first coset that ends in CutoffExceeded is handed to the scalar
-    loop, which raises it with the same message and tail.
+    solve_top_row.  Each pair's tail takes its additions in the scalar
+    loop's order (np.add.accumulate along one row per pair, as long as the
+    longest table): a pruned coset adds g_max lf, a summed line lo, then
+    hi.  Each window grows in rounds, hi's step after lo's, as in the
+    scalar loop.  The first coset that ends in CutoffExceeded is handed to
+    the scalar loop, which raises it with the same message and tail.
+    Returns (rows, counts, tails, terms): the rows and counts of every
+    pair's segments, pair after pair (the first column counts the terms
+    before a segment across all pairs), each pair's tail and each pair's
+    number of terms.
     """
-    c_all, d_all, Q_all = cosets
-    # the identity coset, first in every table, is the one c = 0 line
-    head, head_counts, tail = _scalar_lines(
-        [(0, 1, 1.0)], z, w, k, tol_line, tail, offdiagonal)
-    c, d, Q = c_all[1:], d_all[1:], Q_all[1:]
-    y, x = z.y, z.x
-    v, uw = w.y, w.x
+    c, d, Q, owner = cosets
+    del cosets  # c, d and Q are soon replaced by their unpruned cosets
+    n_pairs = len(zs)
+
+    def spread(values, at):
+        # a per-pair quantity at the cosets at; one pair's stays a scalar,
+        # which broadcasts without a copy per coset
+        return np.array(values)[owner[at]] if n_pairs > 1 else values[0]
+
+    xs, ys = [z.x for z in zs], [z.y for z in zs]
+    uws, vs = [w.x for w in ws], [w.y for w in ws]
     ck = _profile_constant(k)
     nhk = -0.5 * k
-    half_line = 0.5 * tol_line
-    u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
+    half_lines = [0.5 * t for t in tol_lines]
+    u_cuts = [(t / 8.0) ** (-2.0 / k) - 1.0 for t in tol_lines]
 
-    vp = y / Q
+    v = spread(vs, slice(None))
+    vp = spread(ys, slice(None)) / Q
     alpha = 4.0 * v * vp
     beta = _libm(pow, v - vp, repeat(2))
     # what each coset adds to the tail, in turn: g_max lf (and 0) if it is
@@ -344,35 +361,49 @@ def _array_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     added = np.zeros((len(Q), 2))
     added[:, 0] = (_libm(math.exp, nhk * _libm(math.log1p, beta / alpha))
                    * (2.0 + ck * (v + vp)))
-    kept = np.flatnonzero(~(added[:, 0] <= tol_line))
+    kept = np.flatnonzero(~(added[:, 0] <= spread(tol_lines, slice(None))))
     c, d, Q, vp, alpha, beta = (a[kept] for a in (c, d, Q, vp, alpha, beta))
+    vpv = vp + spread(vs, kept)
+    del v, vp
 
-    top_rows = map(solve_top_row, c.tolist(), d.tolist())
-    a0 = np.fromiter(map(itemgetter(0), top_rows), np.int64, len(c))
+    # the top rows, but of the identity coset (c = 0), whose line sits at
+    # X0 = Re z, with arg(cz+d) = atan2(0, 1) = 0
+    top = c != 0
+    a0 = np.zeros(len(c), np.int64)
+    a0[top] = np.fromiter(
+        map(itemgetter(0), map(solve_top_row, c[top].tolist(), d[top].tolist())),
+        np.int64, np.count_nonzero(top))
+    x = spread(xs, kept)
     cxd = c * x + d
-    X0 = a0 / c - cxd / (c * Q)
-    argden = _libm(math.atan2, c * y, cxd)
-    t0 = uw - X0
-    width_sq = alpha * u_cut - beta
-    width = np.sqrt(np.where(width_sq > 0.0, width_sq, 0.0))
+    argden = _libm(math.atan2, c * spread(ys, kept), cxd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = np.where(top, a0 / c - cxd / (c * Q), x)  # X0
+    del top, a0, x, cxd
+    x0 -= spread(uws, kept)  # X0 - Re w
+    t0 = -x0  # Re w - X0, exactly
+    width = alpha * spread(u_cuts, kept) - beta
+    width = np.sqrt(np.where(width > 0.0, width, 0.0))
     m_lo = np.ceil(t0 - width) + 0.0  # -0.0 to 0.0, as the scalar loop's ints
     m_hi = np.floor(t0 + width)
     lo, hi = np.zeros(len(c)), np.zeros(len(c))
     # a line that is sure to end in CutoffExceeded; windows only grow, so
     # one past _MAX_LINE_TERMS stops growing here (its ends stay exact)
     bad = 2.0 * width - 1.0 >= _MAX_LINE_TERMS
+    del width
     grow = np.flatnonzero(~bad)
+    half_line = spread(half_lines, kept)
     for _ in range(_MAX_GROWTH):
         if not grow.size:
             break
         t, al, be = t0[grow], alpha[grow], beta[grow]
+        hl = half_line[grow] if n_pairs > 1 else half_line
         mlo, mhi = m_lo[grow], m_hi[grow]
         lo_g = _side_tails(t - (mlo - 1.0), al, be, k)
-        grew = lo_g > half_line
+        grew = lo_g > hl
         step = np.maximum(4.0, (mhi - mlo + 1.0) // 2.0)
         mlo = np.where(grew, mlo - step, mlo)
         hi_g = _side_tails((mhi + 1.0) - t, al, be, k)
-        up = hi_g > half_line
+        up = hi_g > hl
         step = np.maximum(4.0, (mhi - mlo + 1.0) // 2.0)
         mhi = np.where(up, mhi + step, mhi)
         grew |= up
@@ -384,30 +415,54 @@ def _array_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
 
     added[kept, 0] = lo
     added[kept, 1] = hi
-    acc = np.add.accumulate(np.concatenate(([tail], added.ravel())))
+    del t0, lo, hi
+    # one row per pair: its starting tail, then two additions per coset
+    first = np.searchsorted(owner, np.arange(n_pairs))
+    pos = np.arange(len(owner)) - first[owner]
+    acc = np.zeros((n_pairs, 2 * int(pos.max(initial=0)) + 3))
+    acc[:, 0] = tails
+    at = owner * acc.shape[1] + 2 * pos + 1
+    acc.reshape(-1)[at] = added[:, 0]
+    acc.reshape(-1)[at + 1] = added[:, 1]
+    del at, added
+    acc = np.add.accumulate(acc, axis=1)
     if bad.any():
-        i = kept[np.flatnonzero(bad)[0]]
-        coset = (int(c_all[i + 1]), int(d_all[i + 1]), float(Q_all[i + 1]))
-        _scalar_lines([coset], z, w, k, tol_line, float(acc[2 * i]),
-                      offdiagonal)
+        b = np.flatnonzero(bad)[0]
+        i = kept[b]
+        j = owner[i]
+        coset = (int(c[b]), int(d[b]), float(Q[b]))
+        _scalar_lines([coset], zs[j], ws[j], k, tol_lines[j],
+                      float(acc[j, 2 * pos[i]]), offdiagonal)
         raise RuntimeError("the array coset loop lost a CutoffExceeded")
+    tails = acc[:, -1].tolist()
+    del acc, pos, d, Q
 
+    # one segment per line, but two for the identity off the diagonal,
+    # m <= -1 and m >= 1, since the identity is not an off-diagonal term
+    if offdiagonal:
+        split = np.arange(len(c)).repeat(np.where(c == 0, 2, 1))
+        c, kept, m_lo, m_hi, x0, beta, alpha, vpv, argden = (
+            a[split] for a in (c, kept, m_lo, m_hi, x0, beta, alpha, vpv,
+                               argden))
+        ident = np.flatnonzero(c == 0)
+        m_hi[ident[0::2]] = np.minimum(m_hi[ident[0::2]], -1.0)
+        m_lo[ident[1::2]] = np.maximum(m_lo[ident[1::2]], 1.0)
     count = (m_hi - m_lo + 1.0).astype(np.int64)
-    seg = count > 0
-    count = count[seg]
-    before = sum(head_counts) + np.cumsum(count) - count
-    body = np.column_stack((m_lo[seg] - before, (X0 - uw)[seg], beta[seg],
-                            alpha[seg], (vp + v)[seg], argden[seg]))
-    return (np.concatenate((head, body.ravel())),
-            np.concatenate((np.array(head_counts, dtype=np.int64), count)),
-            float(acc[-1]))
+    live = count > 0
+    count = count[live]
+    before = np.cumsum(count) - count
+    body = np.column_stack((m_lo[live] - before, x0[live], beta[live],
+                            alpha[live], vpv[live], argden[live]))
+    terms = np.bincount(owner[kept[live]], weights=count, minlength=n_pairs)
+    return body.ravel(), count, tails, terms.astype(np.int64).tolist()
 
 
-def _term_sums(rows, counts, k: int, offdiagonal: bool):
-    """(sum, terms) over every term of every segment of a line stage, in
-    one array pass: the arithmetic of one line, with each segment's values
-    taken out to its terms.  numpy evaluates a long pass in place, reusing
-    each temporary that nothing else refers to."""
+def _term_sums(rows, counts, k: int, offdiagonal: bool, ends):
+    """The sums of the terms [ends[j-1], ends[j]) (from 0 for j = 0) over
+    every term of every segment of a line stage, in one array pass: the
+    arithmetic of one line, with each segment's values taken out to its
+    terms, then one fsum per part.  numpy evaluates a long pass in place,
+    reusing each temporary that nothing else refers to."""
     tab = np.asarray(rows, dtype=np.float64)
     first, x0, beta, alpha, vpv, argden = (
         tab[0::6], tab[1::6], tab[2::6], tab[3::6], tab[4::6], tab[5::6])
@@ -417,15 +472,25 @@ def _term_sums(rows, counts, k: int, offdiagonal: bool):
     offs = x0[at] + ms
     del ms
     mag = np.exp(-0.5 * k * np.log1p((offs * offs + beta[at]) / alpha[at]))
+    parts = list(zip([0, *ends[:-1]], ends))
     if offdiagonal:
-        return math.fsum(memoryview(mag)), n_terms
+        mag = memoryview(mag)
+        return [math.fsum(mag[s:e]) for s, e in parts]
     # float(k): numpy scales by a Python float faster than by an int
     ph = float(k) * (_HALF_PI - np.arctan2(vpv[at], offs) - argden[at])
     del at, offs
     ph = np.remainder(ph + math.pi, _TWO_PI) - math.pi
-    re_sum = math.fsum(memoryview(mag * np.cos(ph)))
-    im_sum = math.fsum(memoryview(mag * np.sin(ph)))
-    return complex(re_sum, im_sum), n_terms
+    re = memoryview(mag * np.cos(ph))
+    im = memoryview(mag * np.sin(ph))
+    return [complex(math.fsum(re[s:e]), math.fsum(im[s:e])) for s, e in parts]
+
+
+def _array_sized(z: Point, R0: float) -> bool:
+    """Whether the coset table of z at radius R0 is expected to hold
+    ARRAY_MIN_COSETS or more cosets: |cz+d|^2 <= R0 is an ellipse of area
+    pi R0 / y in the (c, d) plane, and 6/pi^2 of its lattice points are
+    coprime, two to a +/- pair."""
+    return 3.0 * R0 / (math.pi * z.y) >= ARRAY_MIN_COSETS
 
 
 def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
@@ -438,20 +503,35 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
     or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
     """
     R0, tail = _lattice_radius(z, w, k, tol)
-    # |cz+d|^2 <= R0 is an ellipse of area pi R0 / y in the (c, d) plane;
-    # 6/pi^2 of its lattice points are coprime, two to a +/- pair
-    if 3.0 * R0 / (math.pi * z.y) < ARRAY_MIN_COSETS:
+    if not _array_sized(z, R0):
         cosets = coset_table(z, R0)
-        n_cosets, stage = len(cosets), _scalar_lines
+        n_cosets = len(cosets)
+        rows, counts, tail = _scalar_lines(
+            cosets, z, w, k, 0.25 * tol / n_cosets, tail, offdiagonal)
+        n_terms = sum(counts)
     else:
-        cosets = coset_arrays(z, R0)
-        n_cosets, stage = len(cosets[0]), _array_lines
-    rows, counts, tail = stage(cosets, z, w, k, 0.25 * tol / n_cosets, tail,
-                               offdiagonal)
-    total, n_terms = _term_sums(rows, counts, k, offdiagonal)
+        c, d, Q = coset_arrays(z, R0)
+        n_cosets = len(c)
+        rows, counts, [tail], [n_terms] = _array_lines(
+            (c, d, Q, np.zeros(n_cosets, np.int64)), [z], [w], k,
+            [0.25 * tol / n_cosets], [tail], offdiagonal)
+    [total] = _term_sums(rows, counts, k, offdiagonal, [n_terms])
     # terms whose magnitude underflows to zero are each below 5e-324
     tail += n_terms * 5e-324
     return total, tail, n_terms, n_cosets
+
+
+def _checked(half, tail: float, n_terms: int, n_cosets: int,
+             tol: float) -> KernelResult:
+    """The KernelResult of a half sum over the +/- pairs, or CutoffExceeded
+    where its tail is above tol."""
+    result = KernelResult(2.0 * half, 2.0 * tail, n_terms, n_cosets)
+    if result.tail_bound > tol:
+        raise CutoffExceeded(
+            f"achieved tail {result.tail_bound:.3e} exceeds tol {tol:.3e}",
+            best_tail_bound=result.tail_bound,
+        )
+    return result
 
 
 def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
@@ -463,14 +543,49 @@ def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
     """
     _, z = translate_into_strip(z)
     _, w = translate_into_strip(w)
-    half, tail, n_terms, n_cosets = _sum_terms(z, w, cfg.k, 0.5 * cfg.tol)
-    result = KernelResult(2.0 * half, 2.0 * tail, n_terms, n_cosets)
-    if result.tail_bound > cfg.tol:
-        raise CutoffExceeded(
-            f"achieved tail {result.tail_bound:.3e} exceeds tol {cfg.tol:.3e}",
-            best_tail_bound=result.tail_bound,
-        )
-    return result
+    return _checked(*_sum_terms(z, w, cfg.k, 0.5 * cfg.tol), cfg.tol)
+
+
+def bergman_R_diagonal(zs: list, cfg: WeightConfig) -> list:
+    """bergman_R(z, z, cfg) at every point z of the list zs, bit for bit.
+
+    A point whose coset table is large enough for the array coset loop is
+    a bergman_R call of its own: the call's set-up is small beside its
+    work.  The points with small tables (every weight-1200 point) share
+    the set-up instead: each has its own lattice radius, as in bergman_R,
+    then their coset tables come from one small_coset_arrays pass, their
+    cosets go through one _array_lines pass and their terms through one
+    _term_sums pass, with one fsum per point.  Where some point fails,
+    CutoffExceeded is raised, but not necessarily that of the first point
+    to fail in a loop of bergman_R calls; measure_density, which calls
+    this, finds that one.
+    """
+    k, tol = cfg.k, 0.5 * cfg.tol
+    results = [None] * len(zs)
+    batch, points, radii, tails = [], [], [], []
+    for j, z in enumerate(zs):
+        _, z = translate_into_strip(z)
+        R0, tail = _lattice_radius(z, z, k, tol)
+        if _array_sized(z, R0):
+            results[j] = bergman_R(z, z, cfg)
+        else:
+            batch.append(j)
+            points.append(z)
+            radii.append(R0)
+            tails.append(tail)
+    if not batch:
+        return results
+    cosets = small_coset_arrays(points, radii)
+    n_cosets = np.bincount(cosets[3], minlength=len(batch)).tolist()
+    tol_lines = [0.25 * tol / n for n in n_cosets]
+    rows, counts, tails, terms = _array_lines(cosets, points, points, k,
+                                              tol_lines, tails, False)
+    del cosets
+    halves = _term_sums(rows, counts, k, False, list(accumulate(terms)))
+    for j, half, tail, n, m in zip(batch, halves, tails, terms, n_cosets):
+        # terms whose magnitude underflows to zero are each below 5e-324
+        results[j] = _checked(half, tail + n * 5e-324, n, m, cfg.tol)
+    return results
 
 
 def offdiagonal_sum_bound(z: Point):
@@ -510,50 +625,3 @@ def residual_certificate(z: Point, k: int) -> float:
     u_min = u_from_distance(d_min)
     s2 = offdiagonal_sum_bound(z)
     return s2 * math.exp(-0.5 * (k - 4) * math.log1p(u_min))
-
-
-def stabilizer_elements(e: EllipticPoint):
-    """The non-central stabilizer elements of an elliptic point."""
-    order = e.stabilizer_order
-    out = []
-    g = e.generator
-    acc = g
-    for j in range(1, order):
-        if 2 * j != order:  # skip the power equal to -I
-            out.append(acc)
-        acc = acc * g
-    return out
-
-
-def elliptic_correction(z: Point, e: EllipticPoint, k: int) -> complex:
-    """Extra kernel mass near an elliptic point: the non-central stabilizer
-    terms sum_{g in Stab \\ {+/-I}} t_g(z, z)^k."""
-    if k % 2 != 0:
-        raise ValueError("weight must be even")
-    total = 0.0 + 0.0j
-    for g in stabilizer_elements(e):
-        total += b_term(g, z, z) ** k
-    return total
-
-
-def asymptotic_residual(z: Point, cfg: WeightConfig, Y: float):
-    """Measured deviation of R_k(z,z) from its squeezed-weight prediction,
-    together with the analytic bound exp(-delta^2 k/(128 Y^2)) + y exp(-k/(17 y^2)),
-    where delta = cfg.delta_for(Y).
-
-    The prediction is the main term 2 plus the stabilizer corrections of
-    every elliptic point of the strip within delta of z (far corrections are
-    exponentially negligible, so overlapping neighborhoods are harmless).
-    """
-    delta = cfg.delta_for(Y)
-    pred = 2.0 + 0.0j
-    for e in elliptic_points_in_strip(Y):
-        if hyp_distance(z, e.location) <= delta:
-            pred += elliptic_correction(z, e, cfg.k)
-    res = bergman_R(z, z, cfg)
-    measured = abs(res.value - pred)
-    y = z.y
-    bound = math.exp(-delta * delta * cfg.k / (128.0 * Y ** 2)) + y * math.exp(
-        -cfg.k / (17.0 * y * y)
-    )
-    return measured, bound

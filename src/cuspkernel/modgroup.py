@@ -146,16 +146,47 @@ def coset_table(z: Point, R: float) -> list:
     return cosets
 
 
+def _row_cosets(c, x, y, R):
+    """The cosets with |cz+d|^2 <= R of the rows c >= 1 (an array) of the
+    points x + iy, where x, y and R are scalars, for one point, or arrays
+    with one entry per row: yields (row, c, d, Q) arrays, a block of at
+    most _BLOCK_CANDIDATES candidates d at a time, row indexing the rows,
+    which come in order, each with its d increasing.  Every operation is
+    exactly rounded but the square (c y)^2, which goes through Python's
+    float power (libm pow), as in coset_row."""
+    cy2 = np.fromiter(map(pow, (c * y).tolist(), repeat(2)), np.float64,
+                      len(c))
+    rows = np.flatnonzero(cy2 <= R)
+    per_row = np.ndim(R) > 0
+    c, cx, cy2 = c[rows], (c * x)[rows], cy2[rows]
+    if per_row:
+        R = R[rows]
+    s = np.sqrt(R - cy2)
+    d_lo = np.ceil(-cx - s)
+    counts = np.maximum(np.floor(-cx + s) - d_lo + 1.0, 0.0).astype(np.int64)
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    for j0 in range(0, total, _BLOCK_CANDIDATES):
+        j = np.arange(j0, min(j0 + _BLOCK_CANDIDATES, total))
+        row = np.searchsorted(starts, j, side="right") - 1
+        d = d_lo[row].astype(np.int64) + (j - starts[row])
+        c_j = c[row]
+        keep = np.gcd(c_j, d) == 1
+        row, c_j, d = row[keep], c_j[keep], d[keep]
+        t = cx[row] + d
+        Q = t * t + cy2[row]
+        keep = Q <= (R[row] if per_row else R)
+        yield rows[row[keep]], c_j[keep], d[keep], Q[keep]
+
+
 def coset_arrays(z: Point, R: float):
     """coset_table(z, R) as three arrays, c and d (int64) and Q (float64),
     in the same order and with the same bits.
 
-    The (c, d) candidates are taken a block of at most _BLOCK_CANDIDATES
-    at a time (a block of rows, or a slice of one long row), each block's
-    gcd filter and Q in one numpy pass of exactly rounded operations; the
-    squares (c y)^2 go through Python's float power (libm pow), as in
-    coset_row.  Raises CutoffExceeded as soon as a block takes the table
-    past MAX_COSETS.
+    The rows are taken a block at a time (a block of rows, or a slice of
+    one long row, of at most _BLOCK_CANDIDATES candidates d), each block's
+    gcd filter and Q in one numpy pass (_row_cosets).  Raises
+    CutoffExceeded as soon as a block takes the table past MAX_COSETS.
     """
     r = math.sqrt(R)
     # a row holds at most 2 sqrt(R) + 1 candidates d
@@ -166,34 +197,44 @@ def coset_arrays(z: Point, R: float):
         c = np.arange(c0, c0 + step, dtype=np.int64)
         c = c[c * z.y <= r]  # a prefix: c y grows with c
         last = len(c) < step
-        cy2 = np.fromiter(map(pow, (c * z.y).tolist(), repeat(2)),
-                          np.float64, len(c))
-        c, cy2 = c[cy2 <= R], cy2[cy2 <= R]
-        s = np.sqrt(R - cy2)
-        cx = c * z.x
-        d_lo = np.ceil(-cx - s)
-        counts = np.maximum(np.floor(-cx + s) - d_lo + 1.0, 0.0).astype(np.int64)
-        starts = np.cumsum(counts) - counts
-        total = int(counts.sum())
-        for j0 in range(0, total, _BLOCK_CANDIDATES):
-            j = np.arange(j0, min(j0 + _BLOCK_CANDIDATES, total))
-            row = np.searchsorted(starts, j, side="right") - 1
-            d = d_lo[row].astype(np.int64) + (j - starts[row])
-            keep = np.gcd(c[row], d) == 1
-            row, d = row[keep], d[keep]
-            t = cx[row] + d
-            Q = t * t + cy2[row]
-            keep = Q <= R
-            cs.append(c[row[keep]])
-            ds.append(d[keep])
-            qs.append(Q[keep])
-            n += len(qs[-1])
+        for _, c_j, d, Q in _row_cosets(c, z.x, z.y, R):
+            cs.append(c_j)
+            ds.append(d)
+            qs.append(Q)
+            n += len(Q)
             if n > MAX_COSETS:
                 raise CutoffExceeded(
                     f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {R:.3e}")
         if last:
             return np.concatenate(cs), np.concatenate(ds), np.concatenate(qs)
         c0 += step
+
+
+def small_coset_arrays(zs: list, Rs: list):
+    """coset_table(z, R) for each point z of zs and radius R of Rs, one
+    table after another, as four arrays: c and d (int64), Q (float64) and
+    the index of each coset's point (int64); the same cosets in the same
+    order with the same bits.  Every row of every table goes through one
+    _row_cosets pass, so the tables must be small: no table is checked
+    against MAX_COSETS, and a point with rows 1 to C holds about C^2 y
+    cosets or more."""
+    n = len(zs)
+    x, y = np.array([z.x for z in zs]), np.array([z.y for z in zs])
+    r = np.sqrt(Rs)
+    # rows c = 1, 2, ... while c y <= r: at most floor(r / y) + 1 of them
+    n_rows = np.floor(r / y).astype(np.int64) + 1
+    owner = np.arange(n).repeat(n_rows)
+    c = np.arange(len(owner)) - (np.cumsum(n_rows) - n_rows)[owner] + 1
+    rows = np.flatnonzero(c * y[owner] <= r[owner])
+    c, owner = c[rows], owner[rows]
+    # each table's identity coset (0, 1, 1.0) first, then its rows
+    parts = [(np.arange(n), np.zeros(n, np.int64), np.ones(n, np.int64),
+              np.ones(n))]
+    parts += [(owner[row], c_j, d, Q) for row, c_j, d, Q in
+              _row_cosets(c, x[owner], y[owner], np.asarray(Rs)[owner])]
+    owner, c, d, Q = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    return c[order], d[order], Q[order], owner[order]
 
 
 def _orbit_points_in_strip(z0: Point, q_max: int, order: int,

@@ -19,7 +19,6 @@ SIGNATURES = {
          ("unsafe", False), ("rtol", 1e-4)],
     equidist.integrate_region:
         [("phi", EMPTY), ("cfg", EMPTY), ("rtol", 1e-4), ("unsafe", False)],
-    kernel.asymptotic_residual: [("z", EMPTY), ("cfg", EMPTY), ("Y", EMPTY)],
     kernel.offdiagonal_sum_bound: [("z", EMPTY)],
     kernel.residual_certificate: [("z", EMPTY), ("k", EMPTY)],
     oracle.verify_pretrace: [("z", EMPTY)],
@@ -77,6 +76,9 @@ def test_dead_members_are_gone(cls, member):
     (kernel, "bergman_main_term"),
     (modgroup, "stabilizer"),
     (errors, "StabilizerSearchFailed"),
+    (kernel, "asymptotic_residual"),
+    (kernel, "elliptic_correction"),
+    (kernel, "stabilizer_elements"),
 ])
 def test_second_entry_points_are_gone(module, name):
     # each quantity has one way in: eval_delta_mp, measure_density,
@@ -84,7 +86,8 @@ def test_second_entry_points_are_gone(module, name):
     # Python's complex power (the main term too), CSV is written by the
     # CLI alone, coefficients are a plain tuple, and the Petersson norm is
     # one Kloosterman-Bessel series; the brute-force stabilizer search is
-    # a test oracle, kept in tests/test_modgroup.py
+    # a test oracle, kept in tests/test_modgroup.py, and so is the
+    # elliptic-neighborhood prediction, in tests/test_kernel.py
     assert not hasattr(module, name)
     assert not hasattr(cuspkernel, name)
 

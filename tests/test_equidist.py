@@ -8,6 +8,7 @@ import pytest
 
 from cuspkernel import (
     BumpFunction2D,
+    CuspKernelError,
     NoCuspForms,
     Point,
     SupportViolation,
@@ -20,6 +21,7 @@ from cuspkernel import (
     measure_density,
 )
 from cuspkernel import TestFunction as BumpSpec
+from cuspkernel import kernel
 
 Y = 7.0  # strip parameter of the line integrals
 GOLDEN = Path(__file__).resolve().parent / "golden" / "integrals_k1200.txt"
@@ -105,6 +107,74 @@ class TestMeasureDensity:
         ]
 
 
+def _density_reprs(points, cfg):
+    dens, errs = measure_density(points, cfg)
+    return [repr((float(d), float(e))) for d, e in zip(dens, errs)]
+
+
+def _first_error(points, cfg):
+    """The error of the first point whose measure_density raises one."""
+    for p in points:
+        try:
+            measure_density(p, cfg)
+        except CuspKernelError as exc:
+            return type(exc), str(exc), getattr(exc, "best_tail_bound", None)
+    return None
+
+
+class TestBatchedDensity:
+    # measure_density over a list of points is, point for point, the
+    # one-point measure_density, bit for bit, and raises what the first
+    # point to fail would raise on its own
+
+    @pytest.mark.parametrize("k, tol, n", [(1200, 1e-9, 60), (24, 1e-12, 30)])
+    def test_bulk_points(self, k, tol, n):
+        gen = np.random.Generator(np.random.Philox(13))
+        points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.9, 2.2)))
+                  for _ in range(n)]
+        cfg = WeightConfig(k, tol)
+        sized = [kernel._array_sized(p, kernel._lattice_radius(p, p, k, 0.5 * tol)[0])
+                 for p in points]
+        # both coset regimes at k 24: small tables share one array pass,
+        # large ones are bergman_R calls of their own
+        assert (k == 1200 and not any(sized)) or (k == 24 and 0 < sum(sized) < n)
+        want = [repr(measure_density(p, cfg)) for p in points]
+        assert _density_reprs(points, cfg) == want
+
+    def test_low_points(self):
+        # k 12 below the unit circle: thousands of cosets a point
+        cfg = WeightConfig(12, 1e-12)
+        points = [Point(0.3, 0.3), Point(-0.2, 0.5), Point(0.13, 1.1),
+                  Point(0.4, 0.6)]
+        assert all(bergman_R(p, p, cfg).cosets_used >= 100 for p in points)
+        want = [repr(measure_density(p, cfg)) for p in points]
+        assert _density_reprs(points, cfg) == want
+
+    def test_no_cusp_forms(self):
+        points = [Point(0.1, 1.2), Point(0.0, 1.0)]
+        with pytest.raises(NoCuspForms, match="weight 14 has no cusp forms"):
+            measure_density(points, WeightConfig(14, 1e-9))
+
+    def test_the_first_failure_is_raised(self, monkeypatch):
+        # with m-lines capped at 16 terms, 0.3+1.4i and -0.2+1.9i fail in the
+        # coset pass with different tails, the two others pass; 0.1+1e-160i
+        # fails before it, at its lattice radius
+        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", 16)
+        cfg = WeightConfig(24, 1e-9)
+        ok, low = [Point(0.13, 0.95), Point(0.05, 1.05)], Point(0.1, 1e-160)
+        fail = [Point(0.3, 1.4), Point(-0.2, 1.9)]
+        assert _first_error(ok, cfg) is None
+        assert _first_error(fail[:1], cfg) != _first_error(fail[1:], cfg)
+        for points in ([ok[0], fail[0], fail[1], ok[1]],
+                       [ok[0], fail[1], fail[0]],
+                       [fail[0], low], [low, fail[0]], [ok[1], low, ok[0]]):
+            want = _first_error(points, cfg)
+            with pytest.raises(CuspKernelError) as exc:
+                measure_density(points, cfg)
+            assert (type(exc.value), str(exc.value),
+                    getattr(exc.value, "best_tail_bound", None)) == want
+
+
 class _Zero1D:
     """A test function that vanishes on its whole support [a, b]."""
 
@@ -112,7 +182,7 @@ class _Zero1D:
         self.a, self.b = a, b
 
     def __call__(self, s):
-        return 0.0
+        return np.zeros(np.shape(s))
 
 
 class TestTestFunction:
@@ -278,7 +348,7 @@ class _Zero2D:
         return (self.center_y, self.center_y)
 
     def __call__(self, x, y):
-        return 0.0
+        return np.zeros(np.shape(x))
 
 
 class TestRegion:

@@ -179,6 +179,23 @@ class TestDistance:
         assert hyp_distance(z, w) == pytest.approx(400.0 * math.log(10.0),
                                                    rel=1e-15)
 
+    def test_invariant_below_the_normal_range(self):
+        # 4 Im z Im w = 4e-600 underflows to 0: u = 2.5e597 is inf, but
+        # sqrt(u) = 5e298 and the distance are doubles
+        z, w = Point(0.0, 1e-300), Point(0.1, 1e-300)
+        assert pair_invariant(z, w) == math.inf
+        assert hyp_distance(z, w) == pytest.approx(
+            2.0 * math.log(1e299), rel=1e-15)
+        # 4e-320 is subnormal: u = 1/4, exactly, from the rescaled root
+        assert pair_invariant(Point(0.0, 1e-160), Point(1e-160, 1e-160)) == 0.25
+
+    def test_difference_past_the_double_range(self):
+        # Re z - Re w = 2e308 overflows; sqrt(u) = 1e308 does not
+        z, w = Point(1e308, 1.0), Point(-1e308, 1.0)
+        assert hyp_distance(z, w) == pytest.approx(
+            2.0 * (math.log(1e308) + math.log(2.0)), rel=1e-15)
+        assert hyp_distance(w, z) == hyp_distance(z, w)
+
     def test_quarter_invariant(self):
         np.testing.assert_allclose(
             hyp_distance(Point(0, 1), Point(1, 1)), math.acosh(1.5), rtol=1e-15

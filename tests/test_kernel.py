@@ -13,10 +13,9 @@ from cuspkernel import (
     GammaMatrix,
     Point,
     WeightConfig,
-    asymptotic_residual,
     b_term,
     bergman_R,
-    elliptic_correction,
+    hyp_distance,
     moebius_apply,
     pair_invariant,
     residual_certificate,
@@ -332,6 +331,15 @@ class TestBergmanR:
             assert abs(res.value - base.value) <= 1e-14 * abs(base.value)
 
 
+def one_pair_array_lines(cosets, z, w, k, tol_line, tail, offdiagonal):
+    """_array_lines on the table of one pair, in _scalar_lines's terms."""
+    c, d, Q = cosets
+    rows, counts, [tail], _ = kernel._array_lines(
+        (c, d, Q, np.zeros(len(c), np.int64)), [z], [w], k, [tol_line], [tail],
+        offdiagonal)
+    return rows, counts, tail
+
+
 def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
     """The scalar and the array coset loop, each called directly on its own
     table of the radius _sum_terms picks: per stage, the repr of
@@ -344,7 +352,7 @@ def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
     tol_line = 0.25 * tol / len(table)
     out = []
     for stage, cosets in ((kernel._scalar_lines, table),
-                          (kernel._array_lines, coset_arrays(z, R0))):
+                          (one_pair_array_lines, coset_arrays(z, R0))):
         try:
             rows, counts, t = stage(cosets, z, w, k, tol_line, tail,
                                     offdiagonal)
@@ -483,6 +491,57 @@ class TestMainTerm:
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+# The paper's elliptic-neighborhood prediction, kept here as a test oracle
+# for the kernel: near an elliptic point the kernel is the main term 2 plus
+# the non-central stabilizer terms.
+
+def stabilizer_elements(e):
+    """The non-central stabilizer elements of an elliptic point."""
+    order = e.stabilizer_order
+    out = []
+    g = e.generator
+    acc = g
+    for j in range(1, order):
+        if 2 * j != order:  # skip the power equal to -I
+            out.append(acc)
+        acc = acc * g
+    return out
+
+
+def elliptic_correction(z, e, k):
+    """Extra kernel mass near an elliptic point: the non-central stabilizer
+    terms sum_{g in Stab \\ {+/-I}} t_g(z, z)^k."""
+    if k % 2 != 0:
+        raise ValueError("weight must be even")
+    total = 0.0 + 0.0j
+    for g in stabilizer_elements(e):
+        total += b_term(g, z, z) ** k
+    return total
+
+
+def asymptotic_residual(z, cfg, Y):
+    """Measured deviation of R_k(z,z) from its squeezed-weight prediction,
+    together with the analytic bound exp(-delta^2 k/(128 Y^2)) + y exp(-k/(17 y^2)),
+    where delta = cfg.delta_for(Y).
+
+    The prediction is the main term 2 plus the stabilizer corrections of
+    every elliptic point of the strip within delta of z (far corrections are
+    exponentially negligible, so overlapping neighborhoods are harmless).
+    """
+    delta = cfg.delta_for(Y)
+    pred = 2.0 + 0.0j
+    for e in elliptic_points_in_strip(Y):
+        if hyp_distance(z, e.location) <= delta:
+            pred += elliptic_correction(z, e, cfg.k)
+    res = bergman_R(z, z, cfg)
+    measured = abs(res.value - pred)
+    y = z.y
+    bound = math.exp(-delta * delta * cfg.k / (128.0 * Y ** 2)) + y * math.exp(
+        -cfg.k / (17.0 * y * y)
+    )
+    return measured, bound
+
+
 class TestEllipticCorrection:
     def _point_i(self):
         return next(e for e in elliptic_points_in_strip(1)
@@ -511,8 +570,6 @@ class TestEllipticCorrection:
         assert abs(res.value - 2.0 - corr) < bound
 
     def test_order_six_element_count(self):
-        from cuspkernel.kernel import stabilizer_elements
-
         e6 = next(e for e in elliptic_points_in_strip(1) if e.stabilizer_order == 6)
         assert len(stabilizer_elements(e6)) == 4
         e4 = self._point_i()

@@ -19,6 +19,7 @@ from cuspkernel import (
 from cuspkernel import modgroup
 from cuspkernel.modgroup import (
     coset_arrays,
+    small_coset_arrays,
     coset_table,
     reduce_to_domain,
     sample_bulk,
@@ -137,6 +138,28 @@ class TestCosetReps:
             assert (c.dtype, d.dtype, Q.dtype) == (np.int64, np.int64, np.float64)
             table = list(zip(c.tolist(), d.tolist(), Q.tolist()))
             assert repr(table) == repr(coset_table(z, R))
+
+    @pytest.mark.parametrize("block", [None, 40])
+    def test_small_tables_match_the_table(self, monkeypatch, block):
+        # small_coset_arrays is coset_table of each point in turn, with the
+        # point's index, triple for triple and bit for bit
+        if block is not None:
+            monkeypatch.setattr(modgroup, "_BLOCK_CANDIDATES", block)
+        gen = rng(19)
+        for _ in range(40):
+            n = int(gen.integers(1, 25))
+            zs = [Point(float(gen.uniform(-2.0, 2.0)),
+                        math.exp(gen.uniform(math.log(0.3), math.log(30.0))))
+                  for _ in range(n)]
+            # up to about 100 cosets a point, and now and then none past (0, 1)
+            Rs = [math.exp(gen.uniform(math.log(0.5), math.log(100.0 * z.y)))
+                  for z in zs]
+            c, d, Q, owner = small_coset_arrays(zs, Rs)
+            assert {a.dtype for a in (c, d, owner)} == {np.dtype(np.int64)}
+            got = list(zip(c.tolist(), d.tolist(), Q.tolist(), owner.tolist()))
+            want = [(*t, j) for j, (z, R) in enumerate(zip(zs, Rs))
+                    for t in coset_table(z, R)]
+            assert repr(got) == repr(want)
 
     def test_same_pair_differs_by_translation(self):
         # canonical rep has 0 <= a < c, so any other valid (a', b') for the
