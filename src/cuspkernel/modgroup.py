@@ -77,20 +77,49 @@ def reduce_to_domain(z: Point) -> Point:
     translations and inversions S accumulated as one integer matrix h and
     applied once.  A point of the domain, or one with |z|^2 within 1e-12
     below 1, is returned as it is; that margin also makes each inversion
-    raise the height, so the loop ends."""
+    raise the height, so the loop ends.
+
+    Close to the real line (at Re z = 0.1, below Im z of about 1e-10) h z
+    cancels in cz + d and misses the domain, and further down |z|^2, or
+    |cz+d|^2 or Im hz in the last step, underflows to 0: each raises
+    CutoffExceeded.
+    """
     h, p = GammaMatrix.identity(), z
     for _ in range(10_000):
         n, p = translate_into_strip(p)
         h = GammaMatrix.T(-n) * h
         r = p.x * p.x + p.y * p.y
         if r >= 1.0 - 1e-12:
-            return z if h == GammaMatrix.identity() else moebius_apply(h, z)
+            break
+        if r == 0.0:
+            raise CutoffExceeded(
+                f"|z|^2 underflows reducing Im z = {z.y:.3e} to the domain")
         h, p = GammaMatrix.S() * h, Point(-p.x / r, p.y / r)
-    raise CutoffExceeded("reduction to the fundamental domain did not end")
+    else:
+        raise CutoffExceeded("reduction to the fundamental domain did not end")
+    if h == GammaMatrix.identity():
+        return z
+    try:
+        w = moebius_apply(h, z)
+    except (ZeroDivisionError, ValueError):
+        w = None  # |cz+d|^2 or Im hz underflowed to 0
+    # rounding moves a true image by far less than these margins
+    if w is None or abs(w.x) > 0.5 + 1e-9 or w.x * w.x + w.y * w.y < 1.0 - 1e-9:
+        raise CutoffExceeded(
+            f"reduction of Im z = {z.y:.3e} to the domain lost the point")
+    return w
 
 
-def solve_top_row(c: int, d: int) -> tuple:
-    """Some (a, b) with ad - bc = 1, canonicalized so 0 <= a < c for c >= 1."""
+def solve_top_row(c, d) -> tuple:
+    """Some (a, b) with ad - bc = 1, canonicalized so 0 <= a < c for c >= 1.
+
+    c and d may also be int64 arrays with every c >= 1 (and every |c d|
+    below 2^62, so no product wraps): then a and b are arrays, a from one
+    extended Euclid run over all the pairs at once, so every a is the
+    scalar form's modular inverse, exactly.
+    """
+    if isinstance(c, np.ndarray):
+        return _solve_top_rows(c, d)
     if c == 0:
         if d not in (1, -1):
             raise ValueError("c = 0 requires d = +/-1")
@@ -100,6 +129,36 @@ def solve_top_row(c: int, d: int) -> tuple:
     a = pow(d % c, -1, c) if c > 1 else 0
     b = (a * d - 1) // c
     return (a, b)
+
+
+def _solve_top_rows(c, d) -> tuple:
+    """solve_top_row over int64 arrays c >= 1 and d."""
+    n = len(c)
+    if n and (c.min() < 1 or int(c.max()) * int(np.abs(d).max()) >= 1 << 62):
+        raise ValueError("array top rows need c >= 1 and |c d| < 2^62")
+    # the remainders r0, r1 of the pairs at start from (c, d mod c), with
+    # s0 d = r0 and s1 d = r1 modulo c; a pair is done at r1 = 0, when
+    # s0 d = r0 = gcd(c, d), and leaves the arrays
+    at, r0, r1 = np.arange(n), c, d % c
+    s0, s1 = np.zeros(n, np.int64), np.ones(n, np.int64)
+    inv = np.zeros(n, np.int64)
+    while at.size:
+        done = r1 == 0
+        if done.any():
+            inv[at[done]] = s0[done]
+            live = ~done
+            at = at[live]
+            if not at.size:
+                break
+            r0, r1, s0, s1 = r0[live], r1[live], s0[live], s1[live]
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    a = inv % c  # 0 for c = 1, as in the scalar form
+    b, rem = np.divmod(a * d - 1, c)
+    if rem.any():  # a d = gcd(c, d) modulo c, which is not 1
+        raise ValueError("(c, d) must be coprime")
+    return a, b
 
 
 def coset_row(c: int, z: Point, R: float) -> list:

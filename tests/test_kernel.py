@@ -1,6 +1,7 @@
 """Tests for the certified kernel evaluation and its analytic contracts."""
 
 import math
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from test_halfplane import random_gamma, random_point
 
 I_PT = Point(0.0, 1.0)
 BULK = Point(0.13, 1.1)
+# the weights of acceptance criterion 3
+SWEEP = (200, 400, 800, 1600)
 GOLDEN = Path(__file__).resolve().parent / "golden" / "kernel_regimes.txt"
 
 
@@ -622,6 +625,67 @@ class TestResidualCertificate:
         res = bergman_R(z, z, WeightConfig(200, 1e-12))
         assert math.isfinite(cert)
         assert cert >= abs(res.value - 2.0) - res.tail_bound
+
+    @staticmethod
+    def cold(z, k):
+        kernel._weight_free_sums.cache_clear()
+        return residual_certificate(z, k)
+
+    def test_kept_sums_give_the_cold_bits(self):
+        # the k-free sums of the last point are kept: a sweep over k, points
+        # interleaved, and images of one point must each give the bits of a
+        # call that starts with nothing kept
+        z = Point(0.21, 1.22)
+        gz = moebius_apply(GammaMatrix(2, 1, 5, 3), z)
+        calls = [(p, k) for p in (z, Point(0.0, 1.3), Point(-0.0, 1.3))
+                 for k in SWEEP]
+        calls += [(p, k) for k in SWEEP
+                  for p in (z, gz, Point(z.x + 1.0, z.y), Point(0.0, 0.3))]
+        want = [self.cold(p, k) for p, k in calls]
+        kernel._weight_free_sums.cache_clear()
+        assert [residual_certificate(p, k) for p, k in calls] == want
+
+    def test_a_sweep_sums_once_per_point(self, monkeypatch):
+        summed = []
+
+        def counted(z):
+            summed.append(z)
+            return offdiagonal_sum_bound(z)
+
+        monkeypatch.setattr(kernel, "offdiagonal_sum_bound", counted)
+        kernel._weight_free_sums.cache_clear()
+        points = [BULK, Point(-0.31, 1.45), BULK]
+        for z in points:
+            for k in SWEEP:
+                residual_certificate(z, k)
+        assert summed == points
+
+    def test_a_cutoff_is_not_kept(self, monkeypatch):
+        # a weight-4 sum that cuts off raises at every weight of the sweep
+        # and leaves nothing behind
+        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", 4)
+        kernel._weight_free_sums.cache_clear()
+        for k in SWEEP:
+            with pytest.raises(CutoffExceeded, match="m-line window"):
+                residual_certificate(BULK, k)
+        assert kernel._weight_free_sums.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("y", [1e-12, 1e-50, 1e-155, 1e-200])
+    def test_a_point_too_low_to_reduce_is_a_cutoff(self, y):
+        # at 1e-50 the reduction once returned a point far below the domain,
+        # whose displacement search ran for minutes: an alarm turns a hang
+        # into a failure
+        def hung(signum, frame):
+            raise TimeoutError(f"no answer at Im z = {y} within 2 s")
+
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(CutoffExceeded):
+                residual_certificate(Point(0.1, y), 200)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_offdiagonal_bound_is_upper(self):
         # oracle: partial sum over small matrices can never exceed the bound

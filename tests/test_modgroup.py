@@ -1,11 +1,13 @@
 """Tests for coset enumeration, elliptic points, and displacement bounds."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from cuspkernel import (
+    CutoffExceeded,
     GammaMatrix,
     Point,
     coset_row,
@@ -169,6 +171,32 @@ class TestCosetReps:
         other = GammaMatrix(g.a + 2 * g.c, g.b + 2 * g.d, g.c, g.d)
         shift = other * g.inverse()
         assert (shift.a, shift.c, shift.d) == (1, 0, 1)  # a power of T
+
+    def test_array_top_rows_are_the_scalar_ones(self):
+        # random coprime pairs with c >= 1 and d of either sign up to 1e7,
+        # c = 1 among them; the scalar form is the reference
+        gen = rng(14)
+        c = np.concatenate([np.ones(50, np.int64),
+                            gen.integers(2, 100, 2000),
+                            gen.integers(2, 10**6, 2000)])
+        d = gen.integers(-10**7, 10**7 + 1, len(c))
+        keep = np.gcd(c, d) == 1
+        c, d = c[keep], d[keep]
+        a, b = solve_top_row(c, d)
+        assert a.dtype == b.dtype == np.int64
+        assert list(zip(a.tolist(), b.tolist())) == list(
+            map(solve_top_row, c.tolist(), d.tolist()))
+        assert (c == 1).sum() >= 40 and (d < 0).sum() > 1000
+        empty = np.zeros(0, np.int64)
+        assert [len(v) for v in solve_top_row(empty, empty)] == [0, 0]
+
+    @pytest.mark.parametrize("c, d", [([3, 4], [2, 6]), ([5, 0], [2, 1]),
+                                      ([2, -3], [1, 1]), ([2**40], [2**30 + 1])])
+    def test_array_top_rows_reject_bad_pairs(self, c, d):
+        # a common factor, the identity coset, a negative c, and a product
+        # c d that int64 arithmetic could wrap
+        with pytest.raises(ValueError):
+            solve_top_row(np.array(c, np.int64), np.array(d, np.int64))
 
 
 class TestEllipticPoints:
@@ -358,6 +386,19 @@ class TestTranslationAndReduction:
             assert abs(w.x - z0.x) < 1e-9 and abs(w.y - z0.y) < 1e-9
         w = reduce_to_domain(Point(0.0, 0.3))
         assert (w.x, w.y) == (0.0, 1.0 / 0.3)
+
+    @pytest.mark.parametrize("x, y", [(0.1, 1e-12), (0.1, 1e-50),
+                                      (0.1, 1e-155), (0.1, 1e-200),
+                                      (0.2887233511355132, 2.479010621819405e-294),
+                                      (-0.25, 1.8004005261850446e-163)])
+    def test_a_point_the_reduction_loses_is_a_cutoff(self, x, y):
+        # hz cancels in cz + d (1e-12 gave Re 177635.9, 1e-50 Im 2.56e-48),
+        # |z|^2 underflows on the way (1e-200 divided by zero), or Im hz
+        # or |cz+d|^2 underflows to 0 in the last step (the last two)
+        t0 = time.perf_counter()
+        with pytest.raises(CutoffExceeded):
+            reduce_to_domain(Point(x, y))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestPaperBounds:
