@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -307,7 +308,11 @@ def _add_flags(p, *names) -> None:
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command line, built once per process: parsing
+    leaves it as it was, and no command changes the namespace it gets (the
+    default list of --k is one list, shared by every parse)."""
     ap = argparse.ArgumentParser(
         prog="cuspkernel",
         description="Bergman-kernel numerics for cusp forms on the modular group",

@@ -26,10 +26,13 @@ Both give the same bits: numpy does only exactly rounded arithmetic, and
 every exp, log, log1p, atan2 and square is libm's, mapped over the array
 one Python float at a time; the array pass takes its top rows from one
 integer extended Euclid over all its cosets (solve_top_row on arrays).
-The terms of every row are then evaluated in one numpy pass per call.
-Summation is exact (Shewchuk fsum, fed the term arrays through a
-memoryview rather than a list of Python floats), so the result is
-order-independent and deterministic.
+The terms of every row are then evaluated in numpy and summed exactly, so
+the result is order-independent and deterministic.  A sum of
+EXACT_SUM_MIN_TERMS terms or more is evaluated a _CHUNK of terms at a time,
+and each chunk goes into exact buckets by binary exponent (_exact_sums),
+with no Python float per term; a smaller sum is evaluated in one pass and
+handed to Shewchuk's fsum through a memoryview.  Both are the correctly
+rounded exact sum, so they give the same bits.
 
 bergman_R_diagonal evaluates the diagonal at many points at once, bit for
 bit as bergman_R at each: the array pass carries an owner index per
@@ -82,6 +85,24 @@ _MAX_GROWTH = 200
 # about 100 cosets the two take the same time, and at the 6-8 cosets of a
 # weight-1200 call numpy's fixed set-up makes the array loop 10x slower
 ARRAY_MIN_COSETS = 100
+# a sum of this many terms or more goes through the exact numpy sum
+# (_exact_sums), a _CHUNK of terms at a time, smaller ones through
+# math.fsum: at about 2.5k terms the two take the same time (a weight-4
+# sum of 2511 terms: 89 us in fsum, 104 in numpy; of 5394 terms: 180 and
+# 150; a weight-12 diagonal sum of 4231 terms: 763 and 484)
+EXACT_SUM_MIN_TERMS = 2560
+# terms per chunk of an exact sum's pass, the fastest of 2^12..2^18 on a
+# 2-core Xeon (2 MB L2 a core): bergman_R at 0.2+4672i, tol 1e-12 (890k
+# terms), took 101, 82, 77, 67, 85, 85 and 98 ms, and at 0.13+1.1i, tol
+# 1e-14 (23k terms), 15.4, 11.1, 10.9, 10.7, 13.8, 13.7 and 11.9 ms
+_CHUNK = 1 << 15
+# the buckets of _exact_sums, one per biased exponent, and the most values
+# of a row that float64 bucket sums take before Python ints take over
+_EXPONENTS = 1 << 11
+_BUCKET_VALUES = 1 << 26
+_HIGH = ~((1 << 26) - 1)  # a double's bits but the low 26 of its fraction
+_NEG_ZERO = -1 << 63  # the bits of -0.0
+_SCALE = 1 << 1074  # 2^-1074 is the least subnormal
 
 # the squeeze constant A of the admissible window (delta_for, support_top)
 SQUEEZE_A = 2.0
@@ -465,32 +486,132 @@ def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
     return body.ravel(), count, tails, terms.astype(np.int64).tolist()
 
 
-def _term_sums(rows, counts, k: int, offdiagonal: bool, ends):
-    """The sums of the terms [ends[j-1], ends[j]) (from 0 for j = 0) over
-    every term of every segment of a line stage, in one array pass: the
-    arithmetic of one line, with each segment's values taken out to its
-    terms, then one fsum per part.  numpy evaluates a long pass in place,
-    reusing each temporary that nothing else refers to."""
-    tab = np.asarray(rows, dtype=np.float64)
-    first, x0, beta, alpha, vpv, argden = (
-        tab[0::6], tab[1::6], tab[2::6], tab[3::6], tab[4::6], tab[5::6])
-    at = np.arange(len(counts)).repeat(counts)
-    n_terms = len(at)
-    ms = np.arange(n_terms, dtype=np.float64) + first[at]
-    offs = x0[at] + ms
-    del ms
+def _terms(cols, at, start: int, k: int, offdiagonal: bool):
+    """The terms start, start + 1, ... of a term pass, at[i] the segment of
+    term start + i and cols the six columns of the segments' rows: one row
+    of magnitudes in an offdiagonal sum, else a row of real parts and one
+    of imaginary parts.  Each term's value is the same at any start and in
+    a pass of any length."""
+    first, x0, beta, alpha, vpv, argden = cols
+    offs = x0[at] + (np.arange(start, start + len(at), dtype=np.float64)
+                     + first[at])
     mag = np.exp(-0.5 * k * np.log1p((offs * offs + beta[at]) / alpha[at]))
-    parts = list(zip([0, *ends[:-1]], ends))
     if offdiagonal:
-        mag = memoryview(mag)
-        return [math.fsum(mag[s:e]) for s, e in parts]
+        return mag[None]
     # float(k): numpy scales by a Python float faster than by an int
     ph = float(k) * (_HALF_PI - np.arctan2(vpv[at], offs) - argden[at])
-    del at, offs
+    del offs
     ph = np.remainder(ph + math.pi, _TWO_PI) - math.pi
-    re = memoryview(mag * np.cos(ph))
-    im = memoryview(mag * np.sin(ph))
-    return [complex(math.fsum(re[s:e]), math.fsum(im[s:e])) for s, e in parts]
+    out = np.empty((2, len(at)))
+    np.multiply(mag, np.cos(ph), out=out[0])
+    np.multiply(mag, np.sin(ph), out=out[1])
+    return out
+
+
+def _exact_sums(chunks, n_rows: int) -> list:
+    """The sums of the n_rows rows of float64 arrays fed as column chunks
+    (n_rows, any number of columns), each correctly rounded, as math.fsum
+    gives them.
+
+    A double's bucket is its biased exponent E: all of a bucket's values
+    are multiples of its quantum 2^(max(E, 1) - 1075) and below 2^53
+    quanta.  Each value splits exactly into hi, itself with the low 26 bits
+    of its fraction cleared, and lo = value - hi, below 2^26 quanta, and
+    np.bincount sums the his and the los of each bucket.  A bucket's sum of
+    up to 2^26 values is then a multiple of its quantum below 2^53 of them,
+    so float64 holds it exactly; after every 2^26 values of a row, Python
+    ints take the buckets over, and the correctly rounded int / int
+    division gives the double.  Where the exact sum is zero, it is -0.0 if
+    every value is -0.0 and fsum gives -0.0 for that, else 0.0; a row with
+    an inf or a nan sums to what fsum gives for its non-finite values,
+    which is what fsum gives for the row.  A bucket sum that overflows,
+    which only values near the top of the double range can make, raises
+    OverflowError, as fsum does where its partial sums overflow; no term of
+    a kernel sum is above 1.
+    """
+    totals = [0] * n_rows
+    his, los = np.zeros((n_rows, _EXPONENTS)), np.zeros((n_rows, _EXPONENTS))
+    held = 0  # values per row in his and los
+    specials = [[] for _ in range(n_rows)]
+    neg_zero = [True] * n_rows  # every value of the row so far is -0.0
+
+    def flush():
+        for r in range(n_rows):
+            if specials[r]:
+                continue
+            for x in [*his[r][his[r] != 0.0].tolist(),
+                      *los[r][los[r] != 0.0].tolist()]:
+                n, d = x.as_integer_ratio()
+                totals[r] += n << (1075 - d.bit_length())  # x 2^1074
+        his[:], los[:] = 0.0, 0.0
+
+    # inf - inf, in lo, and an overflowing bucket sum make no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        for vals in chunks:
+            if held + vals.shape[1] > _BUCKET_VALUES:
+                flush()
+                held = 0
+            held += vals.shape[1]
+            bits = vals.view(np.int64)
+            keys = (bits >> 52) & (_EXPONENTS - 1)
+            hi = (bits & _HIGH).view(np.float64)
+            lo = vals - hi
+            for r in range(n_rows):
+                h = np.bincount(keys[r], hi[r], _EXPONENTS)
+                lo_r = np.bincount(keys[r], lo[r], _EXPONENTS)
+                if lo_r[-1] != 0.0:  # an inf or a nan leaves a nan there
+                    specials[r] += vals[r][~np.isfinite(vals[r])].tolist()
+                neg_zero[r] = (neg_zero[r]
+                               and bool((bits[r] == _NEG_ZERO).all()))
+                his[r] += h
+                los[r] += lo_r
+    flush()
+    sums = []
+    for r in range(n_rows):
+        if specials[r]:
+            sums.append(math.fsum(specials[r]))
+        elif totals[r]:
+            sums.append(totals[r] / _SCALE)
+        else:
+            sums.append(math.fsum((-0.0,)) if neg_zero[r] and held else 0.0)
+    return sums
+
+
+def _term_sums(rows, counts, k: int, offdiagonal: bool, ends):
+    """The sums of the terms [ends[j-1], ends[j]) (from 0 for j = 0) over
+    every term of every segment of a line stage: the arithmetic of one
+    line, with each segment's values taken out to its terms (_terms).
+
+    One sum of EXACT_SUM_MIN_TERMS terms or more is evaluated and summed
+    a _CHUNK of terms at a time, exactly in numpy (_exact_sums); else the
+    terms are evaluated in one array pass, then summed by one math.fsum per
+    part, fed through a memoryview.  Both sums are exact, correctly
+    rounded, so they give the same bits.  numpy evaluates a pass in place,
+    reusing each temporary that nothing else refers to."""
+    tab = np.asarray(rows, dtype=np.float64)
+    cols = tuple(tab[i::6] for i in range(6))
+    n_terms = ends[-1]
+    if len(ends) == 1 and n_terms >= EXACT_SUM_MIN_TERMS:
+        counts = np.asarray(counts)
+        last = np.cumsum(counts)  # one past the last term of each segment
+
+        def chunks():
+            for s in range(0, n_terms, _CHUNK):
+                e = min(s + _CHUNK, n_terms)
+                i, j = np.searchsorted(last, [s, e - 1], side="right")
+                seg = np.arange(i, j + 1)
+                at = seg.repeat(np.minimum(last[seg], e)
+                                - np.maximum(last[seg] - counts[seg], s))
+                yield _terms(cols, at, s, k, offdiagonal)
+
+        sums = [_exact_sums(chunks(), 1 if offdiagonal else 2)]
+    else:
+        vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k,
+                      offdiagonal)
+        vals = [memoryview(v) for v in vals]
+        sums = [[math.fsum(v[s:e]) for v in vals]
+                for s, e in zip([0, *ends[:-1]], ends)]
+    return [s[0] if offdiagonal else complex(*s) for s in sums]
 
 
 def _array_sized(z: Point, R0: float) -> bool:

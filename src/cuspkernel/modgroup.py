@@ -8,6 +8,7 @@ search window can be shrunk as better candidates are found.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -84,6 +85,11 @@ def reduce_to_domain(z: Point) -> Point:
     |cz+d|^2 or Im hz in the last step, underflows to 0: each raises
     CutoffExceeded.
     """
+    return _reduction(z)[1]
+
+
+def _reduction(z: Point):
+    """(h, hz) of reduce_to_domain(z), h the identity where hz is z."""
     h, p = GammaMatrix.identity(), z
     for _ in range(10_000):
         n, p = translate_into_strip(p)
@@ -98,7 +104,7 @@ def reduce_to_domain(z: Point) -> Point:
     else:
         raise CutoffExceeded("reduction to the fundamental domain did not end")
     if h == GammaMatrix.identity():
-        return z
+        return h, z
     try:
         w = moebius_apply(h, z)
     except (ZeroDivisionError, ValueError):
@@ -107,7 +113,7 @@ def reduce_to_domain(z: Point) -> Point:
     if w is None or abs(w.x) > 0.5 + 1e-9 or w.x * w.x + w.y * w.y < 1.0 - 1e-9:
         raise CutoffExceeded(
             f"reduction of Im z = {z.y:.3e} to the domain lost the point")
-    return w
+    return h, w
 
 
 def solve_top_row(c, d) -> tuple:
@@ -334,7 +340,19 @@ def elliptic_points_in_strip(Y: float) -> list:
     keeps the count bounded by ~3Y as Y grows.  Enumeration is a complete
     finite orbit search: an image g*z0 has height Im(z0)/|c z0 + d|^2, so a
     height floor is an integer bound on the binary quadratic form |c z0 + d|^2.
+    The points of the last Y are kept (they are frozen), and each call
+    returns a new list of them.
     """
+    return list(_elliptic_points(Y))
+
+
+# one entry: each command line takes one --Y (default 7.0), so the calls
+# of a run share one Y; a larger cache would only serve repeats of
+# unrelated calls
+@functools.lru_cache(maxsize=1)
+def _elliptic_points(Y: float) -> tuple:
+    """elliptic_points_in_strip(Y) as a tuple; a bad Y raises, and an error
+    is not kept."""
     if not 1 <= Y < math.inf:
         raise ValueError(f"Y must be finite and >= 1, got {Y!r}")
     pts = []
@@ -345,7 +363,7 @@ def elliptic_points_in_strip(Y: float) -> list:
     q_max_r = math.floor(Y + 1e-9)
     pts += _orbit_points_in_strip(Point(0.5, SQRT3_2), q_max_r, 6, U_GENERATOR)
     pts.sort(key=lambda e: (-e.location.y, e.location.x))
-    return pts
+    return tuple(pts)
 
 
 def min_displacement(z: Point):
@@ -356,11 +374,27 @@ def min_displacement(z: Point):
     matrix outside the examined window; the window shrinks as the running
     minimum improves, so the returned minimum is global.  Ties within 1e-12
     are broken lexicographically on (c, d, a, b) after canonicalizing to
-    c > 0 or (c, d) = (0, 1).  A point with |Re z| > 1/2 is searched at
-    T^-n z (see translate_into_strip) and its minimizer g returned as
-    T^n g T^-n, with the distance found there.
+    c > 0 or (c, d) = (0, 1), among the minimizers at the point searched:
+    for a point outside the domain that is hz below, so the g returned
+    there need not be the least of the minimizers at z itself.
+
+    d(hz, g hz) = d(z, h^-1 g h z), so a point outside the domain is
+    searched at hz = reduce_to_domain(z), where the search window is small
+    (below the domain it grows about tenfold for each decade of Im z), and
+    its minimizer g returned as h^-1 g h, canonicalized as above, with the
+    distance found at hz.  A point that the reduction loses raises
+    CutoffExceeded.
     """
-    n, z = translate_into_strip(z)
+    h, z = _reduction(z)
+    g, d = _displacement_search(z)
+    g = h.inverse() * g * h
+    if g.c < 0 or (g.c == 0 and g.d < 0):
+        g = -g
+    return g, d
+
+
+def _displacement_search(z: Point):
+    """min_displacement(z) at a point z searched where it is."""
     x, y = z.x, z.y
 
     candidates = []  # (u, key, GammaMatrix)
@@ -413,10 +447,7 @@ def min_displacement(z: Point):
     candidates = [t for t in candidates if t[0] <= best_u + 1e-12]
     candidates.sort(key=lambda t: t[1])
     u_min, _, g_min = candidates[0]
-    gz = moebius_apply(g_min, z)
-    if n:
-        g_min = GammaMatrix.T(n) * g_min * GammaMatrix.T(-n)
-    return g_min, hyp_distance(z, gz)
+    return g_min, hyp_distance(z, moebius_apply(g_min, z))
 
 
 def sample_bulk(Y: float, delta: float, n: int, rng) -> list:

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cuspkernel.cli import build_parser, main, parse_point
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -280,6 +285,40 @@ class TestFlags:
             main(["pretrace", "--k", "24", "--points", "1"])
         assert exc.value.code == 2
         assert "--k" in capsys.readouterr().err
+
+
+def without_timings(text):
+    """An integral record's output but its wall_time_ms, which varies."""
+    return re.sub(r'"wall_time_ms": [^,\n]*', '"wall_time_ms": -', text)
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of the command line in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-m", "cuspkernel.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, without_timings(proc.stdout), proc.stderr
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first, then", [
+        (["kernel", "--z=0.13+1.1i", "--tol=1e-12"], ["kernel", "--z=0.13+1.1i"]),
+        (["horizontal", "--y=1.1", "--k", "300,600"], ["horizontal", "--y=1.1"]),
+        (["kernel", "--z=0.13+1.1i", "--w=0.2+1.3i", "--k=24"],
+         ["kernel", "--z=0.13+1.1i", "--k=24"]),
+    ])
+    def test_a_flag_does_not_outlive_its_call(self, capsys, first, then):
+        # each call prints what a new process prints: the --tol, --k list
+        # or --w of the call before does not leak into the defaults (the
+        # horizontal default k = 12 is outside the height window: exit 2)
+        for argv in (first, then, first):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, without_timings(out), err) == fresh_process(argv)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -23,7 +23,12 @@ from cuspkernel import (
 )
 from cuspkernel import kernel, modgroup
 from cuspkernel.kernel import offdiagonal_sum_bound
-from cuspkernel.modgroup import coset_arrays, coset_table, elliptic_points_in_strip
+from cuspkernel.modgroup import (
+    coset_arrays,
+    coset_table,
+    elliptic_points_in_strip,
+    reduce_to_domain,
+)
 
 from test_modgroup import brute_force_sl2
 from test_halfplane import random_gamma, random_point
@@ -295,8 +300,8 @@ class TestBergmanR:
             assert d == pytest.approx(2.0 * math.asinh(0.5 / y), rel=1e-12)
 
     def test_term_pass_memory_per_term(self):
-        # the terms are evaluated in one array pass and summed through a
-        # memoryview, without a list of one Python float (32 bytes) per term
+        # the terms are evaluated and summed a chunk at a time, without a
+        # list of one Python float (32 bytes) per term
         z = Point(0.0, 3000.0)
         cfg = WeightConfig(12)
         bergman_R(z, z, cfg)
@@ -443,6 +448,122 @@ class TestArrayCosetLoop:
         scalar, array = both_line_stages(z, z, 12, 1e-12)
         assert "failed to converge" in scalar
         assert_same(scalar, array)
+
+
+def exact_sum(values):
+    """kernel._exact_sums of one row, fed a _CHUNK of values at a time."""
+    a = np.asarray(values, dtype=np.float64)
+    step = kernel._CHUNK
+    chunks = (a[None, s:s + step] for s in range(0, len(a), step))
+    return kernel._exact_sums(chunks, 1)[0]
+
+
+def same_float(a, b):
+    """a and b are the same double: equal with the same sign, or both nan."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def random_doubles(gen, n, top=1000):
+    """n doubles of random sign, fraction and biased exponent from 0 (the
+    subnormals) to that of 2^top; below 2^1001, a million of them cannot
+    overflow a partial sum."""
+    bits = (gen.integers(0, 1 << 52, n, dtype=np.int64)
+            | gen.integers(0, 1024 + top, n, dtype=np.int64) << 52
+            | gen.integers(0, 2, n, dtype=np.int64) << 63)
+    return bits.view(np.float64)
+
+
+def one_line_stage(z, k, tol):
+    """(rows, counts) of the scalar coset loop of bergman_R(z, z) at k."""
+    R0, tail = kernel._lattice_radius(z, z, k, tol)
+    cosets = coset_table(z, R0)
+    rows, counts, _ = kernel._scalar_lines(
+        cosets, z, z, k, 0.25 * tol / len(cosets), tail, False)
+    return rows, counts
+
+
+class TestExactSum:
+    # _exact_sums must give math.fsum's bits, the sign of zero included
+    CHUNK = kernel._CHUNK
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_doubles_over_the_exponent_range(self, seed):
+        gen = rng(seed)
+        for n in (1, 2, 7, 1000, 70_000):
+            a = random_doubles(gen, n)
+            assert same_float(exact_sum(a), math.fsum(a.tolist()))
+            # the small ones alone, subnormals among them, sum near 2^-1022
+            tiny = random_doubles(gen, n, top=-1020)
+            assert same_float(exact_sum(tiny), math.fsum(tiny.tolist()))
+
+    def test_exact_cancellation(self):
+        gen = rng(3)
+        a = random_doubles(gen, 50_000)
+        tiny = random_doubles(gen, 10, top=-1022)
+        both = np.concatenate([a, -a])
+        gen.shuffle(both)
+        assert same_float(exact_sum(both), 0.0)
+        with_tiny = np.concatenate([both, tiny])
+        gen.shuffle(with_tiny)
+        assert exact_sum(with_tiny) == math.fsum(tiny.tolist()) != 0.0
+        # a sum whose double is a midpoint: half-even rounding
+        for a in ([1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106],
+                  [1.0 + 2.0 ** -52, 2.0 ** -53], [2.0 ** 1000, -5e-324]):
+            assert same_float(exact_sum(a), math.fsum(a))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, CHUNK + 1])
+    def test_zeros(self, n):
+        for zero in (0.0, -0.0):
+            assert same_float(exact_sum([zero] * n), math.fsum([zero] * n))
+        mixed = [-0.0] * n + [0.0]
+        assert same_float(exact_sum(mixed), math.fsum(mixed))
+
+    def test_non_finite_values(self):
+        for a in ([math.inf, 1.0], [-math.inf, 2.0 ** 1000], [math.nan, 1.0],
+                  [math.inf, math.nan], [1.0] * (self.CHUNK + 3) + [-math.inf]):
+            assert same_float(exact_sum(a), math.fsum(a))
+        with pytest.raises(ValueError):
+            math.fsum([math.inf, -math.inf])
+        with pytest.raises(ValueError):
+            exact_sum([math.inf, -math.inf])
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_lengths_about_a_chunk(self, n):
+        a = random_doubles(rng(n), n)
+        assert same_float(exact_sum(a), math.fsum(a.tolist()))
+
+    def test_term_passes_of_either_sum(self, monkeypatch):
+        # the first n terms of a line stage of 68k terms in 15k segments,
+        # either side of the crossover and of a chunk's end, summed exactly
+        # in numpy (crossover 1) and by fsum (crossover inf)
+        rows, counts = one_line_stage(BULK, 8, 1e-9)
+        ends = [kernel.EXACT_SUM_MIN_TERMS - 1, kernel.EXACT_SUM_MIN_TERMS,
+                self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, sum(counts)]
+        for offdiagonal in (False, True):
+            sums = []
+            for crossover in (1, math.inf):
+                monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
+                sums.append([kernel._term_sums(rows, counts, 8, offdiagonal, [n])
+                             for n in ends])
+            assert sums[0] == sums[1]
+
+    @pytest.mark.parametrize("z, w, tol", [
+        (Point(0.2, 4672.0), None, 1e-12),
+        (BULK, None, 1e-14),
+        (Point(0.16, 0.08), None, 1e-9),
+        (BULK, Point(-0.21, 0.9), 1e-12),
+    ])
+    def test_kernel_values_do_not_depend_on_the_crossover(self, monkeypatch,
+                                                          z, w, tol):
+        cfg = WeightConfig(12, tol)
+        got = []
+        for crossover in (1, math.inf):
+            monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
+            got.append((bergman_R(z, w or z, cfg),
+                        offdiagonal_sum_bound(reduce_to_domain(z))))
+        assert repr(got[0]) == repr(got[1])
 
 
 class TestGoldenRegimes:

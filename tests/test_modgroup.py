@@ -1,6 +1,7 @@
 """Tests for coset enumeration, elliptic points, and displacement bounds."""
 
 import math
+import signal
 import time
 
 import numpy as np
@@ -263,6 +264,14 @@ class TestEllipticPoints:
             z = e.location
             assert math.hypot(fp.x - z.x, fp.y - z.y) < 1e-12 * z.y
 
+    def test_each_call_returns_a_new_list(self):
+        # the points of a Y are kept, but not the list that holds them
+        first = elliptic_points_in_strip(7.0)
+        first.clear()
+        again = elliptic_points_in_strip(7)
+        assert len(again) == 11 and again is not elliptic_points_in_strip(7.0)
+        assert again == elliptic_points_in_strip(7.0)
+
     def test_rejects_generator_of_another_point(self):
         from cuspkernel import EllipticPoint
 
@@ -351,6 +360,51 @@ class TestMinDisplacement:
             g, d = min_displacement(z)
             assert g == GammaMatrix.T(round(z.x)) * g0 * GammaMatrix.T(-round(z.x))
             assert d == d0
+
+
+    @pytest.mark.parametrize("y", [1e-6, 1e-8, 1e-50])
+    def test_near_the_real_line(self, y):
+        # searched at its reduction, a low point costs what a domain point
+        # does; searched where it is, 0.1+1e-6i took 13 s, ten times more
+        # per decade further down
+        def hung(signum, frame):
+            raise TimeoutError(f"no answer at Im z = {y} within 2 s")
+
+        z = Point(0.1, y)
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            try:
+                g, d = min_displacement(z)
+            except CutoffExceeded:
+                assert y < 1e-10  # the reduction loses the point
+                return
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, old)
+        assert g.entries() not in {(1, 0, 0, 1), (-1, 0, 0, -1)}
+        assert g.c > 0 or (g.c == 0 and g.d == 1)
+        # the minimum displacement is a class function of the orbit
+        assert min_displacement(reduce_to_domain(z))[1] == d
+        # and g moves z itself by d, up to the rounding of z: one ulp of
+        # Re z is ulp / Im z of hyperbolic distance (7.5e-9 off at 1e-8)
+        moved = hyp_distance(z, moebius_apply(g, z))
+        assert abs(moved - d) <= 64 * math.ulp(z.x) / y
+
+    def test_below_the_domain_agrees_with_the_direct_search(self):
+        z = Point(0.3, 0.05)
+        g0, d0 = modgroup._displacement_search(z)
+        g, d = min_displacement(z)
+        assert d == pytest.approx(d0, rel=1e-12, abs=0.0)
+        moved = hyp_distance(z, moebius_apply(g, z))
+        assert moved == pytest.approx(d, rel=1e-12, abs=0.0)
+
+    def test_domain_points_are_searched_where_they_are(self):
+        gen = rng(31)
+        for _ in range(20):
+            z = Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(1.0, 3.0)))
+            if abs(z.as_complex) >= 1.0:
+                assert min_displacement(z) == modgroup._displacement_search(z)
 
 
 class TestTranslationAndReduction:
@@ -496,10 +550,11 @@ class TestInBulk:
         with pytest.raises(ValueError):
             sample_bulk(Y, delta, 1, rng(1))
 
-    @pytest.mark.parametrize("Y", [math.inf, math.nan])
+    @pytest.mark.parametrize("Y", [math.inf, math.nan, 0.5])
     def test_elliptic_search_rejects_non_finite(self, Y):
-        with pytest.raises(ValueError):
-            elliptic_points_in_strip(Y)
+        for _ in range(2):  # an error is not kept: each call raises
+            with pytest.raises(ValueError):
+                elliptic_points_in_strip(Y)
 
     def test_sampler_respects_bulk(self):
         elist = elliptic_points_in_strip(5.0)
