@@ -87,7 +87,9 @@ class TestFunction:
 
 @dataclass
 class BumpFunction2D:
-    """A radial smooth bump in the plane with its dxdy/y^2 reference integral."""
+    """A radial smooth bump in the plane with its dxdy/y^2 reference integral,
+    one quadrature in rho: about cx + i cy a turn integrates in closed form,
+    int dt / (cy + rho sin t)^2 = 2 pi cy / (cy^2 - rho^2)^{3/2}."""
 
     center_x: float
     center_y: float
@@ -95,24 +97,20 @@ class BumpFunction2D:
     reference_integral: float = field(init=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.center_x, self.center_y, self.radius))):
+        cx, cy, r = self.center_x, self.center_y, self.radius
+        if not all(map(math.isfinite, (cx, cy, r))):
             raise ValueError("center and radius must be finite")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.center_y - self.radius <= 0:
-            raise ValueError("support must stay in the upper half-plane")
-
-        def inner(x):
-            val, _, _, _ = _chord_integrals(
-                self, x, lambda x, y: self(x, y) / (y * y), rtol=1e-12,
-                atol=1e-16)
-            return val
-
-        val, err, _, _ = adaptive(
-            inner, self.center_x - self.radius, self.center_x + self.radius,
-            rtol=1e-11, atol=1e-15,
-        )
-        self.reference_integral = val
+        if not 0.0 < r < cy:
+            raise ValueError("radius must be positive, support above y = 0")
+        # below the resolution of the center every chord is one float, and
+        # at these heights the radial integrand leaves the doubles
+        if (cx - r == cx or cx + r == cx or cy - r == cy or cy + r == cy
+                or not 0.0 < cy * cy * cy < math.inf):
+            raise ValueError(f"radius {r} about {cx}+{cy}i is past the "
+                             "resolution or the range of doubles")
+        self.reference_integral = 2.0 * math.pi * cy * _reference(
+            lambda rho: _bump(rho / r) * rho / (cy * cy - rho * rho) ** 1.5,
+            0.0, r)
 
     def _chord(self, x: float) -> tuple:
         h2 = self.radius ** 2 - (x - self.center_x) ** 2
@@ -125,6 +123,14 @@ class BumpFunction2D:
         """phi at the points x + iy (two arrays of one length)."""
         dx, dy = x - self.center_x, y - self.center_y
         return _bump(_libm(math.hypot, dx, dy) / self.radius)
+
+
+def _reference(f, a: float, b: float) -> float:
+    """int_a^b f to 1e-12 relative, or ValueError (a NaN fails too)."""
+    ref, err, _, _ = adaptive(f, a, b, rtol=1e-13)
+    if not (math.isfinite(ref) and err <= 1e-12 * abs(ref)):
+        raise ValueError(f"reference integral {ref!r} did not converge to 1e-12")
+    return ref
 
 
 def _chord_integrals(phi, x, f, **kw):
@@ -252,10 +258,7 @@ def _line_integral(psi: TestFunction, at, breaks: list, cfg: WeightConfig,
 
     val, qerr, extra, nodes = adaptive(density, psi.a, psi.b, rtol=rtol,
                                        breakpoints=breaks)
-    ref, err, _, _ = adaptive(lambda t: psi(t) / at(t)[2], psi.a, psi.b,
-                              rtol=1e-13, atol=1e-15)
-    if err > 1e-12 * max(abs(ref), 1.0):
-        raise ValueError("reference integral did not converge to 1e-12")
+    ref = _reference(lambda t: psi(t) / at(t)[2], psi.a, psi.b)
     return IntegralResult(val, THREE_OVER_PI * ref, qerr + extra, nodes)
 
 

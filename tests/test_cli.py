@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,17 @@ class TestIntegralCommands:
                          "--radius", "0.2", "--k", "120")
         recs = json.loads(out)
         assert rc == 0 and recs[0]["reference"] > 0
+
+    @pytest.mark.parametrize("center, radius", [
+        ("0.1,1.5", "1e-20"), ("0,1e300", "0.2"), ("0,1e200", "1e199")])
+    def test_unrepresentable_disk(self, capsys, center, radius):
+        # every chord of such a disk is one float, or its reference
+        # overflows: exit 2, not a perfect gap of 0.0 or a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "region", f"--center={center}",
+                               f"--radius={radius}", "--k", "1200", "--unsafe")
+        assert rc == 2 and out == "" and err.startswith("error: ")
 
     def test_horizontal_bump_psi(self, capsys):
         rc, out, _ = run(capsys, "horizontal", "--y", "1.3", "--k", "1200",

@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,7 +22,8 @@ from cuspkernel import (
     measure_density,
 )
 from cuspkernel import TestFunction as BumpSpec
-from cuspkernel import kernel
+from cuspkernel import equidist, kernel
+from cuspkernel.quadrature import adaptive
 
 Y = 7.0  # strip parameter of the line integrals
 GOLDEN = Path(__file__).resolve().parent / "golden" / "integrals_k1200.txt"
@@ -175,6 +177,12 @@ class TestBatchedDensity:
                     getattr(exc.value, "best_tail_bound", None)) == want
 
 
+def close_to(value):
+    """The allowance of a reference against a more exact one: a few ulps
+    or 1e-15 relative, whichever is larger."""
+    return max(4 * math.ulp(value), 1e-15 * abs(value))
+
+
 class _Zero1D:
     """A test function that vanishes on its whole support [a, b]."""
 
@@ -208,6 +216,26 @@ class TestTestFunction:
         res = integrate_vertical(0.13, BumpSpec.indicator(1.0, 2.0), cfg, Y)
         np.testing.assert_allclose(res.reference, 3.0 / math.pi * math.log(2),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("b", [1e-12, 1e-9])
+    def test_narrow_support_reference(self, b):
+        # an absolute tolerance of 1e-15 left these off by 7.7e-6 and
+        # 1.4e-10 relative
+        psi = BumpSpec.bump(0.0, b)
+        res = integrate_horizontal(1.5, psi, WeightConfig(1200, 1e-9), Y,
+                                   unsafe=True)
+        with mp.workdps(40):
+            want = 3 / mp.pi * mp.quad(
+                lambda s: mp.exp(-1 / (1 - (2 * s / b - 1) ** 2)), [0, b])
+        assert abs(res.reference - want) <= close_to(float(want))
+
+    @pytest.mark.parametrize("ref, err", [
+        (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, 2e-12)])
+    def test_unconverged_reference(self, monkeypatch, ref, err):
+        monkeypatch.setattr(equidist, "adaptive",
+                            lambda *args, **kw: (ref, err, 0.0, 15))
+        with pytest.raises(ValueError):
+            equidist._reference(None, 0.0, 1.0)
 
     def test_bad_support(self):
         with pytest.raises(ValueError):
@@ -338,6 +366,85 @@ class TestGoldenIntegrals:
         want = dict(line.split(" ", 1) for line in GOLDEN.read_text().splitlines())
         got = self.CASES[name](WeightConfig(1200, 1e-9))
         assert repr(tuple(got)) == want[name]
+
+
+# The nested quadrature that computed BumpFunction2D's reference before the
+# radial one, kept as its test oracle: the integral of phi / y^2 along the
+# chords of the support, in lockstep, then over x.  Its absolute tolerances
+# were 1e-16 and 1e-15; they are scaled here with the chord length and the
+# area of the disk, and are those at radius 0.2.
+def nested_reference(phi):
+    scale = phi.radius / 0.2
+
+    def inner(x):
+        val, _, _, _ = equidist._chord_integrals(
+            phi, x, lambda x, y: phi(x, y) / (y * y), rtol=1e-12,
+            atol=1e-16 * scale)
+        return val
+
+    val, _, _, _ = adaptive(
+        inner, phi.center_x - phi.radius, phi.center_x + phi.radius,
+        rtol=1e-11, atol=1e-15 * scale * scale)
+    return val
+
+
+def radial_reference_mp(cx, cy, r):
+    """int phi dxdy/y^2 at 40 digits, in polar coordinates about the
+    center: 2 pi cy int_0^r bump(rho/r) rho / (cy^2 - rho^2)^(3/2) drho."""
+    with mp.workdps(40):
+        cy, r = mp.mpf(cy), mp.mpf(r)
+        val, err = mp.quad(
+            lambda rho: (mp.exp(-1 / (1 - (rho / r) ** 2)) * rho
+                         / (cy * cy - rho * rho) ** mp.mpf(1.5)),
+            [0, r / 2, r], error=True)
+        assert err < mp.mpf(10) ** -30 * val
+        return 2 * mp.pi * cy * val
+
+
+DISKS = {
+    "golden": (0.1, 1.2, 0.2),
+    # the bulk disks of perfbench's equidist_pretrace at seed 1
+    "bench_1": (0.042511, 1.735725, 0.208121),
+    "bench_2": (0.222178, 1.537618, 0.209107),
+    "bench_3": (-0.212539, 1.541507, 0.203998),
+    "bench_4": (0.253284, 1.497607, 0.207231),
+    "about_i": (0.0, 1.0, 0.2),
+    "near_the_real_line": (0.3, 0.25, 0.2),
+    "small": (0.1, 1.5, 1e-6),
+}
+
+
+class TestRegionReference:
+    @pytest.mark.parametrize("name", list(DISKS))
+    def test_against_mpmath(self, name):
+        want = float(radial_reference_mp(*DISKS[name]))
+        got = BumpFunction2D(*DISKS[name]).reference_integral
+        assert abs(got - want) <= close_to(want)
+
+    @pytest.mark.parametrize("name", list(DISKS))
+    def test_against_the_nested_oracle(self, name):
+        phi = BumpFunction2D(*DISKS[name])
+        want = nested_reference(phi)
+        if name == "golden":
+            assert phi.reference_integral == want
+        elif name == "small":
+            # the oracle's nodes x + iy place a point of the disk only to
+            # ulp(cy) / r of its radius
+            rel = 4 * math.ulp(phi.center_y) / phi.radius
+            assert abs(phi.reference_integral - want) <= rel * want
+        else:
+            assert abs(phi.reference_integral - want) <= close_to(want)
+
+    @pytest.mark.parametrize("cx, cy, r", [
+        (0.1, 1.5, 1e-20),  # every chord is one float
+        (0.0, 1e300, 0.2),
+        (1e300, 1.5, 0.2),
+        (0.0, 1e200, 1e199),  # cy^3 overflows
+        (0.0, 1e-110, 1e-111),  # cy^3 underflows
+    ])
+    def test_unrepresentable_disks(self, cx, cy, r):
+        with pytest.raises(ValueError):
+            BumpFunction2D(cx, cy, r)
 
 
 class _Zero2D:
