@@ -163,34 +163,50 @@ def measure_density(z, cfg: WeightConfig):
     tail bound.  The imaginary part of the kernel on the diagonal must
     vanish within that tail.
 
-    z is a Point, or a list of Points, for which both are arrays and the
-    kernel is bergman_R_diagonal; a list raises the error of its first
-    point that would raise one on its own."""
+    z is a Point, or a list of Points, for which both are arrays, the same
+    as at each point on its own, bit for bit (_densities, over the points'
+    coordinates); a list raises the error of its first point that would
+    raise one on its own."""
+    if isinstance(z, Point):
+        normalization = _normalization(cfg)
+        res = bergman_R(z, z, cfg)
+        _check_imaginary_part(res.value.imag, res.tail_bound)
+        return normalization * res.value.real, normalization * res.tail_bound
+    return _densities(np.array([p.x for p in z]), np.array([p.y for p in z]),
+                      cfg)
+
+
+def _normalization(cfg: WeightConfig) -> float:
+    """(k-1)/(8 pi dim), or NoCuspForms where dim is 0."""
     dim = dim_cusp_forms(cfg.k)
     if dim == 0:
         raise NoCuspForms(f"weight {cfg.k} has no cusp forms")
-    normalization = (cfg.k - 1) / (8.0 * math.pi * dim)
-    if isinstance(z, Point):
-        res = bergman_R(z, z, cfg)
-        _check_imaginary_part(res)
-        return normalization * res.value.real, normalization * res.tail_bound
+    return (cfg.k - 1) / (8.0 * math.pi * dim)
+
+
+def _densities(x, y, cfg: WeightConfig):
+    """measure_density at the points x + iy (two float arrays), as arrays
+    of densities and of their errors, through bergman_R_diagonal: the
+    values of measure_density at each point, bit for bit, or the error of
+    the first point that raises one there."""
+    normalization = _normalization(cfg)
     try:
-        results = bergman_R_diagonal(z, cfg)
+        values, tails = bergman_R_diagonal(x, y, cfg)
     except CutoffExceeded:
-        for point in z:  # the first point that fails on its own
+        for point in map(Point, x.tolist(), y.tolist()):
             measure_density(point, cfg)
         raise
-    for res in results:
-        _check_imaginary_part(res)
-    values = np.array([res.value.real for res in results])
-    tails = np.array([res.tail_bound for res in results])
-    return normalization * values, normalization * tails
+    spurious = np.flatnonzero(np.abs(values.imag) > tails + 1e-9)
+    if spurious.size:
+        j = spurious[0]
+        _check_imaginary_part(values.imag[j], tails[j])
+    return normalization * values.real, normalization * tails
 
 
-def _check_imaginary_part(res) -> None:
-    if abs(res.value.imag) > res.tail_bound + 1e-9:
+def _check_imaginary_part(imag: float, tail: float) -> None:
+    if abs(imag) > tail + 1e-9:
         raise CuspKernelError(
-            f"diagonal kernel has spurious imaginary part {res.value.imag:.3e}"
+            f"diagonal kernel has spurious imaginary part {imag:.3e}"
         )
 
 
@@ -203,8 +219,7 @@ def _integrand(p, x, y, w, cfg: WeightConfig):
     at = np.flatnonzero(p)
     if at.size:
         p, x, y, w = (np.broadcast_to(a, vals.shape)[at] for a in (p, x, y, w))
-        points = list(map(Point, x.tolist(), y.tolist()))
-        dens, derr = measure_density(points, cfg)
+        dens, derr = _densities(x, y, cfg)
         vals[at] = p * dens / w
         errs[at] = np.abs(p) * derr / w
     return vals, errs
@@ -240,6 +255,10 @@ def _horizontal_crossings(y: float, elliptic_list, delta: float) -> list:
     out = []
     for e in elliptic_list:
         ex, ey = e.location.x, e.location.y
+        # the neighborhood reaches up to ey e^delta < ey (2 + 4 s); twice
+        # that high, rhs is far below 0, and the square may overflow
+        if y > 2.0 * ey * (2.0 + 4.0 * s):
+            continue
         rhs = 4.0 * s * ey * y - (y - ey) ** 2
         if rhs > 0.0:
             r = math.sqrt(rhs)

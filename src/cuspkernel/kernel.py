@@ -34,12 +34,18 @@ with no Python float per term; a smaller sum is evaluated in one pass and
 handed to Shewchuk's fsum through a memoryview.  Both are the correctly
 rounded exact sum, so they give the same bits.
 
-bergman_R_diagonal evaluates the diagonal at many points at once, bit for
-bit as bergman_R at each: the array pass carries an owner index per
-coset, so the small tables of all the points go through one coset pass
-and one term pass, with one fsum per point.  numpy's exp, log1p, arctan2,
-cos, sin and remainder give an element the same bits in a long array as
-in a short one, so sharing the term pass changes no point's sum.
+bergman_R_diagonal evaluates the diagonal at many points at once, given
+as two coordinate arrays, bit for bit as bergman_R at each, and with no
+Python object per point: the points move into the strip as arrays, their
+lattice radii come from one lockstep pass (_lattice_radii, the steps of
+_lattice_radius on every point, its libm calls once per distinct value),
+and the array pass carries an owner index per coset, so the small tables
+of all the points go through one coset pass and one term pass, with one
+fsum for each point whose sum has more than one term.  numpy's exp,
+log1p, arctan2, cos, sin and remainder give an element the same bits in a
+long array as in a short one, so sharing the term pass changes no point's
+sum.  A single pair keeps the scalar _lattice_radius, whose set-up is a
+tenth of the array pass's.
 
 residual_certificate needs two sums that do not depend on the weight, the
 minimum displacement and a weight-4 off-identity sum; it keeps those of
@@ -51,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -260,6 +266,151 @@ def _lattice_radius(z: Point, w: Point, k: int, tol: float):
         ) from None
 
 
+def _per_value(f, a):
+    """f (a Python function of one float) at every entry of the nonempty
+    array a, called once per distinct value.  The points of a batch mostly
+    share one: then the result is that one float, which broadcasts as the
+    array would."""
+    first = a[0].item()
+    if (a == first).all():
+        return f(first)
+    values = np.sort(a)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return _libm(f, values)[np.searchsorted(values, a)]
+
+
+def _abs(re, im):
+    """abs(complex(re, im)) over arrays: libm's hypot, as Python's complex
+    abs, where math.hypot has its own rounding."""
+    return np.fromiter(map(abs, map(complex, re.tolist(), im.tolist())),
+                       np.float64, len(re))
+
+
+def _shortest_vectors_sq(x, y):
+    """_shortest_vector_sq at every point x + iy of two arrays, in lockstep
+    and with the same bits: the same reduction steps, with np.rint for
+    round (both round half to even) and _abs for abs.  Raises
+    ZeroDivisionError or OverflowError where some point's own reduction
+    would raise either."""
+    az = _abs(x, y)
+    swap = 1.0 > az  # abs(u) > abs(v) for u = 1, v = z: abs(1) is 1.0
+    out = np.ones(len(x))
+    # a point of the strip |x| <= 1/2 with abs(z) >= 1 keeps u = 1: its
+    # step rounds Re z / 1 to 0 and leaves v = z, so its result is 1.0
+    at = np.flatnonzero(swap | (np.abs(x) > 0.5))
+    if not at.size:
+        return out
+    swap, x, y, az = swap[at], x[at], y[at], az[at]
+    ur, ui, au = (np.where(swap, a, b) for a, b in ((x, 1.0), (y, 0.0),
+                                                     (az, 1.0)))
+    vr, vi, av = (np.where(swap, b, a) for a, b in ((x, 1.0), (y, 0.0),
+                                                     (az, 1.0)))
+    for _ in range(128):
+        num = vr * ur + vi * ui
+        den = ur * ur + ui * ui
+        if not den.all():
+            raise ZeroDivisionError("float division by zero")
+        m = np.rint(num / den)
+        if not np.isfinite(m).all():
+            raise OverflowError("cannot convert float infinity to integer")
+        vr, vi = vr - m * ur, vi - m * ui
+        # a step by m = 0 leaves v, and its abs, as they are
+        moved = np.flatnonzero(m)
+        av[moved] = _abs(vr[moved], vi[moved])
+        stop = av >= au
+        out[at[stop]] = den[stop]
+        go = ~stop
+        at, ur, ui, vr, vi, au, av = (at[go], vr[go], vi[go], ur[go], ui[go],
+                                      av[go], au[go])
+        if not at.size:
+            return out
+    out[at] = ur * ur + ui * ui
+    return out
+
+
+def _lattice_radii(x, y, k: int, tol: float):
+    """_lattice_radius(z, z, k, tol) at every point z = x + iy of two float
+    arrays, in lockstep: arrays of R0 and of the tail, with the same bits.
+
+    Every point takes the scalar's steps on its own values, in numpy's
+    exactly rounded arithmetic: its reduction (_shortest_vectors_sq), its
+    rings while they last and its doublings of R0.  Each square is libm's
+    pow, and the ring factors g0 and rb, which depend on s = v Q / y
+    alone, are the scalar's own expressions, once per distinct s (s is Q
+    but where y Q overflows).  A point that would raise, at its reduction,
+    its rings or its budget of R0, is handed to _lattice_radius, which
+    raises the same CutoffExceeded: the first of them, or of every point
+    where some square or division would not be representable.
+    """
+    n = len(x)
+    ck = _profile_constant(k)
+    nhk = -0.5 * k
+    v = y  # the diagonal: w = z
+
+    # the scalar's expressions of a ring at s, as in lattice_tail
+    def ring_g0(s):
+        return math.exp(nhk * math.log((s + 1.0) ** 2 / (4.0 * s)))
+
+    def ring_rb(s):
+        growth = (2.0 * s + 1.0) ** 2 / (2.0 * (s + 1.0) ** 2)
+        return 2.0 * math.exp(nhk * math.log(growth))
+
+    def npm(R, rho):
+        return 0.5 * _per_value(lambda b: b ** 2, np.sqrt(R) / rho + 1.0) + 1.0
+
+    def lattice_tails(R0, at):
+        # lattice_tail(R0[i]) at each point at[i], the rings in lockstep
+        yv, vv, rho = y[at], v[at], rhos[at]
+        out = np.full(len(at), math.inf)
+        total, Q = np.zeros(len(at)), R0
+        live = np.arange(len(at))
+        for _ in range(250):
+            s = vv * Q / yv
+            g0, rb = _per_value(ring_g0, s), _per_value(ring_rb, s)
+            term = npm(2.0 * Q, rho) * g0 * (2.0 + ck * (vv + yv / Q))
+            total = total + term
+            done = (rb < 1.0) & (term < np.maximum(1e-4 * total, 1e-300))
+            if done.all():
+                out[live] = total + term * rb / (1.0 - rb)
+                return out
+            if done.any():
+                out[live[done]] = (total + term * rb / (1.0 - rb))[done]
+                go = ~done
+                live, yv, vv, rho, total, Q = (
+                    a[go] for a in (live, yv, vv, rho, total, Q))
+            Q = 2.0 * Q
+        return out
+
+    R0s, tails = np.empty(n), np.empty(n)
+    bad = np.zeros(n, bool)
+    try:
+        with np.errstate(all="ignore"):  # Python's floats do not warn
+            rhos = 0.5 * np.sqrt(_shortest_vectors_sq(x, y))
+            if not rhos.all():
+                raise ZeroDivisionError("float division by zero")
+            at = np.arange(n)
+            R0 = np.maximum(4.0 * y / v, 8.0)
+            while at.size:
+                tail = lattice_tails(R0, at)
+                ok = tail <= 0.5 * tol
+                R0s[at[ok]], tails[at[ok]] = R0[ok], tail[ok]
+                at, R0 = at[~ok], 2.0 * R0[~ok]
+                over = R0 > 1e14
+                under = np.flatnonzero(~over)
+                if under.size:
+                    over[under] = npm(R0[under], rhos[at[under]]) > MAX_COSETS
+                bad[at[over]] = True
+                at, R0 = at[~over], R0[~over]
+    except (OverflowError, ZeroDivisionError):
+        bad[:] = True
+    for j in np.flatnonzero(bad).tolist():
+        z = Point(float(x[j]), float(y[j]))
+        _lattice_radius(z, z, k, tol)
+    if bad.any():
+        raise RuntimeError("the array lattice radius lost a CutoffExceeded")
+    return R0s, tails
+
+
 def _scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
                   tail: float, offdiagonal: bool):
     """The coset loop, one (c, d, Q) triple at a time in scalar libm
@@ -342,14 +493,16 @@ def _scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     return rows, counts, tail
 
 
-def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
+def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
+                 offdiagonal: bool):
     """_scalar_lines over the coset tables of one or several pairs (z, w)
     in array passes, with the same bits.
 
     cosets = (c, d, Q, owner): coset tables (coset_arrays or
     small_coset_arrays) one after another, the cosets of pair j = owner[i]
-    (zs[j], ws[j], with tol_lines[j] and starting tail tails[j]) contiguous
-    and in increasing j, each table's identity coset first.
+    (z = xs[j] + i ys[j], w = us[j] + i vs[j], with tol_lines[j] and starting
+    tail tails[j], all float arrays) contiguous and in increasing j, each
+    table's identity coset first.
     numpy does only exactly rounded arithmetic (+ - * / sqrt, floor, ceil)
     on values that are the scalar loop's; every exp, log, log1p, atan2 and
     square goes through libm (_libm), and the top rows of all the cosets
@@ -362,24 +515,24 @@ def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
     the scalar loop, which raises it with the same message and tail.
     Returns (rows, counts, tails, terms): the rows and counts of every
     pair's segments, pair after pair (the first column counts the terms
-    before a segment across all pairs), each pair's tail and each pair's
-    number of terms.
+    before a segment across all pairs), and arrays of each pair's tail and
+    each pair's number of terms.
     """
     c, d, Q, owner = cosets
     del cosets  # c, d and Q are soon replaced by their unpruned cosets
-    n_pairs = len(zs)
+    n_pairs = len(xs)
 
     def spread(values, at):
         # a per-pair quantity at the cosets at; one pair's stays a scalar,
         # which broadcasts without a copy per coset
-        return np.array(values)[owner[at]] if n_pairs > 1 else values[0]
+        return values[owner[at]] if n_pairs > 1 else values[0]
 
-    xs, ys = [z.x for z in zs], [z.y for z in zs]
-    uws, vs = [w.x for w in ws], [w.y for w in ws]
     ck = _profile_constant(k)
     nhk = -0.5 * k
-    half_lines = [0.5 * t for t in tol_lines]
-    u_cuts = [(t / 8.0) ** (-2.0 / k) - 1.0 for t in tol_lines]
+    half_lines = 0.5 * tol_lines
+    u_cuts = np.broadcast_to(
+        _per_value(lambda t: (t / 8.0) ** (-2.0 / k) - 1.0, tol_lines),
+        tol_lines.shape)
 
     v = spread(vs, slice(None))
     vp = spread(ys, slice(None)) / Q
@@ -408,7 +561,7 @@ def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
     with np.errstate(divide="ignore", invalid="ignore"):
         x0 = np.where(top, a0 / c - cxd / (c * Q), x)  # X0
     del top, a0, x, cxd
-    x0 -= spread(uws, kept)  # X0 - Re w
+    x0 -= spread(us, kept)  # X0 - Re w
     t0 = -x0  # Re w - X0, exactly
     width = alpha * spread(u_cuts, kept) - beta
     width = np.sqrt(np.where(width > 0.0, width, 0.0))
@@ -460,10 +613,12 @@ def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
         i = kept[b]
         j = owner[i]
         coset = (int(c[b]), int(d[b]), float(Q[b]))
-        _scalar_lines([coset], zs[j], ws[j], k, tol_lines[j],
+        z = Point(float(xs[j]), float(ys[j]))
+        w = Point(float(us[j]), float(vs[j]))
+        _scalar_lines([coset], z, w, k, float(tol_lines[j]),
                       float(acc[j, 2 * pos[i]]), offdiagonal)
         raise RuntimeError("the array coset loop lost a CutoffExceeded")
-    tails = acc[:, -1].tolist()
+    tails = acc[:, -1]
     del acc, pos, d, Q
 
     # one segment per line, but two for the identity off the diagonal,
@@ -483,7 +638,7 @@ def _array_lines(cosets, zs, ws, k: int, tol_lines, tails, offdiagonal: bool):
     body = np.column_stack((m_lo[live] - before, x0[live], beta[live],
                             alpha[live], vpv[live], argden[live]))
     terms = np.bincount(owner[kept[live]], weights=count, minlength=n_pairs)
-    return body.ravel(), count, tails, terms.astype(np.int64).tolist()
+    return body.ravel(), count, tails, terms.astype(np.int64)
 
 
 def _terms(cols, at, start: int, k: int, offdiagonal: bool):
@@ -577,21 +732,20 @@ def _exact_sums(chunks, n_rows: int) -> list:
     return sums
 
 
-def _term_sums(rows, counts, k: int, offdiagonal: bool, ends):
-    """The sums of the terms [ends[j-1], ends[j]) (from 0 for j = 0) over
-    every term of every segment of a line stage: the arithmetic of one
-    line, with each segment's values taken out to its terms (_terms).
+def _term_sums(rows, counts, k: int, offdiagonal: bool, n_terms: int):
+    """The sum of the first n_terms terms of a line stage: the arithmetic
+    of one line, with each segment's values taken out to its terms
+    (_terms); a float in an offdiagonal sum, else a complex.
 
-    One sum of EXACT_SUM_MIN_TERMS terms or more is evaluated and summed
-    a _CHUNK of terms at a time, exactly in numpy (_exact_sums); else the
-    terms are evaluated in one array pass, then summed by one math.fsum per
-    part, fed through a memoryview.  Both sums are exact, correctly
-    rounded, so they give the same bits.  numpy evaluates a pass in place,
-    reusing each temporary that nothing else refers to."""
+    A sum of EXACT_SUM_MIN_TERMS terms or more is evaluated and summed a
+    _CHUNK of terms at a time, exactly in numpy (_exact_sums); a smaller
+    one is evaluated in one array pass, then summed by math.fsum, fed
+    through a memoryview.  Both sums are exact, correctly rounded, so they
+    give the same bits.  numpy evaluates a pass in place, reusing each
+    temporary that nothing else refers to."""
     tab = np.asarray(rows, dtype=np.float64)
     cols = tuple(tab[i::6] for i in range(6))
-    n_terms = ends[-1]
-    if len(ends) == 1 and n_terms >= EXACT_SUM_MIN_TERMS:
+    if n_terms >= EXACT_SUM_MIN_TERMS:
         counts = np.asarray(counts)
         last = np.cumsum(counts)  # one past the last term of each segment
 
@@ -604,22 +758,42 @@ def _term_sums(rows, counts, k: int, offdiagonal: bool, ends):
                                 - np.maximum(last[seg] - counts[seg], s))
                 yield _terms(cols, at, s, k, offdiagonal)
 
-        sums = [_exact_sums(chunks(), 1 if offdiagonal else 2)]
+        sums = _exact_sums(chunks(), 1 if offdiagonal else 2)
     else:
         vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k,
                       offdiagonal)
-        vals = [memoryview(v) for v in vals]
-        sums = [[math.fsum(v[s:e]) for v in vals]
-                for s, e in zip([0, *ends[:-1]], ends)]
-    return [s[0] if offdiagonal else complex(*s) for s in sums]
+        sums = [math.fsum(memoryview(v)[:n_terms]) for v in vals]
+    return sums[0] if offdiagonal else complex(*sums)
 
 
-def _array_sized(z: Point, R0: float) -> bool:
-    """Whether the coset table of z at radius R0 is expected to hold
-    ARRAY_MIN_COSETS or more cosets: |cz+d|^2 <= R0 is an ellipse of area
-    pi R0 / y in the (c, d) plane, and 6/pi^2 of its lattice points are
-    coprime, two to a +/- pair."""
-    return 3.0 * R0 / (math.pi * z.y) >= ARRAY_MIN_COSETS
+def _part_sums(rows, counts, k: int, ends):
+    """The sums of the terms [ends[j-1], ends[j]) (from 0 for j = 0) of a
+    line stage on the diagonal, as an array of real parts and one of
+    imaginary parts: the terms are evaluated in one array pass (_terms),
+    and each part is summed by one math.fsum a row, through a memoryview,
+    but for a part of one term.  fsum gives one double as it is, but for a
+    -0.0, which it may make 0.0; adding its sum of -0.0 does the same to
+    each double, with no Python float per part."""
+    tab = np.asarray(rows, dtype=np.float64)
+    cols = tuple(tab[i::6] for i in range(6))
+    vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k, False)
+    starts = np.concatenate(([0], ends[:-1]))
+    one = ends - starts == 1
+    sums = np.empty((2, len(ends)))
+    sums[:, one] = vals[:, starts[one]] + math.fsum((-0.0,))
+    views = [memoryview(v) for v in vals]
+    for j in np.flatnonzero(~one).tolist():
+        sums[:, j] = [math.fsum(v[starts[j]:ends[j]]) for v in views]
+    return sums
+
+
+def _array_sized(y, R0):
+    """Whether the coset table of a point at height y and radius R0 is
+    expected to hold ARRAY_MIN_COSETS or more cosets: |cz+d|^2 <= R0 is an
+    ellipse of area pi R0 / y in the (c, d) plane, and 6/pi^2 of its
+    lattice points are coprime, two to a +/- pair.  y and R0 are floats or
+    arrays."""
+    return 3.0 * R0 / (math.pi * y) >= ARRAY_MIN_COSETS
 
 
 def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
@@ -632,7 +806,7 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
     or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
     """
     R0, tail = _lattice_radius(z, w, k, tol)
-    if not _array_sized(z, R0):
+    if not _array_sized(z.y, R0):
         cosets = coset_table(z, R0)
         n_cosets = len(cosets)
         rows, counts, tail = _scalar_lines(
@@ -641,10 +815,12 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
     else:
         c, d, Q = coset_arrays(z, R0)
         n_cosets = len(c)
-        rows, counts, [tail], [n_terms] = _array_lines(
-            (c, d, Q, np.zeros(n_cosets, np.int64)), [z], [w], k,
-            [0.25 * tol / n_cosets], [tail], offdiagonal)
-    [total] = _term_sums(rows, counts, k, offdiagonal, [n_terms])
+        one = [np.array([a]) for a in (z.x, z.y, w.x, w.y)]
+        rows, counts, tails, terms = _array_lines(
+            (c, d, Q, np.zeros(n_cosets, np.int64)), *one, k,
+            np.array([0.25 * tol / n_cosets]), np.array([tail]), offdiagonal)
+        tail, n_terms = float(tails[0]), int(terms[0])
+    total = _term_sums(rows, counts, k, offdiagonal, n_terms)
     # terms whose magnitude underflows to zero are each below 5e-324
     tail += n_terms * 5e-324
     return total, tail, n_terms, n_cosets
@@ -675,46 +851,61 @@ def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
     return _checked(*_sum_terms(z, w, cfg.k, 0.5 * cfg.tol), cfg.tol)
 
 
-def bergman_R_diagonal(zs: list, cfg: WeightConfig) -> list:
-    """bergman_R(z, z, cfg) at every point z of the list zs, bit for bit.
+def bergman_R_diagonal(x, y, cfg: WeightConfig):
+    """bergman_R(z, z, cfg) at every point z = x + iy of two float arrays,
+    bit for bit: (values, tails), an array of the kernel values (complex)
+    and one of their tail bounds.
 
-    A point whose coset table is large enough for the array coset loop is
-    a bergman_R call of its own: the call's set-up is small beside its
-    work.  The points with small tables (every weight-1200 point) share
-    the set-up instead: each has its own lattice radius, as in bergman_R,
-    then their coset tables come from one small_coset_arrays pass, their
-    cosets go through one _array_lines pass and their terms through one
-    _term_sums pass, with one fsum per point.  Where some point fails,
-    CutoffExceeded is raised, but not necessarily that of the first point
-    to fail in a loop of bergman_R calls; measure_density, which calls
-    this, finds that one.
+    The points move into the strip as arrays: x - rint(x) where
+    |x| > 1/2, which is exact, and rint rounds half to even, as round
+    does.  Their lattice radii come from one lockstep pass
+    (_lattice_radii).  A point whose coset table is large enough for the
+    array coset loop is a bergman_R call of its own: the call's set-up is
+    small beside its work.  The points with small tables (every
+    weight-1200 point) share the set-up instead: their coset tables come
+    from one small_coset_arrays pass, their cosets go through one
+    _array_lines pass and their terms through one _part_sums pass, where a
+    point whose sum holds one term (every bulk weight-1200 point) needs no
+    fsum.  All of it runs under np.errstate, so a batch makes no numpy
+    warning.  Where some point fails, CutoffExceeded is raised, but not
+    necessarily that of the first point to fail in a loop of bergman_R
+    calls; measure_density, which calls this, finds that one.
     """
     k, tol = cfg.k, 0.5 * cfg.tol
-    results = [None] * len(zs)
-    batch, points, radii, tails = [], [], [], []
-    for j, z in enumerate(zs):
-        _, z = translate_into_strip(z)
-        R0, tail = _lattice_radius(z, z, k, tol)
-        if _array_sized(z, R0):
-            results[j] = bergman_R(z, z, cfg)
-        else:
-            batch.append(j)
-            points.append(z)
-            radii.append(R0)
-            tails.append(tail)
-    if not batch:
-        return results
-    cosets = small_coset_arrays(points, radii)
-    n_cosets = np.bincount(cosets[3], minlength=len(batch)).tolist()
-    tol_lines = [0.25 * tol / n for n in n_cosets]
-    rows, counts, tails, terms = _array_lines(cosets, points, points, k,
-                                              tol_lines, tails, False)
-    del cosets
-    halves = _term_sums(rows, counts, k, False, list(accumulate(terms)))
-    for j, half, tail, n, m in zip(batch, halves, tails, terms, n_cosets):
-        # terms whose magnitude underflows to zero are each below 5e-324
-        results[j] = _checked(half, tail + n * 5e-324, n, m, cfg.tol)
-    return results
+    invalid = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & (y > 0.0)))
+    if invalid.size:  # the first is no Point: raise its ValueError
+        Point(float(x[invalid[0]]), float(y[invalid[0]]))
+    x = np.where(np.abs(x) > 0.5, x - np.rint(x), x)
+    values, tails = np.empty(len(x), complex), np.empty(len(x))
+    with np.errstate(all="ignore"):
+        radii, lattice_tails = _lattice_radii(x, y, k, tol)
+        own = _array_sized(y, radii)
+        for j in np.flatnonzero(own).tolist():
+            z = Point(float(x[j]), float(y[j]))
+            res = bergman_R(z, z, cfg)
+            values[j], tails[j] = res.value, res.tail_bound
+        at = np.flatnonzero(~own)
+        if at.size:
+            x, y = x[at], y[at]
+            cosets = small_coset_arrays(x, y, radii[at])
+            n_cosets = np.bincount(cosets[3], minlength=len(at))
+            rows, counts, tail, terms = _array_lines(
+                cosets, x, y, x, y, k, 0.25 * tol / n_cosets,
+                lattice_tails[at], False)
+            del cosets
+            re, im = _part_sums(rows, counts, k, np.cumsum(terms))
+            # 2.0 * half as Python's complex product, (2, 0) times (re, im)
+            values.real[at] = 2.0 * re - 0.0 * im
+            values.imag[at] = 2.0 * im + 0.0 * re
+            # terms whose magnitude underflows to zero are each below 5e-324
+            tails[at] = 2.0 * (tail + terms * 5e-324)
+    over = np.flatnonzero(tails > cfg.tol)
+    if over.size:  # as _checked
+        tail = float(tails[over[0]])
+        raise CutoffExceeded(
+            f"achieved tail {tail:.3e} exceeds tol {cfg.tol:.3e}",
+            best_tail_bound=tail)
+    return values, tails
 
 
 def offdiagonal_sum_bound(z: Point):

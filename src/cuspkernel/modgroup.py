@@ -275,16 +275,15 @@ def coset_arrays(z: Point, R: float):
         c0 += step
 
 
-def small_coset_arrays(zs: list, Rs: list):
-    """coset_table(z, R) for each point z of zs and radius R of Rs, one
-    table after another, as four arrays: c and d (int64), Q (float64) and
-    the index of each coset's point (int64); the same cosets in the same
-    order with the same bits.  Every row of every table goes through one
-    _row_cosets pass, so the tables must be small: no table is checked
-    against MAX_COSETS, and a point with rows 1 to C holds about C^2 y
-    cosets or more."""
-    n = len(zs)
-    x, y = np.array([z.x for z in zs]), np.array([z.y for z in zs])
+def small_coset_arrays(x, y, Rs):
+    """coset_table(z, R) for each point z = x + iy of the float arrays x
+    and y and radius R of the array Rs, one table after another, as four
+    arrays: c and d (int64), Q (float64) and the index of each coset's
+    point (int64); the same cosets in the same order with the same bits.
+    Every row of every table goes through one _row_cosets pass, so the
+    tables must be small: no table is checked against MAX_COSETS, and a
+    point with rows 1 to C holds about C^2 y cosets or more."""
+    n = len(x)
     r = np.sqrt(Rs)
     # rows c = 1, 2, ... while c y <= r: at most floor(r / y) + 1 of them
     n_rows = np.floor(r / y).astype(np.int64) + 1
@@ -296,7 +295,7 @@ def small_coset_arrays(zs: list, Rs: list):
     parts = [(np.arange(n), np.zeros(n, np.int64), np.ones(n, np.int64),
               np.ones(n))]
     parts += [(owner[row], c_j, d, Q) for row, c_j, d, Q in
-              _row_cosets(c, x[owner], y[owner], np.asarray(Rs)[owner])]
+              _row_cosets(c, x[owner], y[owner], Rs[owner])]
     owner, c, d, Q = (np.concatenate(p) for p in zip(*parts))
     order = np.argsort(owner, kind="stable")
     return c[order], d[order], Q[order], owner[order]

@@ -1,6 +1,7 @@
 """Tests for the mass-density integrals and their normalization."""
 
 import math
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -10,6 +11,7 @@ import pytest
 from cuspkernel import (
     BumpFunction2D,
     CuspKernelError,
+    CutoffExceeded,
     NoCuspForms,
     Point,
     SupportViolation,
@@ -135,7 +137,7 @@ class TestBatchedDensity:
         points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.9, 2.2)))
                   for _ in range(n)]
         cfg = WeightConfig(k, tol)
-        sized = [kernel._array_sized(p, kernel._lattice_radius(p, p, k, 0.5 * tol)[0])
+        sized = [kernel._array_sized(p.y, kernel._lattice_radius(p, p, k, 0.5 * tol)[0])
                  for p in points]
         # both coset regimes at k 24: small tables share one array pass,
         # large ones are bergman_R calls of their own
@@ -151,6 +153,40 @@ class TestBatchedDensity:
         assert all(bergman_R(p, p, cfg).cosets_used >= 100 for p in points)
         want = [repr(measure_density(p, cfg)) for p in points]
         assert _density_reprs(points, cfg) == want
+
+    @pytest.mark.parametrize("k, tol", [(1200, 1e-9), (24, 1e-12)])
+    def test_translated_points(self, k, tol):
+        # points off the strip move into it as arrays, x - rint(x) where
+        # |x| > 1/2: the edges +-0.5 stay, 1.5 and 2.5 round half to even
+        cfg = WeightConfig(k, tol)
+        points = [Point(x, y) for x in (0.5, -0.5, 1.5, 2.5, -7.3, 0.13)
+                  for y in (1.05, 1.9)]
+        want = [repr(measure_density(p, cfg)) for p in points]
+        assert _density_reprs(points, cfg) == want
+
+    @pytest.mark.parametrize("n", [1, 15])
+    def test_small_batches(self, n):
+        # one point, and the 15 nodes of one Gauss-Kronrod panel
+        gen = np.random.Generator(np.random.Philox(n))
+        points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.9, 2.2)))
+                  for _ in range(n)]
+        for cfg in (WeightConfig(1200, 1e-9), WeightConfig(12, 1e-12)):
+            want = [repr(measure_density(p, cfg)) for p in points]
+            assert _density_reprs(points, cfg) == want
+
+    def test_a_batch_far_up_makes_no_warning(self):
+        # at heights from 1e200, 4 v Im gz overflows in the coset pass; the
+        # batch raises the first point's own CutoffExceeded, and numpy
+        # writes no warning on the way
+        cfg = WeightConfig(1200, 1e-9)
+        points = [Point(0.13, y) for y in (1e200, 3e200, 1e201)]
+        want = _first_error(points, cfg)
+        assert want[0] is CutoffExceeded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CutoffExceeded) as exc:
+                measure_density(points, cfg)
+        assert (type(exc.value), str(exc.value), exc.value.best_tail_bound) == want
 
     def test_no_cusp_forms(self):
         points = [Point(0.1, 1.2), Point(0.0, 1.0)]
@@ -341,6 +377,18 @@ class TestHorizontal:
         assert gaps[-1] < 0.01
         for earlier, later, err in zip(gaps, gaps[1:], errs[1:]):
             assert later <= earlier + err
+
+    def test_a_line_far_above_every_neighborhood(self):
+        # (y - e_y)^2 overflows above about y = 1.3e154: such a line
+        # crosses no neighborhood, and its kernel ends in the cutoff that
+        # the one-point kernel reports there
+        cfg = WeightConfig(1200, 1e-9)
+        elist = equidist.elliptic_points_in_strip(Y)
+        for y in (1e154, 1e250, 1e300):
+            assert equidist._horizontal_crossings(y, elist, cfg.delta_for(Y)) == []
+        with pytest.raises(CutoffExceeded, match="m-line window too large"):
+            integrate_horizontal(1e250, BumpSpec.indicator(-0.5, 0.5), cfg, Y,
+                                 unsafe=True)
 
 
 class TestGoldenIntegrals:

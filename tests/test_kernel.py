@@ -342,10 +342,11 @@ class TestBergmanR:
 def one_pair_array_lines(cosets, z, w, k, tol_line, tail, offdiagonal):
     """_array_lines on the table of one pair, in _scalar_lines's terms."""
     c, d, Q = cosets
-    rows, counts, [tail], _ = kernel._array_lines(
-        (c, d, Q, np.zeros(len(c), np.int64)), [z], [w], k, [tol_line], [tail],
-        offdiagonal)
-    return rows, counts, tail
+    rows, counts, tails, _ = kernel._array_lines(
+        (c, d, Q, np.zeros(len(c), np.int64)),
+        *np.array([[z.x], [z.y], [w.x], [w.y]]), k, np.array([tol_line]),
+        np.array([tail]), offdiagonal)
+    return rows, counts, float(tails[0])
 
 
 def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
@@ -450,6 +451,100 @@ class TestArrayCosetLoop:
         assert_same(scalar, array)
 
 
+def scalar_radii(points, k, tol):
+    """_lattice_radius(z, z, k, tol) at each point, as (R0, tail) pairs, or
+    the first CutoffExceeded among them, as (message, tail)."""
+    try:
+        return [kernel._lattice_radius(z, z, k, tol) for z in points]
+    except CutoffExceeded as exc:
+        return str(exc), exc.best_tail_bound
+
+
+def array_radii(points, k, tol):
+    """kernel._lattice_radii at the points in one batch, in the terms of
+    scalar_radii."""
+    x, y = np.array([[z.x, z.y] for z in points]).T
+    try:
+        R0, tail = kernel._lattice_radii(x, y, k, tol)
+    except CutoffExceeded as exc:
+        return str(exc), exc.best_tail_bound
+    return list(zip(R0.tolist(), tail.tolist()))
+
+
+class TestArrayLatticeRadius:
+    # _lattice_radii must give each point of a batch its own
+    # _lattice_radius(z, z, k, tol), R0 and tail equal (==), or raise the
+    # CutoffExceeded of the first point that raises one
+
+    @pytest.mark.parametrize("k", [12, 24, 48, 400, 1200, 1600])
+    def test_random_points(self, k):
+        # 400 points a weight, at two tolerances: y log-uniform in
+        # [0.05, 5000] and x in [-3, 3], off the strip too; the few points
+        # whose radius is out of reach are left out of the batch
+        gen = rng(k)
+        points = [Point(float(gen.uniform(-3.0, 3.0)),
+                        math.exp(gen.uniform(math.log(0.05), math.log(5000.0))))
+                  for _ in range(400)]
+        for tol in (0.5e-9, 0.5e-14):
+            reached = []
+            for z in points:
+                try:
+                    reached.append((z, kernel._lattice_radius(z, z, k, tol)))
+                except CutoffExceeded:
+                    pass
+            assert len(reached) > 390
+            batch, want = zip(*reached)
+            assert array_radii(batch, k, tol) == list(want)
+
+    def test_radii_that_double(self):
+        # k 12 below the unit circle at tol 1e-14: R0 doubles from 8 to
+        # 8192 or 16384, 10 times at some points and 11 at others
+        gen = rng(3)
+        points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.08, 0.6)))
+                  for _ in range(60)]
+        want = scalar_radii(points, 12, 1e-14)
+        assert {R0 for R0, _ in want} == {8192.0, 16384.0}
+        assert array_radii(points, 12, 1e-14) == want
+
+    def test_batches_of_one(self):
+        for z in (BULK, I_PT, Point(-0.5, 0.3), Point(2.5, 0.07)):
+            for k in (12, 1200):
+                assert array_radii([z], k, 0.5e-9) == scalar_radii([z], k, 0.5e-9)
+
+    @pytest.mark.parametrize("k", [12, 1200])
+    def test_a_point_too_low_to_represent(self, k):
+        # at 0.1+1e-160i the squared shortest vector is subnormal and the
+        # lattice-point count overflows, so the bound is not representable
+        low = Point(0.1, 1e-160)
+        want = scalar_radii([low], k, 0.5e-9)
+        assert "not representable" in want[0]
+        for points in ([low], [BULK, low, I_PT], [low, BULK]):
+            assert array_radii(points, k, 0.5e-9) == want
+
+    def test_the_first_failure_is_raised(self):
+        # 0.1+1e300i at k 12 is out of reach with a finite tail, 0.1+1e-160i
+        # not representable: a batch raises what its first one raises
+        high, low = Point(0.1, 1e300), Point(0.1, 1e-160)
+        assert "not reachable" in scalar_radii([high], 12, 0.5e-9)[0]
+        for points in ([BULK, high, low], [low, high], [high, BULK, low]):
+            want = scalar_radii(points, 12, 0.5e-9)
+            assert array_radii(points, 12, 0.5e-9) == want
+
+    @pytest.mark.parametrize("y", [1e300, 1e305, 2e307, 3e307, 1.7e308])
+    @pytest.mark.parametrize("k", [12, 48, 1200, 1600])
+    def test_great_heights(self, y, k):
+        # where y Q overflows in a ring, s = v Q / y is inf, not Q, and the
+        # ring reads nan, so no radius is reached: at 2e307 from Q = 16 on,
+        # where s = Q would reach R0 = 16 (k 1200, 1600), and at 3e307 from
+        # Q = 8, where the s of a bulk point would reach R0 = 8 (k 1600);
+        # a batch must keep them apart from points whose s is Q, such as a
+        # bulk point or -0.2+1e300i, whose rings at k 1600 run with those
+        # of 0.1+3e307i up to Q = 16
+        z = Point(0.1, y)
+        for points in ([z], [BULK, z], [z, BULK], [Point(-0.2, 1e300), z]):
+            assert array_radii(points, k, 0.5e-9) == scalar_radii(points, k, 0.5e-9)
+
+
 def exact_sum(values):
     """kernel._exact_sums of one row, fed a _CHUNK of values at a time."""
     a = np.asarray(values, dtype=np.float64)
@@ -545,7 +640,7 @@ class TestExactSum:
             sums = []
             for crossover in (1, math.inf):
                 monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
-                sums.append([kernel._term_sums(rows, counts, 8, offdiagonal, [n])
+                sums.append([kernel._term_sums(rows, counts, 8, offdiagonal, n)
                              for n in ends])
             assert sums[0] == sums[1]
 

@@ -157,7 +157,9 @@ class TestCosetReps:
             # up to about 100 cosets a point, and now and then none past (0, 1)
             Rs = [math.exp(gen.uniform(math.log(0.5), math.log(100.0 * z.y)))
                   for z in zs]
-            c, d, Q, owner = small_coset_arrays(zs, Rs)
+            c, d, Q, owner = small_coset_arrays(
+                np.array([z.x for z in zs]), np.array([z.y for z in zs]),
+                np.array(Rs))
             assert {a.dtype for a in (c, d, owner)} == {np.dtype(np.int64)}
             got = list(zip(c.tolist(), d.tolist(), Q.tolist(), owner.tolist()))
             want = [(*t, j) for j, (z, R) in enumerate(zip(zs, Rs))
