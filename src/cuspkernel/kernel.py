@@ -18,6 +18,21 @@ certificate:
     by disk packing and bounding each ring by its inner-edge term, closed
     by a geometric series whose ratio is controlled analytically.
 
+On the diagonal bergman_R takes one of three routes (_diagonal), after the
+lattice radius R0 of z:
+  * a point whose radius is out of reach, or whose table would hold
+    ARRAY_MIN_COSETS cosets or more, is evaluated at reduce_to_domain(z),
+    as R_k(gz, gz) = R_k(z, z): a low point with 14k-97k cosets at
+    weight 12 becomes one with a few hundred;
+  * where the table holds the identity coset alone (R0 < y^2), its
+    translation line is Lipschitz's series
+    (4 pi y)^k / (k-1)! sum_{n >= 1} n^(k-1) e^(-4 pi n y), wherever that
+    is expected to be shorter than the direct window (_lipschitz_shorter):
+    a handful of terms, and a geometric bound on the rest, in place of up
+    to millions of terms that cancel to about e^(-4 pi y);
+  * every other point, and every pair off the diagonal, is the direct sum
+    below.
+
 The coset loop prunes, sizes each m-line window and adds the tails; it
 records each line as one row.  It has two forms, chosen by the expected
 size of the coset table: below ARRAY_MIN_COSETS (every weight-1200 call)
@@ -39,9 +54,11 @@ as two coordinate arrays, bit for bit as bergman_R at each, and with no
 Python object per point: the points move into the strip as arrays, their
 lattice radii come from one lockstep pass (_lattice_radii, the steps of
 _lattice_radius on every point, its libm calls once per distinct value),
-and the array pass carries an owner index per coset, so the small tables
-of all the points go through one coset pass and one term pass, with one
-fsum for each point whose sum has more than one term.  numpy's exp,
+a point with a large table, an unreachable radius or a Lipschitz line
+takes _diagonal on its own with the radius found, and the array pass
+carries an owner index per coset, so the small tables of all the other
+points go through one coset pass and one term pass, with one fsum for
+each point whose sum has more than one term.  numpy's exp,
 log1p, arctan2, cos, sin and remainder give an element the same bits in a
 long array as in a short one, so sharing the term pass changes no point's
 sum.  A single pair keeps the scalar _lattice_radius, whose set-up is a
@@ -330,17 +347,18 @@ def _shortest_vectors_sq(x, y):
 
 def _lattice_radii(x, y, k: int, tol: float):
     """_lattice_radius(z, z, k, tol) at every point z = x + iy of two float
-    arrays, in lockstep: arrays of R0 and of the tail, with the same bits.
+    arrays, in lockstep: arrays of R0 and of the tail, with the same bits,
+    and nan in both where _lattice_radius raises CutoffExceeded.
 
     Every point takes the scalar's steps on its own values, in numpy's
     exactly rounded arithmetic: its reduction (_shortest_vectors_sq), its
     rings while they last and its doublings of R0.  Each square is libm's
     pow, and the ring factors g0 and rb, which depend on s = v Q / y
     alone, are the scalar's own expressions, once per distinct s (s is Q
-    but where y Q overflows).  A point that would raise, at its reduction,
-    its rings or its budget of R0, is handed to _lattice_radius, which
-    raises the same CutoffExceeded: the first of them, or of every point
-    where some square or division would not be representable.
+    but where y Q overflows).  A point whose R0 passes its budget reads
+    nan; where some square or division of the batch would not be
+    representable, as at a point below Im z of about 1e-154, every point
+    of the batch takes _lattice_radius instead.
     """
     n = len(x)
     ck = _profile_constant(k)
@@ -402,12 +420,16 @@ def _lattice_radii(x, y, k: int, tol: float):
                 bad[at[over]] = True
                 at, R0 = at[~over], R0[~over]
     except (OverflowError, ZeroDivisionError):
-        bad[:] = True
-    for j in np.flatnonzero(bad).tolist():
-        z = Point(float(x[j]), float(y[j]))
-        _lattice_radius(z, z, k, tol)
-    if bad.any():
-        raise RuntimeError("the array lattice radius lost a CutoffExceeded")
+        # some bound of the batch is not representable: every point takes
+        # the scalar's steps on its own
+        for j in range(n):
+            z = Point(float(x[j]), float(y[j]))
+            try:
+                R0s[j], tails[j] = _lattice_radius(z, z, k, tol)
+            except CutoffExceeded:
+                R0s[j] = tails[j] = math.nan
+        return R0s, tails
+    R0s[bad] = tails[bad] = math.nan
     return R0s, tails
 
 
@@ -796,16 +818,16 @@ def _array_sized(y, R0):
     return 3.0 * R0 / (math.pi * y) >= ARRAY_MIN_COSETS
 
 
-def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
-               offdiagonal: bool = False):
-    """Shared enumeration engine.
+def _sum_terms(z: Point, w: Point, k: int, tol: float, R0: float,
+               tail: float, *, offdiagonal: bool = False):
+    """Shared enumeration engine, over the cosets with |cz+d|^2 <= R0 of
+    the lattice radius (R0, tail) = _lattice_radius(z, w, k, tol).
 
     Returns (complex_or_real_sum, tail_bound, terms_used, cosets_used) for
     the sum over one representative of each +/- pair; callers double both
     the value and the tail for the full group.  The sum is of t_g(z, w)^k,
     or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
     """
-    R0, tail = _lattice_radius(z, w, k, tol)
     if not _array_sized(z.y, R0):
         cosets = coset_table(z, R0)
         n_cosets = len(cosets)
@@ -826,6 +848,95 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, *,
     return total, tail, n_terms, n_cosets
 
 
+def _lipschitz_shorter(y, k: int, tol: float):
+    """Whether the identity line of a diagonal sum at height y (a float, or
+    an array with the same bits per entry) is expected to take fewer terms
+    as _lipschitz_line's series than as the direct window, at the line
+    budget b = tol / 4 of a one-coset table.
+
+    Both counts are closed forms.  The direct window starts 2 * 2y
+    sqrt(u_cut) + 1 terms wide, u_cut = (b/8)^(-2/k) - 1 as in
+    _scalar_lines.  The series' terms sample the Gamma(k) density of rate
+    4 pi y, whose Chernoff tail exp(-k h(x)), h(x) = x - 1 - log x at
+    x = 4 pi y n / k, falls below b once k (x - 1)^2 / (2x) >= L = -log b:
+    from n = (k + L + sqrt(L^2 + 2 k L)) / (4 pi y) on.
+    """
+    b = 0.25 * tol
+    L = -math.log(b)
+    n_series = (k + L + math.sqrt(L * L + 2.0 * k * L)) / (4.0 * math.pi * y)
+    n_direct = 4.0 * math.sqrt((b / 8.0) ** (-2.0 / k) - 1.0) * y + 1.0
+    return n_series < n_direct
+
+
+def _lipschitz_line(y: float, k: int, tol: float, tail: float):
+    """The identity coset's line of the diagonal half sum at height y, in
+    the terms of _sum_terms, with tail the lattice tail beyond it.
+
+    Lipschitz's formula turns sum_m (2iy / (2iy + m))^k into
+    (4 pi y)^k / (k-1)! sum_{n >= 1} n^(k-1) e^(-4 pi n y), whose terms are
+    each taken from their logarithm.  The ratio of term n + 1 to term n,
+    r_n = (1 + 1/n)^(k-1) e^(-4 pi y), falls with n, so once r_n < 1 the
+    terms after n sum to at most term n times r_n / (1 - r_n).  The series
+    stops where that rest is within the line budget tol / 4 of a one-coset
+    table, and the rest goes into the tail.
+    """
+    beta = 4.0 * math.pi * y  # inf above Im z of about 1.4e307
+    head = k * (math.log(y) + math.log(4.0 * math.pi)) - math.lgamma(k)
+    terms = []
+    n = 0
+    while True:
+        n += 1
+        log_term = head + (k - 1) * math.log(n) - beta * n
+        terms.append(math.exp(log_term))
+        log_r = (k - 1) * math.log1p(1.0 / n) - beta
+        if log_r < 0.0:
+            rest = math.exp(log_term + log_r - math.log(-math.expm1(log_r)))
+            if rest <= 0.25 * tol:
+                break
+    # the terms and the rest that underflow to zero are each below 5e-324
+    tail += rest + (n + 1) * 5e-324
+    return complex(math.fsum(terms)), tail, n, 1
+
+
+def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
+    """_sum_terms(z, w, k, tol, ...) for a pair of the strip with w == z,
+    by the cheapest of three routes; radius is the lattice radius
+    (R0, tail) of z if it is known.
+
+    * Where the radius cannot be reached, or puts the table at
+      ARRAY_MIN_COSETS cosets or more, the sum is taken at
+      reduce_to_domain(z), since R_k(gz, gz) = R_k(z, z).  A point of the
+      domain comes back as the same object and stays.  Where the
+      reduction loses the point, a reached radius keeps z, and else the
+      reduction's CutoffExceeded is raised.
+    * Where the table holds the identity coset alone (R0 < y^2 <=
+      |cz+d|^2 for every c >= 1) and _lipschitz_shorter, the sum is
+      _lipschitz_line.
+    * Else it is the direct _sum_terms at that radius.
+    """
+    lost = None
+    try:
+        R0, tail = radius or _lattice_radius(z, w, k, tol)
+    except CutoffExceeded as exc:
+        lost = exc
+    if lost or _array_sized(z.y, R0):
+        try:
+            p = reduce_to_domain(z)
+        except CutoffExceeded:
+            if lost:
+                raise
+            p = z
+        if p is not z:
+            _, z = translate_into_strip(p)
+            w = z
+            R0, tail = _lattice_radius(z, w, k, tol)
+        elif lost:
+            raise lost
+    if R0 < z.y * z.y and _lipschitz_shorter(z.y, k, tol):
+        return _lipschitz_line(z.y, k, tol, tail)
+    return _sum_terms(z, w, k, tol, R0, tail)
+
+
 def _checked(half, tail: float, n_terms: int, n_cosets: int,
              tol: float) -> KernelResult:
     """The KernelResult of a half sum over the +/- pairs, or CutoffExceeded
@@ -844,11 +955,19 @@ def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
 
     R_k is 1-periodic in each argument on its own, so z and w are each
     moved into |Re| <= 1/2 first (translate_into_strip, exact in floating
-    point).
+    point).  An off-diagonal pair is the direct lattice sum.  On the
+    diagonal, a point whose table would be large or out of reach is
+    evaluated at its reduction to the fundamental domain, and a point
+    whose table holds the identity coset alone sums its translation line
+    by Lipschitz's formula where that series is the shorter (_diagonal).
     """
     _, z = translate_into_strip(z)
     _, w = translate_into_strip(w)
-    return _checked(*_sum_terms(z, w, cfg.k, 0.5 * cfg.tol), cfg.tol)
+    k, tol = cfg.k, 0.5 * cfg.tol
+    if z == w:
+        return _checked(*_diagonal(z, w, k, tol), cfg.tol)
+    return _checked(*_sum_terms(z, w, k, tol, *_lattice_radius(z, w, k, tol)),
+                    cfg.tol)
 
 
 def bergman_R_diagonal(x, y, cfg: WeightConfig):
@@ -859,10 +978,12 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     The points move into the strip as arrays: x - rint(x) where
     |x| > 1/2, which is exact, and rint rounds half to even, as round
     does.  Their lattice radii come from one lockstep pass
-    (_lattice_radii).  A point whose coset table is large enough for the
-    array coset loop is a bergman_R call of its own: the call's set-up is
-    small beside its work.  The points with small tables (every
-    weight-1200 point) share the set-up instead: their coset tables come
+    (_lattice_radii).  A point whose radius is out of reach, whose coset
+    table is large enough for the array coset loop, or whose translation
+    line takes Lipschitz's series, goes the way of bergman_R on its own,
+    its radius passed on (_diagonal): the call's set-up is small beside
+    its work.  The points with small tables (every weight-1200 point of
+    the bulk) share the set-up instead: their coset tables come
     from one small_coset_arrays pass, their cosets go through one
     _array_lines pass and their terms through one _part_sums pass, where a
     point whose sum holds one term (every bulk weight-1200 point) needs no
@@ -879,10 +1000,13 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     values, tails = np.empty(len(x), complex), np.empty(len(x))
     with np.errstate(all="ignore"):
         radii, lattice_tails = _lattice_radii(x, y, k, tol)
-        own = _array_sized(y, radii)
+        own = (np.isnan(radii) | _array_sized(y, radii)
+               | (radii < y * y) & _lipschitz_shorter(y, k, tol))
         for j in np.flatnonzero(own).tolist():
             z = Point(float(x[j]), float(y[j]))
-            res = bergman_R(z, z, cfg)
+            radius = (None if math.isnan(radii[j])
+                      else (float(radii[j]), float(lattice_tails[j])))
+            res = _checked(*_diagonal(z, z, k, tol, radius), cfg.tol)
             values[j], tails[j] = res.value, res.tail_bound
         at = np.flatnonzero(~own)
         if at.size:
@@ -921,8 +1045,9 @@ def offdiagonal_sum_bound(z: Point):
     # the first pass within the coset cap at large heights
     guess = max(1.0, 0.5 * z.y)
     for _ in range(3):
+        tol = 0.05 * max(guess, 1e-3)
         total, tail, _, _ = _sum_terms(
-            z, z, 4, 0.05 * max(guess, 1e-3), offdiagonal=True,
+            z, z, 4, tol, *_lattice_radius(z, z, 4, tol), offdiagonal=True,
         )
         guess = 2.0 * total
     return 2.0 * total + 2.0 * tail

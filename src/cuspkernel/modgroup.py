@@ -77,13 +77,13 @@ def reduce_to_domain(z: Point) -> Point:
     """hz in the standard fundamental domain |Re| <= 1/2, |z| >= 1, with the
     translations and inversions S accumulated as one integer matrix h and
     applied once.  A point of the domain, or one with |z|^2 within 1e-12
-    below 1, is returned as it is; that margin also makes each inversion
-    raise the height, so the loop ends.
+    below 1, is returned as it is, the same object; that margin also makes
+    each inversion raise the height, so the loop ends.
 
     Close to the real line (at Re z = 0.1, below Im z of about 1e-10) h z
     cancels in cz + d and misses the domain, and further down |z|^2, or
     |cz+d|^2 or Im hz in the last step, underflows to 0: each raises
-    CutoffExceeded.
+    CutoffExceeded, with an infinite best_tail_bound, as no sum was taken.
     """
     return _reduction(z)[1]
 
@@ -99,10 +99,12 @@ def _reduction(z: Point):
             break
         if r == 0.0:
             raise CutoffExceeded(
-                f"|z|^2 underflows reducing Im z = {z.y:.3e} to the domain")
+                f"|z|^2 underflows reducing Im z = {z.y:.3e} to the domain",
+                best_tail_bound=math.inf)
         h, p = GammaMatrix.S() * h, Point(-p.x / r, p.y / r)
     else:
-        raise CutoffExceeded("reduction to the fundamental domain did not end")
+        raise CutoffExceeded("reduction to the fundamental domain did not end",
+                             best_tail_bound=math.inf)
     if h == GammaMatrix.identity():
         return h, z
     try:
@@ -112,7 +114,8 @@ def _reduction(z: Point):
     # rounding moves a true image by far less than these margins
     if w is None or abs(w.x) > 0.5 + 1e-9 or w.x * w.x + w.y * w.y < 1.0 - 1e-9:
         raise CutoffExceeded(
-            f"reduction of Im z = {z.y:.3e} to the domain lost the point")
+            f"reduction of Im z = {z.y:.3e} to the domain lost the point",
+            best_tail_bound=math.inf)
     return h, w
 
 

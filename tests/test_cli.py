@@ -362,7 +362,14 @@ class TestParserCache:
     (["vertical", "--x", "0.13", "--k", "24", "--sweep", "1200"], 2),
     (["horizontal", "--y", "1.3", "--k", "1200", "--A", "2"], 2),
     (["kernel", "--z", "0.1+1e-200i", "--k", "12"], 3),
-    (["kernel", "--z", "0.1+1e-8i", "--k", "1200"], 3),
+    # the reduction of 0.1+1e-12i loses the point, and the direct table
+    # passes the coset cap; 0.1+1e-8i reduces far up the cusp
+    (["kernel", "--z", "0.1+1e-12i", "--k", "1200"], 3),
+    (["kernel", "--z", "0.1+1e-8i", "--k", "1200"], 0),
+    # faults F1 and F2 of the benchmark: a table out of reach, reduced,
+    # and a translation line past the term cap, summed by Lipschitz
+    (["kernel", "--z", "0+0.05i", "--k", "12"], 0),
+    (["kernel", "--z", "0+100000i", "--k", "12"], 0),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:

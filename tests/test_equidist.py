@@ -175,18 +175,15 @@ class TestBatchedDensity:
             assert _density_reprs(points, cfg) == want
 
     def test_a_batch_far_up_makes_no_warning(self):
-        # at heights from 1e200, 4 v Im gz overflows in the coset pass; the
-        # batch raises the first point's own CutoffExceeded, and numpy
-        # writes no warning on the way
+        # from 1e200 up, squares such as 4 v Im gz and y^2 overflow; these
+        # points hold the identity coset alone, whose line is Lipschitz's
+        # series, and numpy writes no warning on the way
         cfg = WeightConfig(1200, 1e-9)
         points = [Point(0.13, y) for y in (1e200, 3e200, 1e201)]
-        want = _first_error(points, cfg)
-        assert want[0] is CutoffExceeded
+        want = [repr(measure_density(p, cfg)) for p in points]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CutoffExceeded) as exc:
-                measure_density(points, cfg)
-        assert (type(exc.value), str(exc.value), exc.value.best_tail_bound) == want
+            assert _density_reprs(points, cfg) == want
 
     def test_no_cusp_forms(self):
         points = [Point(0.1, 1.2), Point(0.0, 1.0)]
@@ -380,15 +377,15 @@ class TestHorizontal:
 
     def test_a_line_far_above_every_neighborhood(self):
         # (y - e_y)^2 overflows above about y = 1.3e154: such a line
-        # crosses no neighborhood, and its kernel ends in the cutoff that
-        # the one-point kernel reports there
+        # crosses no neighborhood, and the density on it, which falls like
+        # exp(-4 pi y), is 0 in floating point
         cfg = WeightConfig(1200, 1e-9)
         elist = equidist.elliptic_points_in_strip(Y)
         for y in (1e154, 1e250, 1e300):
             assert equidist._horizontal_crossings(y, elist, cfg.delta_for(Y)) == []
-        with pytest.raises(CutoffExceeded, match="m-line window too large"):
-            integrate_horizontal(1e250, BumpSpec.indicator(-0.5, 0.5), cfg, Y,
-                                 unsafe=True)
+        res = integrate_horizontal(1e250, BumpSpec.indicator(-0.5, 0.5), cfg, Y,
+                                   unsafe=True)
+        assert res.integral == 0.0 and 0.0 <= res.error < 1e-300
 
 
 class TestGoldenIntegrals:

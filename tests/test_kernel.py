@@ -21,7 +21,7 @@ from cuspkernel import (
     pair_invariant,
     residual_certificate,
 )
-from cuspkernel import kernel, modgroup
+from cuspkernel import kernel, modgroup, oracle
 from cuspkernel.kernel import offdiagonal_sum_bound
 from cuspkernel.modgroup import (
     coset_arrays,
@@ -42,6 +42,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "kernel_regimes.txt"
 
 def rng(seed=20250809):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def direct(z, cfg):
+    """R_k(z, z) by the direct lattice sum at z itself: the cosets of z's
+    own lattice radius, with no reduction and no Lipschitz line."""
+    tol = 0.5 * cfg.tol
+    radius = kernel._lattice_radius(z, z, cfg.k, tol)
+    return kernel._checked(*kernel._sum_terms(z, z, cfg.k, tol, *radius),
+                           cfg.tol)
 
 
 class TestBTerm:
@@ -222,7 +231,7 @@ class TestBergmanR:
         with pytest.raises(CutoffExceeded):
             coset_arrays(z, 8.0)
         with pytest.raises(CutoffExceeded):
-            bergman_R(z, z, WeightConfig(1200))
+            direct(z, WeightConfig(1200))
 
     def test_a_long_row_is_enumerated_in_blocks(self):
         # w far below z puts 4e8 candidates d in row c = 1 of the table;
@@ -248,7 +257,7 @@ class TestBergmanR:
         g = GammaMatrix(-4, 1, 3, -1)  # reduces z_low into the standard domain
         img = moebius_apply(g, z_low)
         assert abs(img.x) <= 0.5 and img.x ** 2 + img.y ** 2 >= 1.0
-        a = bergman_R(z_low, z_low, cfg)
+        a = direct(z_low, cfg)
         b = bergman_R(img, img, cfg)
         assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound + 1e-11
 
@@ -304,10 +313,10 @@ class TestBergmanR:
         # list of one Python float (32 bytes) per term
         z = Point(0.0, 3000.0)
         cfg = WeightConfig(12)
-        bergman_R(z, z, cfg)
+        direct(z, cfg)
         tracemalloc.start()
         try:
-            res = bergman_R(z, z, cfg)
+            res = direct(z, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -320,10 +329,10 @@ class TestBergmanR:
         # at a time for libm (about 190 bytes a coset)
         z = Point(0.159202, 0.080638)
         cfg = WeightConfig(12, 1e-12)
-        bergman_R(z, z, cfg)
+        direct(z, cfg)
         tracemalloc.start()
         try:
-            res = bergman_R(z, z, cfg)
+            res = direct(z, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -452,29 +461,38 @@ class TestArrayCosetLoop:
 
 
 def scalar_radii(points, k, tol):
-    """_lattice_radius(z, z, k, tol) at each point, as (R0, tail) pairs, or
-    the first CutoffExceeded among them, as (message, tail)."""
-    try:
-        return [kernel._lattice_radius(z, z, k, tol) for z in points]
-    except CutoffExceeded as exc:
-        return str(exc), exc.best_tail_bound
+    """_lattice_radius(z, z, k, tol) at each point, as an (R0, tail) pair,
+    or None where it raises CutoffExceeded."""
+    out = []
+    for z in points:
+        try:
+            out.append(kernel._lattice_radius(z, z, k, tol))
+        except CutoffExceeded:
+            out.append(None)
+    return out
 
 
 def array_radii(points, k, tol):
     """kernel._lattice_radii at the points in one batch, in the terms of
-    scalar_radii."""
+    scalar_radii: None where both R0 and the tail are nan."""
     x, y = np.array([[z.x, z.y] for z in points]).T
-    try:
-        R0, tail = kernel._lattice_radii(x, y, k, tol)
-    except CutoffExceeded as exc:
-        return str(exc), exc.best_tail_bound
-    return list(zip(R0.tolist(), tail.tolist()))
+    R0, tail = kernel._lattice_radii(x, y, k, tol)
+    assert (np.isnan(R0) == np.isnan(tail)).all()
+    return [None if math.isnan(r) else (r, t)
+            for r, t in zip(R0.tolist(), tail.tolist())]
+
+
+def scalar_error(z, k, tol):
+    """The message of the CutoffExceeded that _lattice_radius raises."""
+    with pytest.raises(CutoffExceeded) as exc:
+        kernel._lattice_radius(z, z, k, tol)
+    return str(exc.value)
 
 
 class TestArrayLatticeRadius:
     # _lattice_radii must give each point of a batch its own
-    # _lattice_radius(z, z, k, tol), R0 and tail equal (==), or raise the
-    # CutoffExceeded of the first point that raises one
+    # _lattice_radius(z, z, k, tol), R0 and tail equal (==), or nan in both
+    # where that raises CutoffExceeded
 
     @pytest.mark.parametrize("k", [12, 24, 48, 400, 1200, 1600])
     def test_random_points(self, k):
@@ -516,18 +534,22 @@ class TestArrayLatticeRadius:
         # at 0.1+1e-160i the squared shortest vector is subnormal and the
         # lattice-point count overflows, so the bound is not representable
         low = Point(0.1, 1e-160)
-        want = scalar_radii([low], k, 0.5e-9)
-        assert "not representable" in want[0]
+        assert "not representable" in scalar_error(low, k, 0.5e-9)
         for points in ([low], [BULK, low, I_PT], [low, BULK]):
+            want = scalar_radii(points, k, 0.5e-9)
+            assert want[points.index(low)] is None
             assert array_radii(points, k, 0.5e-9) == want
 
-    def test_the_first_failure_is_raised(self):
+    def test_each_failure_is_marked(self):
         # 0.1+1e300i at k 12 is out of reach with a finite tail, 0.1+1e-160i
-        # not representable: a batch raises what its first one raises
+        # not representable: each reads nan in a batch, and the other
+        # points of the batch keep their radii
         high, low = Point(0.1, 1e300), Point(0.1, 1e-160)
-        assert "not reachable" in scalar_radii([high], 12, 0.5e-9)[0]
-        for points in ([BULK, high, low], [low, high], [high, BULK, low]):
+        assert "not reachable" in scalar_error(high, 12, 0.5e-9)
+        for points in ([BULK, high, low], [low, high], [high, BULK, low],
+                       [BULK, high, I_PT]):
             want = scalar_radii(points, 12, 0.5e-9)
+            assert want.count(None) == len({high, low} & set(points))
             assert array_radii(points, 12, 0.5e-9) == want
 
     @pytest.mark.parametrize("y", [1e300, 1e305, 2e307, 3e307, 1.7e308])
@@ -663,16 +685,20 @@ class TestExactSum:
 
 class TestGoldenRegimes:
     # repr of each result, recorded before the terms of a sum were
-    # evaluated in one array pass: a low point with 65k cosets, a single
-    # c = 0 line of 213k terms, an off-diagonal pair, and the weight-4
-    # off-identity sum behind residual_certificate at three points of F_delta
+    # evaluated in one array pass: the direct sum at a low point with 65k
+    # cosets and on a single c = 0 line of 213k terms, an off-diagonal
+    # pair, and the weight-4 off-identity sum behind residual_certificate
+    # at three points of F_delta; then bergman_R at the same two points,
+    # where it reduces the low point and sums the line by Lipschitz
     CASES = {
-        "low": lambda: bergman_R(
-            Point(0.1, 0.12), Point(0.1, 0.12), WeightConfig(12, 1e-12)),
-        "line_3000i": lambda: bergman_R(
-            Point(0.0, 3000.0), Point(0.0, 3000.0), WeightConfig(12)),
+        "low": lambda: direct(Point(0.1, 0.12), WeightConfig(12, 1e-12)),
+        "line_3000i": lambda: direct(Point(0.0, 3000.0), WeightConfig(12)),
         "offdiag": lambda: bergman_R(
             Point(0.13, 1.1), Point(-0.21, 0.9), WeightConfig(24, 1e-12)),
+        "low_reduced": lambda: bergman_R(
+            Point(0.1, 0.12), Point(0.1, 0.12), WeightConfig(12, 1e-12)),
+        "line_3000i_lipschitz": lambda: bergman_R(
+            Point(0.0, 3000.0), Point(0.0, 3000.0), WeightConfig(12)),
     }
     for i, z in enumerate([Point(0.13, 1.1), Point(-0.31, 1.45), Point(0.42, 2.3)]):
         CASES[f"offdiagonal_sum_bound_{i}"] = lambda z=z: offdiagonal_sum_bound(z)
@@ -685,6 +711,100 @@ class TestGoldenRegimes:
     def test_bit_identical(self, name):
         want = dict(line.split(" ", 1) for line in GOLDEN.read_text().splitlines())
         assert repr(self.CASES[name]()) == want[name]
+
+
+def identity_line(y, k, tol):
+    """The identity coset's line of the diagonal half sum at height y by
+    the direct window of the scalar coset loop, at the line budget tol / 4
+    of a one-coset table: (sum, tail, terms)."""
+    z = Point(0.0, y)
+    rows, counts, tail = kernel._scalar_lines([(0, 1, 1.0)], z, z, k,
+                                              0.25 * tol, 0.0, False)
+    n = sum(counts)
+    return kernel._term_sums(rows, counts, k, False, n), tail + n * 5e-324, n
+
+
+def r12_oracle(z):
+    """R_12(z, z) = (8 pi / 11) y^12 |Delta(z)|^2 / <Delta, Delta> from the
+    q-expansion and the Petersson formula, which share no code with the
+    kernel."""
+    norm = oracle.petersson_norm_delta(1e-10)
+    with mp.workdps(30):
+        r = (8 * mp.pi / 11 * mp.mpf(z.y) ** 12
+             * abs(oracle.eval_delta_mp(z)) ** 2 / mp.mpf(norm.value))
+        return float(r)
+
+
+class TestDiagonalRoutes:
+    # on the diagonal, bergman_R reduces a point whose table is large or out
+    # of reach, and sums a line that holds the whole table by Lipschitz's
+    # series where that is the shorter; both must agree with the direct sum
+
+    @pytest.mark.parametrize("k", [12, 24, 48])
+    def test_low_points_against_the_direct_sum(self, k):
+        gen = rng(k)
+        cfg = WeightConfig(k, 1e-10)
+        for _ in range(3):
+            z = Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.06, 0.14)))
+            res, want = bergman_R(z, z, cfg), direct(z, cfg)
+            assert res.cosets_used < want.cosets_used  # taken at the reduction
+            assert abs(res.value - want.value) <= res.tail_bound + want.tail_bound
+
+    @pytest.mark.parametrize("k", [12, 24, 48, 400])
+    def test_lipschitz_against_the_direct_line(self, k):
+        # y 3-60 at tol 1e-13, where both are sharp; each line is summed to
+        # within its tail, and each takes rounding of a few k eps relative
+        # (measured up to 5 k eps): the series from logarithms of size up to
+        # k log(4 pi y), the direct window from its terms' phases
+        eps = 2.0 ** -52
+        for y in np.geomspace(3.0, 60.0, 12).tolist():
+            want, tail, _ = identity_line(y, k, 1e-13)
+            got, lip_tail, _, cosets = kernel._lipschitz_line(y, k, 1e-13, 0.0)
+            assert cosets == 1
+            allowance = 8 * k * eps * max(1.0, abs(want))
+            assert abs(got - want) <= tail + lip_tail + allowance
+
+    @pytest.mark.parametrize("y", [0.05, 20.0, 3000.0, 1e5])
+    def test_weight_12_against_the_oracle(self, y):
+        # 0.05i is S(20i), and R_12(z, z) is invariant under S; the
+        # q-series converges at 20i, not at 0.05i
+        res = bergman_R(Point(0.0, y), Point(0.0, y), WeightConfig(12))
+        want = r12_oracle(Point(0.0, max(y, 1.0 / y)))
+        assert res.tail_bound <= 1e-9
+        assert abs(res.value - want) <= res.tail_bound
+
+    def test_batch_is_bergman_R_on_every_route(self):
+        # at k 24: small tables (0.7 <= y <= 8), low points that reduce and
+        # lines summed by Lipschitz (y >= 10); at k 1200 also 0.1+4i, whose
+        # table holds the identity coset alone but whose direct window is
+        # the shorter.  0.1+1e-12i, whose reduction loses the point, raises
+        # in a batch what bergman_R raises there
+        cfg = WeightConfig(24, 1e-10)
+        points = [Point(0.13, 1.1), Point(-0.4, 0.7), Point(0.3, 0.05),
+                  Point(2.2, 0.11), Point(0.0, 12.0), Point(-0.3, 250.0),
+                  Point(0.25, 7.5), Point(0.1, 0.3)]
+        routes = {"reduced": 0, "lipschitz": 0}
+        for p in points:
+            res = bergman_R(p, p, cfg)
+            routes["reduced"] += p.y < 0.5
+            routes["lipschitz"] += res.terms_used <= 2 and res.cosets_used == 1
+        assert routes == {"reduced": 3, "lipschitz": 2}
+        for k, batch in ((24, points), (1200, [Point(0.1, 4.0), *points])):
+            k_cfg = WeightConfig(k, 1e-10)
+            x, y = np.array([[p.x, p.y] for p in batch]).T
+            values, tails = kernel.bergman_R_diagonal(x, y, k_cfg)
+            want = [bergman_R(p, p, k_cfg) for p in batch]
+            assert repr(values.tolist()) == repr([r.value for r in want])
+            assert repr(tails.tolist()) == repr([r.tail_bound for r in want])
+        lost = Point(0.1, 1e-12)
+        with pytest.raises(CutoffExceeded) as one:
+            bergman_R(lost, lost, cfg)
+        x, y = np.array([[p.x, p.y] for p in [*points, lost]]).T
+        with pytest.raises(CutoffExceeded) as batch:
+            kernel.bergman_R_diagonal(x, y, cfg)
+        assert "lost the point" in str(one.value)
+        assert (str(batch.value), batch.value.best_tail_bound) == (
+            str(one.value), math.inf)
 
 
 class TestMainTerm:
