@@ -21,7 +21,7 @@ certificate:
 On the diagonal bergman_R takes one of three routes (_diagonal), after the
 lattice radius R0 of z:
   * a point whose radius is out of reach, or whose table would hold
-    ARRAY_MIN_COSETS cosets or more, is evaluated at reduce_to_domain(z),
+    REDUCTION_MIN_COSETS cosets or more, is evaluated at reduce_to_domain(z),
     as R_k(gz, gz) = R_k(z, z): a low point with 14k-97k cosets at
     weight 12 becomes one with a few hundred;
   * where the table holds the identity coset alone (R0 < y^2), its
@@ -33,16 +33,15 @@ lattice radius R0 of z:
   * every other point, and every pair off the diagonal, is the direct sum
     below.
 
-The coset loop prunes, sizes each m-line window and adds the tails; it
-records each line as one row.  It has two forms, chosen by the expected
-size of the coset table: below ARRAY_MIN_COSETS (every weight-1200 call)
-a scalar loop over coset_table, from it one array pass over coset_arrays.
-Both give the same bits: numpy does only exactly rounded arithmetic, and
-every exp, log, log1p, atan2 and square is libm's, mapped over the array
-one Python float at a time; the array pass takes its top rows from one
-integer extended Euclid over all its cosets (solve_top_row on arrays).
-The terms of every row are then evaluated in numpy and summed exactly, so
-the result is order-independent and deterministic.  A sum of
+The coset loop (_array_lines) prunes, sizes each m-line window and adds
+the tails, in array passes over the tables of coset_arrays; it records
+each line as one row.  Its bits are those of a scalar loop over one coset
+at a time, which the tests keep as its oracle: numpy does only exactly
+rounded arithmetic, every exp, log, log1p, atan2 and square is libm's,
+mapped over the array one Python float at a time, and the top rows come
+from one integer extended Euclid over all the cosets (solve_top_row on
+arrays).  The terms of every row are then evaluated in numpy and summed
+exactly, so the result is order-independent and deterministic.  A sum of
 EXACT_SUM_MIN_TERMS terms or more is evaluated a _CHUNK of terms at a time,
 and each chunk goes into exact buckets by binary exponent (_exact_sums),
 with no Python float per term; a smaller sum is evaluated in one pass and
@@ -73,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -89,10 +89,8 @@ from .halfplane import (
 from .modgroup import (
     MAX_COSETS,
     coset_arrays,
-    coset_table,
     min_displacement,
     reduce_to_domain,
-    small_coset_arrays,
     solve_top_row,
     translate_into_strip,
 )
@@ -103,11 +101,12 @@ _TWO_PI = 2.0 * math.pi
 _MAX_LINE_TERMS = 5_000_000
 # most rounds of growth of one m-line window
 _MAX_GROWTH = 200
-# coset tables expected to hold this many cosets or more go through the
-# array coset loop (_array_lines), smaller ones through the scalar one: at
-# about 100 cosets the two take the same time, and at the 6-8 cosets of a
-# weight-1200 call numpy's fixed set-up makes the array loop 10x slower
-ARRAY_MIN_COSETS = 100
+# a diagonal point whose coset table is expected to hold this many cosets
+# or more is summed at its reduction to the fundamental domain (_diagonal),
+# and takes that route on its own in a batch (bergman_R_diagonal); another
+# threshold would move points between the routes, and their values in the
+# last bits
+REDUCTION_MIN_COSETS = 100
 # a sum of this many terms or more goes through the exact numpy sum
 # (_exact_sums), a _CHUNK of terms at a time, smaller ones through
 # math.fsum: at about 2.5k terms the two take the same time (a weight-4
@@ -184,18 +183,6 @@ def _profile_constant(k: float) -> float:
     )
 
 
-def _side_tail(M: float, alpha: float, beta: float, k: float) -> float:
-    """Omitted mass of one m-line side beyond offset M > 0.
-
-    h(t) = 1 + (t^2+beta)/alpha is convex, so the terms at offsets
-    M, M+1, ... are bounded by f(M) + integral, and the integral by the
-    tangent-line comparison f(M) * alpha * h(M) / (M * (k-2)).
-    """
-    h = 1.0 + (M * M + beta) / alpha
-    f = math.exp(-0.5 * k * math.log(h))
-    return f * (1.0 + alpha * h / (M * (k - 2.0)))
-
-
 def _libm(f, *args):
     """f over arrays (or other iterables) one Python float at a time: every
     value is libm's, bit for bit, where numpy's own exp, log1p or arctan2
@@ -205,7 +192,12 @@ def _libm(f, *args):
 
 
 def _side_tails(M, alpha, beta, k: float):
-    """_side_tail over arrays, with the same bits."""
+    """Omitted mass of one m-line side beyond offset M > 0, over arrays.
+
+    h(t) = 1 + (t^2+beta)/alpha is convex, so the terms at offsets
+    M, M+1, ... are bounded by f(M) + integral, and the integral by the
+    tangent-line comparison f(M) * alpha * h(M) / (M * (k-2)).
+    """
     h = 1.0 + (M * M + beta) / alpha
     f = _libm(math.exp, -0.5 * k * _libm(math.log, h))
     return f * (1.0 + alpha * h / (M * (k - 2.0)))
@@ -296,52 +288,22 @@ def _per_value(f, a):
     return _libm(f, values)[np.searchsorted(values, a)]
 
 
-def _abs(re, im):
-    """abs(complex(re, im)) over arrays: libm's hypot, as Python's complex
-    abs, where math.hypot has its own rounding."""
-    return np.fromiter(map(abs, map(complex, re.tolist(), im.tolist())),
-                       np.float64, len(re))
-
-
 def _shortest_vectors_sq(x, y):
-    """_shortest_vector_sq at every point x + iy of two arrays, in lockstep
-    and with the same bits: the same reduction steps, with np.rint for
-    round (both round half to even) and _abs for abs.  Raises
-    ZeroDivisionError or OverflowError where some point's own reduction
-    would raise either."""
-    az = _abs(x, y)
-    swap = 1.0 > az  # abs(u) > abs(v) for u = 1, v = z: abs(1) is 1.0
+    """_shortest_vector_sq at every point x + iy of two float arrays, with
+    the same bits; a ZeroDivisionError or OverflowError of the scalar is
+    raised.
+
+    At a point of the strip |x| <= 1/2 with abs(z) >= 1 the scalar keeps
+    u = 1: its one step rounds x / 1 to 0, leaves v = z and stops, so its
+    result is 1.0.  Where x*x + y*y, three roundings of half an ulp each,
+    is 1 + 4 eps or more, |z| is above 1 + eps, so abs(z), libm's hypot,
+    within an ulp, is 1.0 or more: those points read 1.0, and the scalar
+    takes every other point, at most a few of a batch of the bulk."""
     out = np.ones(len(x))
-    # a point of the strip |x| <= 1/2 with abs(z) >= 1 keeps u = 1: its
-    # step rounds Re z / 1 to 0 and leaves v = z, so its result is 1.0
-    at = np.flatnonzero(swap | (np.abs(x) > 0.5))
-    if not at.size:
-        return out
-    swap, x, y, az = swap[at], x[at], y[at], az[at]
-    ur, ui, au = (np.where(swap, a, b) for a, b in ((x, 1.0), (y, 0.0),
-                                                     (az, 1.0)))
-    vr, vi, av = (np.where(swap, b, a) for a, b in ((x, 1.0), (y, 0.0),
-                                                     (az, 1.0)))
-    for _ in range(128):
-        num = vr * ur + vi * ui
-        den = ur * ur + ui * ui
-        if not den.all():
-            raise ZeroDivisionError("float division by zero")
-        m = np.rint(num / den)
-        if not np.isfinite(m).all():
-            raise OverflowError("cannot convert float infinity to integer")
-        vr, vi = vr - m * ur, vi - m * ui
-        # a step by m = 0 leaves v, and its abs, as they are
-        moved = np.flatnonzero(m)
-        av[moved] = _abs(vr[moved], vi[moved])
-        stop = av >= au
-        out[at[stop]] = den[stop]
-        go = ~stop
-        at, ur, ui, vr, vi, au, av = (at[go], vr[go], vi[go], ur[go], ui[go],
-                                      av[go], au[go])
-        if not at.size:
-            return out
-    out[at] = ur * ur + ui * ui
+    above_one = 1.0 + 4.0 * sys.float_info.epsilon
+    at = np.flatnonzero((np.abs(x) > 0.5) | (x * x + y * y < above_one))
+    out[at] = _libm(lambda a, b: _shortest_vector_sq(complex(a, b)),
+                    x[at], y[at])
     return out
 
 
@@ -433,112 +395,43 @@ def _lattice_radii(x, y, k: int, tol: float):
     return R0s, tails
 
 
-def _scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
-                  tail: float, offdiagonal: bool):
-    """The coset loop, one (c, d, Q) triple at a time in scalar libm
-    arithmetic.
-
-    A coset whose whole line is below tol_line is pruned; every other line
-    gets a window [m_lo, m_hi] grown until both side tails are below
-    tol_line / 2.  Each omitted mass is added to tail in coset order.
-    Returns (rows, counts, tail): six values per m-line segment, one after
-    another, (m_lo - terms before it, X0 - Re w, beta, alpha,
-    Im gz + Im w, arg(cz+d)), and each segment's term count; arg(cz+d) is
-    0.0 in an offdiagonal sum, which adds only magnitudes.
-    """
-    y, x = z.y, z.x
-    v, uw = w.y, w.x
-    ck = _profile_constant(k)
-    nhk = -0.5 * k
-    half_line = 0.5 * tol_line
-    u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
-
-    rows, counts = [], []
-    n_terms = 0
-
-    for c, d, Q in cosets:
-        vp = y / Q
-        alpha = 4.0 * v * vp
-        beta = (v - vp) ** 2
-        g_max = math.exp(nhk * math.log1p(beta / alpha))
-        lf = 2.0 + ck * (v + vp)
-        if g_max * lf <= tol_line:
-            tail += g_max * lf
-            continue
-        if c == 0:
-            X0 = x
-            argden = 0.0
-        else:
-            a0, _b0 = solve_top_row(c, d)
-            X0 = a0 / c - (c * x + d) / (c * Q)
-            # a sum of magnitudes never reads arg(cz+d)
-            argden = 0.0 if offdiagonal else math.atan2(c * y, c * x + d)
-        t0 = uw - X0
-        width_sq = alpha * u_cut - beta
-        width = math.sqrt(width_sq) if width_sq > 0.0 else 0.0
-        # the window below holds more than 2 * width - 1 terms
-        if 2.0 * width - 1.0 >= _MAX_LINE_TERMS:
-            raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
-        m_lo = math.ceil(t0 - width)
-        m_hi = math.floor(t0 + width)
-        # grow the window until both side tails fit the per-line budget;
-        # the pair computed last is that of the final window
-        for _ in range(_MAX_GROWTH):
-            grew = False
-            lo = _side_tail(t0 - (m_lo - 1), alpha, beta, k)
-            if lo > half_line:
-                m_lo -= max(4, (m_hi - m_lo + 1) // 2)
-                grew = True
-            hi = _side_tail((m_hi + 1) - t0, alpha, beta, k)
-            if hi > half_line:
-                m_hi += max(4, (m_hi - m_lo + 1) // 2)
-                grew = True
-            if not grew:
-                break
-        else:
-            raise CutoffExceeded("m-line window failed to converge",
-                                 best_tail_bound=tail)
-        tail += lo
-        tail += hi
-        if m_hi - m_lo + 1 > _MAX_LINE_TERMS:
-            raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
-        if offdiagonal and c == 0:
-            # the identity is not an off-diagonal term: skip m = 0
-            segments = ((m_lo, min(m_hi, -1)), (max(m_lo, 1), m_hi))
-        else:
-            segments = ((m_lo, m_hi),)
-        for lo_m, hi_m in segments:
-            if lo_m <= hi_m:
-                rows += (lo_m - n_terms, X0 - uw, beta, alpha, vp + v, argden)
-                counts.append(hi_m - lo_m + 1)
-                n_terms += hi_m - lo_m + 1
-    return rows, counts, tail
-
-
 def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
                  offdiagonal: bool):
-    """_scalar_lines over the coset tables of one or several pairs (z, w)
-    in array passes, with the same bits.
+    """The coset loop over the coset tables of one or several pairs (z, w),
+    in array passes.
 
-    cosets = (c, d, Q, owner): coset tables (coset_arrays or
-    small_coset_arrays) one after another, the cosets of pair j = owner[i]
-    (z = xs[j] + i ys[j], w = us[j] + i vs[j], with tol_lines[j] and starting
-    tail tails[j], all float arrays) contiguous and in increasing j, each
-    table's identity coset first.
-    numpy does only exactly rounded arithmetic (+ - * / sqrt, floor, ceil)
-    on values that are the scalar loop's; every exp, log, log1p, atan2 and
-    square goes through libm (_libm), and the top rows of all the cosets
-    through one call of solve_top_row on arrays, whose integer extended
-    Euclid gives each the scalar form's a.  Each pair's tail takes its
-    additions in the scalar loop's order (np.add.accumulate along one row
-    per pair, as long as the longest table): a pruned coset adds g_max lf,
-    a summed line lo, then hi.  Each window grows in rounds, hi's step
-    after lo's, as in the scalar loop.  The first coset that ends in CutoffExceeded is handed to
-    the scalar loop, which raises it with the same message and tail.
-    Returns (rows, counts, tails, terms): the rows and counts of every
-    pair's segments, pair after pair (the first column counts the terms
-    before a segment across all pairs), and arrays of each pair's tail and
-    each pair's number of terms.
+    cosets = (c, d, Q, owner) of coset_arrays: the cosets of pair
+    j = owner[i] (z = xs[j] + i ys[j], w = us[j] + i vs[j], with line
+    budget tol_lines[j] and starting tail tails[j], all float arrays)
+    contiguous and in increasing j, each table's identity coset first.
+    A coset whose whole line is below the budget is pruned and adds
+    g_max lf to the tail.  Every other line gets a window [m_lo, m_hi],
+    grown in rounds, lo's step and then hi's, until both side tails are
+    below half the budget, and adds lo, then hi.  Each pair's tail takes
+    its additions in coset order (np.add.accumulate along one row per
+    pair, as long as the longest table).
+
+    The bits are those of a loop over one coset at a time in scalar libm
+    arithmetic, which the tests keep as the oracle: numpy does only exactly
+    rounded arithmetic (+ - * / sqrt, floor, ceil) on values that are that
+    loop's; every exp, log, log1p, atan2 and square goes through libm
+    (_libm), and the top rows of all the cosets through one call of
+    solve_top_row on arrays, whose integer extended Euclid gives each the
+    scalar form's a.
+
+    The first coset whose line cannot be summed raises CutoffExceeded:
+    "m-line window too large" where its first window holds more than
+    2 width - 1 >= _MAX_LINE_TERMS terms, "failed to converge" where it is
+    still growing after _MAX_GROWTH rounds, and "too large" again where it
+    has grown past _MAX_LINE_TERMS terms.  best_tail_bound is its pair's
+    tail before the coset, with the coset's lo and hi added in the last
+    case.
+    Returns (rows, counts, tails, terms): six values per m-line segment,
+    one after another, (m_lo - terms before it across all pairs,
+    X0 - Re w, beta, alpha, Im gz + Im w, arg(cz+d)), and each segment's
+    term count, pair after pair, and arrays of each pair's tail and each
+    pair's number of terms; arg(cz+d) is 0.0 in an offdiagonal sum, which
+    adds only magnitudes.
     """
     c, d, Q, owner = cosets
     del cosets  # c, d and Q are soon replaced by their unpruned cosets
@@ -590,11 +483,10 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
     m_lo = np.ceil(t0 - width) + 0.0  # -0.0 to 0.0, as the scalar loop's ints
     m_hi = np.floor(t0 + width)
     lo, hi = np.zeros(len(c)), np.zeros(len(c))
-    # a line that is sure to end in CutoffExceeded; windows only grow, so
-    # one past _MAX_LINE_TERMS stops growing here (its ends stay exact)
-    bad = 2.0 * width - 1.0 >= _MAX_LINE_TERMS
+    # a window this wide ends the sum before it grows
+    wide = 2.0 * width - 1.0 >= _MAX_LINE_TERMS
     del width
-    grow = np.flatnonzero(~bad)
+    grow = np.flatnonzero(~wide)
     half_line = spread(half_lines, kept)
     for _ in range(_MAX_GROWTH):
         if not grow.size:
@@ -612,10 +504,10 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
         mhi = np.where(up, mhi + step, mhi)
         grew |= up
         lo[grow], hi[grow], m_lo[grow], m_hi[grow] = lo_g, hi_g, mlo, mhi
-        over = mhi - mlo + 1.0 > _MAX_LINE_TERMS
-        bad[grow[over]] = True
-        grow = grow[grew & ~over]
-    bad[grow] = True  # still growing after _MAX_GROWTH rounds
+        grow = grow[grew]
+    stuck = np.zeros(len(c), bool)
+    stuck[grow] = True  # still growing after _MAX_GROWTH rounds
+    bad = wide | stuck | (m_hi - m_lo + 1.0 > _MAX_LINE_TERMS)
 
     added[kept, 0] = lo
     added[kept, 1] = hi
@@ -633,13 +525,13 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
     if bad.any():
         b = np.flatnonzero(bad)[0]
         i = kept[b]
-        j = owner[i]
-        coset = (int(c[b]), int(d[b]), float(Q[b]))
-        z = Point(float(xs[j]), float(ys[j]))
-        w = Point(float(us[j]), float(vs[j]))
-        _scalar_lines([coset], z, w, k, float(tol_lines[j]),
-                      float(acc[j, 2 * pos[i]]), offdiagonal)
-        raise RuntimeError("the array coset loop lost a CutoffExceeded")
+        tail = float(acc[owner[i], 2 * pos[i]])  # before coset i
+        if stuck[b]:
+            raise CutoffExceeded("m-line window failed to converge",
+                                 best_tail_bound=tail)
+        if not wide[b]:
+            tail = float(acc[owner[i], 2 * pos[i] + 2])  # with its lo and hi
+        raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
     tails = acc[:, -1]
     del acc, pos, d, Q
 
@@ -754,10 +646,10 @@ def _exact_sums(chunks, n_rows: int) -> list:
     return sums
 
 
-def _term_sums(rows, counts, k: int, offdiagonal: bool, n_terms: int):
-    """The sum of the first n_terms terms of a line stage: the arithmetic
-    of one line, with each segment's values taken out to its terms
-    (_terms); a float in an offdiagonal sum, else a complex.
+def _term_sums(rows, counts, k: int, offdiagonal: bool):
+    """The sum of the terms of a line stage, counts[i] of them from segment
+    i: the arithmetic of one line, with each segment's values taken out to
+    its terms (_terms); a float in an offdiagonal sum, else a complex.
 
     A sum of EXACT_SUM_MIN_TERMS terms or more is evaluated and summed a
     _CHUNK of terms at a time, exactly in numpy (_exact_sums); a smaller
@@ -767,8 +659,9 @@ def _term_sums(rows, counts, k: int, offdiagonal: bool, n_terms: int):
     temporary that nothing else refers to."""
     tab = np.asarray(rows, dtype=np.float64)
     cols = tuple(tab[i::6] for i in range(6))
+    counts = np.asarray(counts)
+    n_terms = int(counts.sum())
     if n_terms >= EXACT_SUM_MIN_TERMS:
-        counts = np.asarray(counts)
         last = np.cumsum(counts)  # one past the last term of each segment
 
         def chunks():
@@ -784,7 +677,7 @@ def _term_sums(rows, counts, k: int, offdiagonal: bool, n_terms: int):
     else:
         vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k,
                       offdiagonal)
-        sums = [math.fsum(memoryview(v)[:n_terms]) for v in vals]
+        sums = [math.fsum(memoryview(v)) for v in vals]
     return sums[0] if offdiagonal else complex(*sums)
 
 
@@ -809,13 +702,13 @@ def _part_sums(rows, counts, k: int, ends):
     return sums
 
 
-def _array_sized(y, R0):
+def _worth_reducing(y, R0):
     """Whether the coset table of a point at height y and radius R0 is
-    expected to hold ARRAY_MIN_COSETS or more cosets: |cz+d|^2 <= R0 is an
-    ellipse of area pi R0 / y in the (c, d) plane, and 6/pi^2 of its
+    expected to hold REDUCTION_MIN_COSETS or more cosets: |cz+d|^2 <= R0 is
+    an ellipse of area pi R0 / y in the (c, d) plane, and 6/pi^2 of its
     lattice points are coprime, two to a +/- pair.  y and R0 are floats or
     arrays."""
-    return 3.0 * R0 / (math.pi * y) >= ARRAY_MIN_COSETS
+    return 3.0 * R0 / (math.pi * y) >= REDUCTION_MIN_COSETS
 
 
 def _sum_terms(z: Point, w: Point, k: int, tol: float, R0: float,
@@ -828,21 +721,14 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, R0: float,
     the value and the tail for the full group.  The sum is of t_g(z, w)^k,
     or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
     """
-    if not _array_sized(z.y, R0):
-        cosets = coset_table(z, R0)
-        n_cosets = len(cosets)
-        rows, counts, tail = _scalar_lines(
-            cosets, z, w, k, 0.25 * tol / n_cosets, tail, offdiagonal)
-        n_terms = sum(counts)
-    else:
-        c, d, Q = coset_arrays(z, R0)
-        n_cosets = len(c)
-        one = [np.array([a]) for a in (z.x, z.y, w.x, w.y)]
+    with np.errstate(all="ignore"):  # as Python's floats, which do not warn
+        cosets = coset_arrays(*np.array([[z.x], [z.y], [R0]]))
+        n_cosets = len(cosets[0])
         rows, counts, tails, terms = _array_lines(
-            (c, d, Q, np.zeros(n_cosets, np.int64)), *one, k,
+            cosets, *np.array([[z.x], [z.y], [w.x], [w.y]]), k,
             np.array([0.25 * tol / n_cosets]), np.array([tail]), offdiagonal)
-        tail, n_terms = float(tails[0]), int(terms[0])
-    total = _term_sums(rows, counts, k, offdiagonal, n_terms)
+    tail, n_terms = float(tails[0]), int(terms[0])
+    total = _term_sums(rows, counts, k, offdiagonal)
     # terms whose magnitude underflows to zero are each below 5e-324
     tail += n_terms * 5e-324
     return total, tail, n_terms, n_cosets
@@ -856,7 +742,7 @@ def _lipschitz_shorter(y, k: int, tol: float):
 
     Both counts are closed forms.  The direct window starts 2 * 2y
     sqrt(u_cut) + 1 terms wide, u_cut = (b/8)^(-2/k) - 1 as in
-    _scalar_lines.  The series' terms sample the Gamma(k) density of rate
+    _array_lines.  The series' terms sample the Gamma(k) density of rate
     4 pi y, whose Chernoff tail exp(-k h(x)), h(x) = x - 1 - log x at
     x = 4 pi y n / k, falls below b once k (x - 1)^2 / (2x) >= L = -log b:
     from n = (k + L + sqrt(L^2 + 2 k L)) / (4 pi y) on.
@@ -904,7 +790,7 @@ def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
     (R0, tail) of z if it is known.
 
     * Where the radius cannot be reached, or puts the table at
-      ARRAY_MIN_COSETS cosets or more, the sum is taken at
+      REDUCTION_MIN_COSETS cosets or more, the sum is taken at
       reduce_to_domain(z), since R_k(gz, gz) = R_k(z, z).  A point of the
       domain comes back as the same object and stays.  Where the
       reduction loses the point, a reached radius keeps z, and else the
@@ -919,7 +805,7 @@ def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
         R0, tail = radius or _lattice_radius(z, w, k, tol)
     except CutoffExceeded as exc:
         lost = exc
-    if lost or _array_sized(z.y, R0):
+    if lost or _worth_reducing(z.y, R0):
         try:
             p = reduce_to_domain(z)
         except CutoffExceeded:
@@ -979,12 +865,12 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     |x| > 1/2, which is exact, and rint rounds half to even, as round
     does.  Their lattice radii come from one lockstep pass
     (_lattice_radii).  A point whose radius is out of reach, whose coset
-    table is large enough for the array coset loop, or whose translation
-    line takes Lipschitz's series, goes the way of bergman_R on its own,
+    table is large enough to be reduced, or whose translation line takes
+    Lipschitz's series, goes the way of bergman_R on its own,
     its radius passed on (_diagonal): the call's set-up is small beside
     its work.  The points with small tables (every weight-1200 point of
     the bulk) share the set-up instead: their coset tables come
-    from one small_coset_arrays pass, their cosets go through one
+    from one coset_arrays call, their cosets go through one
     _array_lines pass and their terms through one _part_sums pass, where a
     point whose sum holds one term (every bulk weight-1200 point) needs no
     fsum.  All of it runs under np.errstate, so a batch makes no numpy
@@ -1000,7 +886,7 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     values, tails = np.empty(len(x), complex), np.empty(len(x))
     with np.errstate(all="ignore"):
         radii, lattice_tails = _lattice_radii(x, y, k, tol)
-        own = (np.isnan(radii) | _array_sized(y, radii)
+        own = (np.isnan(radii) | _worth_reducing(y, radii)
                | (radii < y * y) & _lipschitz_shorter(y, k, tol))
         for j in np.flatnonzero(own).tolist():
             z = Point(float(x[j]), float(y[j]))
@@ -1011,7 +897,7 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
         at = np.flatnonzero(~own)
         if at.size:
             x, y = x[at], y[at]
-            cosets = small_coset_arrays(x, y, radii[at])
+            cosets = coset_arrays(x, y, radii[at])
             n_cosets = np.bincount(cosets[3], minlength=len(at))
             rows, counts, tail, terms = _array_lines(
                 cosets, x, y, x, y, k, 0.25 * tol / n_cosets,

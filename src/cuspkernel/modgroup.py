@@ -30,7 +30,7 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 # order-6 rotation fixing e^{i pi/3}
 U_GENERATOR = GammaMatrix(1, -1, 1, 0)
 
-# the most cosets a coset table may hold: about half a gigabyte of triples
+# the most cosets a coset table may hold: 96 MB of coset_arrays
 MAX_COSETS = 3_000_000
 
 # the most (c, d) candidates one block of coset_arrays rows may hold
@@ -197,41 +197,31 @@ def coset_row(c: int, z: Point, R: float) -> list:
     return row
 
 
-def coset_table(z: Point, R: float) -> list:
-    """Every translation coset with |cz+d|^2 <= R, as (c, d, Q) triples:
-    the identity coset (0, 1, 1.0) first, then coset_row(c, z, R) for
-    c = 1, 2, ... while c^2 y^2 <= R.  Raises CutoffExceeded as soon as a
-    row takes the table past MAX_COSETS."""
-    cosets = [(0, 1, 1.0)]
-    c = 1
-    r = math.sqrt(R)  # c y <= r, not c^2 y^2 <= R, which may overflow
-    while c * z.y <= r:
-        cosets += [(c, d, Q) for d, Q in coset_row(c, z, R)]
-        if len(cosets) > MAX_COSETS:
-            raise CutoffExceeded(
-                f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {R:.3e}")
-        c += 1
-    return cosets
-
-
 def _row_cosets(c, x, y, R):
-    """The cosets with |cz+d|^2 <= R of the rows c >= 1 (an array) of the
-    points x + iy, where x, y and R are scalars, for one point, or arrays
-    with one entry per row: yields (row, c, d, Q) arrays, a block of at
-    most _BLOCK_CANDIDATES candidates d at a time, row indexing the rows,
-    which come in order, each with its d increasing.  Every operation is
-    exactly rounded but the square (c y)^2, which goes through Python's
-    float power (libm pow), as in coset_row."""
+    """The cosets with |cz+d|^2 <= R of the rows c >= 1 (an int64 array) of
+    the points x + iy, where x, y and R are float arrays with one entry per
+    row: yields (row, c, d, Q) arrays, a block of at most _BLOCK_CANDIDATES
+    candidates d at a time, row indexing the rows, which come in order,
+    each with its d increasing.  Every operation is exactly rounded but the
+    square (c y)^2, which goes through Python's float power (libm pow), as
+    in coset_row.
+
+    A row of more than 4 MAX_COSETS candidates raises CutoffExceeded before
+    its count is cast to int64, where at R of about 1e300 it would not fit:
+    row 1 of the same table spans at least as many candidates but 2, each
+    coprime to 1 and, but for a few rounded at its ends, inside R."""
     cy2 = np.fromiter(map(pow, (c * y).tolist(), repeat(2)), np.float64,
                       len(c))
     rows = np.flatnonzero(cy2 <= R)
-    per_row = np.ndim(R) > 0
-    c, cx, cy2 = c[rows], (c * x)[rows], cy2[rows]
-    if per_row:
-        R = R[rows]
+    c, cx, cy2, R = c[rows], (c * x)[rows], cy2[rows], R[rows]
     s = np.sqrt(R - cy2)
     d_lo = np.ceil(-cx - s)
-    counts = np.maximum(np.floor(-cx + s) - d_lo + 1.0, 0.0).astype(np.int64)
+    counts = np.maximum(np.floor(-cx + s) - d_lo + 1.0, 0.0)
+    if counts.max(initial=0.0) > 4 * MAX_COSETS:
+        wide = R[np.argmax(counts > 4 * MAX_COSETS)]
+        raise CutoffExceeded(
+            f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {wide:.3e}")
+    counts = counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
     total = int(counts.sum())
     for j0 in range(0, total, _BLOCK_CANDIDATES):
@@ -243,64 +233,76 @@ def _row_cosets(c, x, y, R):
         row, c_j, d = row[keep], c_j[keep], d[keep]
         t = cx[row] + d
         Q = t * t + cy2[row]
-        keep = Q <= (R[row] if per_row else R)
+        keep = Q <= R[row]
         yield rows[row[keep]], c_j[keep], d[keep], Q[keep]
 
 
-def coset_arrays(z: Point, R: float):
-    """coset_table(z, R) as three arrays, c and d (int64) and Q (float64),
-    in the same order and with the same bits.
+def _row_blocks(y, r):
+    """The rows c >= 1 with c y <= r of the points of heights y and radii
+    r = sqrt(R) (float arrays), as (owner, c) int64 arrays, a block at a
+    time, in order of owner and then of c.  A row holds at most
+    2 floor(r) + 3 candidates d and a table at most floor(r / y) + 1 rows,
+    so a block of at most _BLOCK_CANDIDATES candidates is several whole
+    tables or a run of rows of one larger table."""
+    width = 2.0 * np.floor(r) + 3.0
+    n_rows = np.floor(r / y) + 1.0
+    cost = n_rows * width
+    # a larger table counts as _BLOCK_CANDIDATES, so it stands alone; the
+    # costs are integers, summed exactly
+    starts = np.concatenate(
+        ([0.0], np.cumsum(np.minimum(cost, _BLOCK_CANDIDATES))))
+    j, c0 = 0, 1
+    while j < len(y):
+        if cost[j] > _BLOCK_CANDIDATES:  # rows c0, c0 + 1, ... of table j
+            step = max(1, int(_BLOCK_CANDIDATES // width[j]))
+            owner, c = np.full(step, j), np.arange(c0, c0 + step)
+            c0 += step
+            if c0 > n_rows[j]:
+                j, c0 = j + 1, 1
+        else:  # the whole tables j, j + 1, ..., e - 1
+            e = int(np.searchsorted(starts, starts[j] + _BLOCK_CANDIDATES,
+                                    "right")) - 1
+            m = n_rows[j:e].astype(np.int64)
+            owner = np.arange(j, e).repeat(m)
+            c = np.arange(1, len(owner) + 1) - (np.cumsum(m) - m).repeat(m)
+            j = e
+        keep = c * y[owner] <= r[owner]
+        yield owner[keep], c[keep]
 
-    The rows are taken a block at a time (a block of rows, or a slice of
-    one long row, of at most _BLOCK_CANDIDATES candidates d), each block's
-    gcd filter and Q in one numpy pass (_row_cosets).  Raises
-    CutoffExceeded as soon as a block takes the table past MAX_COSETS.
+
+def coset_arrays(x, y, R):
+    """Every translation coset with |cz+d|^2 <= R of each point z = x + iy,
+    for float arrays x, y and R of one entry per point, one table after
+    another: four arrays, c and d (int64), Q = |cz+d|^2 (float64) and the
+    index of each coset's point (int64).  A table is the identity coset
+    (0, 1, 1.0), then coset_row(c, z, R) for c = 1, 2, ... while
+    c y <= sqrt(R), with the same bits; the canonical top row of a coset is
+    solve_top_row(c, d).
+
+    The rows are taken a block at a time (_row_blocks: several small
+    tables, a run of rows of one table or a slice of one long row, of at
+    most _BLOCK_CANDIDATES candidates d), each block's gcd filter and Q in
+    one numpy pass (_row_cosets).  Raises CutoffExceeded as soon as a block
+    takes a table past MAX_COSETS, or a row spans more than 4 MAX_COSETS
+    candidates.
     """
-    r = math.sqrt(R)
-    # a row holds at most 2 sqrt(R) + 1 candidates d
-    step = max(1, _BLOCK_CANDIDATES // (2 * math.floor(r) + 3))
-    cs, ds, qs = [np.zeros(1, np.int64)], [np.ones(1, np.int64)], [np.ones(1)]
-    n, c0 = 1, 1
-    while True:
-        c = np.arange(c0, c0 + step, dtype=np.int64)
-        c = c[c * z.y <= r]  # a prefix: c y grows with c
-        last = len(c) < step
-        for _, c_j, d, Q in _row_cosets(c, z.x, z.y, R):
-            cs.append(c_j)
-            ds.append(d)
-            qs.append(Q)
-            n += len(Q)
-            if n > MAX_COSETS:
-                raise CutoffExceeded(
-                    f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {R:.3e}")
-        if last:
-            return np.concatenate(cs), np.concatenate(ds), np.concatenate(qs)
-        c0 += step
-
-
-def small_coset_arrays(x, y, Rs):
-    """coset_table(z, R) for each point z = x + iy of the float arrays x
-    and y and radius R of the array Rs, one table after another, as four
-    arrays: c and d (int64), Q (float64) and the index of each coset's
-    point (int64); the same cosets in the same order with the same bits.
-    Every row of every table goes through one _row_cosets pass, so the
-    tables must be small: no table is checked against MAX_COSETS, and a
-    point with rows 1 to C holds about C^2 y cosets or more."""
     n = len(x)
-    r = np.sqrt(Rs)
-    # rows c = 1, 2, ... while c y <= r: at most floor(r / y) + 1 of them
-    n_rows = np.floor(r / y).astype(np.int64) + 1
-    owner = np.arange(n).repeat(n_rows)
-    c = np.arange(len(owner)) - (np.cumsum(n_rows) - n_rows)[owner] + 1
-    rows = np.flatnonzero(c * y[owner] <= r[owner])
-    c, owner = c[rows], owner[rows]
-    # each table's identity coset (0, 1, 1.0) first, then its rows
+    held = np.ones(n, np.int64)  # cosets of each table so far
+    # each table's identity coset
     parts = [(np.arange(n), np.zeros(n, np.int64), np.ones(n, np.int64),
               np.ones(n))]
-    parts += [(owner[row], c_j, d, Q) for row, c_j, d, Q in
-              _row_cosets(c, x[owner], y[owner], Rs[owner])]
+    for owner, c in _row_blocks(y, np.sqrt(R)):
+        for row, c_j, d, Q in _row_cosets(c, x[owner], y[owner], R[owner]):
+            row = owner[row]
+            parts.append((row, c_j, d, Q))
+            held += np.bincount(row, minlength=n)
+            over = np.flatnonzero(held > MAX_COSETS)
+            if over.size:
+                raise CutoffExceeded(
+                    f"more than {MAX_COSETS} cosets with "
+                    f"|cz+d|^2 <= {R[over[0]]:.3e}")
     owner, c, d, Q = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(owner, kind="stable")
+    order = np.argsort(owner, kind="stable")  # two sorted runs
     return c[order], d[order], Q[order], owner[order]
 
 
@@ -316,7 +318,9 @@ def _orbit_points_in_strip(z0: Point, q_max: int, order: int,
     """
     tol = 1e-9
     found = {}
-    for c, d, _ in coset_table(z0, q_max + 0.5):
+    cs, ds, _, _ = coset_arrays(np.array([z0.x]), np.array([z0.y]),
+                                np.array([q_max + 0.5]))
+    for c, d in zip(cs.tolist(), ds.tolist()):
         a, b = solve_top_row(c, d)
         g0 = GammaMatrix(a, b, c, d)
         base = moebius_apply(g0, z0)

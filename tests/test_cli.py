@@ -240,6 +240,16 @@ class TestDumpCommands:
         assert lines[0] == "x,y,stab_order,gen_a,gen_b,gen_c,gen_d"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("Y", ["1e16", "1e300"])
+    def test_an_orbit_past_the_coset_cap_is_a_cutoff(self, Y):
+        # the orbit of i below height sqrt(3)/(2Y) has about 2Y/sqrt(3)
+        # candidates d in row c = 1 of its coset table: at 1e16 a table
+        # past the cap, at 1e300 a count past int64's range.  Each must end
+        # in the cap's CutoffExceeded, in a child limited to 2 GB of
+        # address space, where building the row would end in MemoryError
+        rc, _, err = fresh_process(["elliptic", "--Y", Y], address_space=2 << 30)
+        assert rc == 3 and err.startswith("cutoff exceeded: more than 3000000")
+
     def test_coeffs(self, capsys):
         rc, out, _ = run(capsys, "coeffs", "--n", "5")
         lines = out.strip().splitlines()
@@ -304,13 +314,24 @@ def without_timings(text):
     return re.sub(r'"wall_time_ms": [^,\n]*', '"wall_time_ms": -', text)
 
 
-def fresh_process(argv):
-    """(exit code, stdout, stderr) of the command line in a new interpreter."""
+def fresh_process(argv, address_space=None):
+    """(exit code, stdout, stderr) of the command line in a new interpreter,
+    with at most address_space bytes of virtual memory if it is given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    limit = None
+    if address_space is not None:
+        resource = pytest.importorskip("resource")
+        # a BLAS thread pool reserves address space per core
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (address_space, address_space))
     proc = subprocess.run([sys.executable, "-m", "cuspkernel.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=limit)
     return proc.returncode, without_timings(proc.stdout), proc.stderr
 
 

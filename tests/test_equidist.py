@@ -137,7 +137,7 @@ class TestBatchedDensity:
         points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.9, 2.2)))
                   for _ in range(n)]
         cfg = WeightConfig(k, tol)
-        sized = [kernel._array_sized(p.y, kernel._lattice_radius(p, p, k, 0.5 * tol)[0])
+        sized = [kernel._worth_reducing(p.y, kernel._lattice_radius(p, p, k, 0.5 * tol)[0])
                  for p in points]
         # both coset regimes at k 24: small tables share one array pass,
         # large ones are bergman_R calls of their own

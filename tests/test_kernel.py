@@ -1,7 +1,10 @@
 """Tests for the certified kernel evaluation and its analytic contracts."""
 
 import math
+import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,19 +28,21 @@ from cuspkernel import kernel, modgroup, oracle
 from cuspkernel.kernel import offdiagonal_sum_bound
 from cuspkernel.modgroup import (
     coset_arrays,
-    coset_table,
     elliptic_points_in_strip,
     reduce_to_domain,
 )
 
-from test_modgroup import brute_force_sl2
+from coset_oracle import coset_table, scalar_lines
+from test_modgroup import brute_force_sl2, one_table
 from test_halfplane import random_gamma, random_point
 
 I_PT = Point(0.0, 1.0)
 BULK = Point(0.13, 1.1)
+SQRT3_2 = math.sqrt(3.0) / 2.0
 # the weights of acceptance criterion 3
 SWEEP = (200, 400, 800, 1600)
 GOLDEN = Path(__file__).resolve().parent / "golden" / "kernel_regimes.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def rng(seed=20250809):
@@ -224,12 +229,12 @@ class TestBergmanR:
         n = len(coset_table(z, 8.0))
         monkeypatch.setattr(modgroup, "MAX_COSETS", n)
         assert len(coset_table(z, 8.0)) == n
-        assert len(coset_arrays(z, 8.0)[0]) == n
+        assert len(one_table(z, 8.0)) == n
         monkeypatch.setattr(modgroup, "MAX_COSETS", n - 1)
         with pytest.raises(CutoffExceeded):
             coset_table(z, 8.0)
         with pytest.raises(CutoffExceeded):
-            coset_arrays(z, 8.0)
+            one_table(z, 8.0)
         with pytest.raises(CutoffExceeded):
             direct(z, WeightConfig(1200))
 
@@ -349,18 +354,16 @@ class TestBergmanR:
 
 
 def one_pair_array_lines(cosets, z, w, k, tol_line, tail, offdiagonal):
-    """_array_lines on the table of one pair, in _scalar_lines's terms."""
-    c, d, Q = cosets
+    """_array_lines on the table of one pair, in scalar_lines's terms."""
     rows, counts, tails, _ = kernel._array_lines(
-        (c, d, Q, np.zeros(len(c), np.int64)),
-        *np.array([[z.x], [z.y], [w.x], [w.y]]), k, np.array([tol_line]),
-        np.array([tail]), offdiagonal)
+        cosets, *np.array([[z.x], [z.y], [w.x], [w.y]]), k,
+        np.array([tol_line]), np.array([tail]), offdiagonal)
     return rows, counts, float(tails[0])
 
 
 def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
-    """The scalar and the array coset loop, each called directly on its own
-    table of the radius _sum_terms picks: per stage, the repr of
+    """The scalar oracle and the array coset loop, each called directly on
+    its own table of the radius _sum_terms picks: per stage, the repr of
     (rows, counts, tail), or of the CutoffExceeded it raised.  None for a
     table of more than max_cosets."""
     R0, tail = kernel._lattice_radius(z, w, k, tol)
@@ -369,8 +372,9 @@ def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
         return None
     tol_line = 0.25 * tol / len(table)
     out = []
-    for stage, cosets in ((kernel._scalar_lines, table),
-                          (one_pair_array_lines, coset_arrays(z, R0))):
+    for stage, cosets in ((scalar_lines, table),
+                          (one_pair_array_lines,
+                           coset_arrays(*np.array([[z.x], [z.y], [R0]])))):
         try:
             rows, counts, t = stage(cosets, z, w, k, tol_line, tail,
                                     offdiagonal)
@@ -393,7 +397,7 @@ def assert_same(scalar, array, case=None):
 
 
 class TestArrayCosetLoop:
-    # _array_lines must reproduce _scalar_lines bit for bit: the rows it
+    # _array_lines must reproduce scalar_lines bit for bit: the rows it
     # hands to the term pass, their counts and the tail, or the same
     # CutoffExceeded with the same tail
 
@@ -438,8 +442,8 @@ class TestArrayCosetLoop:
         z = Point(0.1, 0.3)
         R0, tail = kernel._lattice_radius(z, z, 12, 1e-12)
         table = coset_table(z, R0)
-        _, counts, _ = kernel._scalar_lines(table, z, z, 12, 0.25e-12 / len(table),
-                                            tail, False)
+        _, counts, _ = scalar_lines(table, z, z, 12, 0.25e-12 / len(table),
+                                    tail, False)
         assert counts[0] < max(counts)
         cap = (counts[0] + max(counts)) // 2
         monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", cap)
@@ -454,10 +458,73 @@ class TestArrayCosetLoop:
         monkeypatch.setattr(kernel, "_MAX_GROWTH", 1)
         R0, tail = kernel._lattice_radius(z, z, 12, 1e-12)
         tol_line = 0.25 * 1e-12 / len(coset_table(z, R0))
-        kernel._scalar_lines([(0, 1, 1.0)], z, z, 12, tol_line, tail, False)
+        scalar_lines([(0, 1, 1.0)], z, z, 12, tol_line, tail, False)
         scalar, array = both_line_stages(z, z, 12, 1e-12)
         assert "failed to converge" in scalar
         assert_same(scalar, array)
+
+    @pytest.mark.parametrize("z, w, k, tol, offdiagonal", [
+        (Point(0.1, 0.3), Point(0.1, 0.3), 12, 1e-12, False),
+        (BULK, Point(-0.2, 0.9), 24, 1e-10, True),
+    ])
+    def test_cutoffs_of_every_kind(self, monkeypatch, z, w, k, tol,
+                                   offdiagonal):
+        # term caps and growth limits across the windows of a table: a
+        # window too wide to start, one grown past the cap and one still
+        # growing when the rounds run out end the sum at the first such
+        # coset, with the same message and tail
+        messages = set()
+        for cap in (8, 40, 200, 1000):
+            for growth in (1, 2, 200):
+                monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", cap)
+                monkeypatch.setattr(kernel, "_MAX_GROWTH", growth)
+                scalar, array = both_line_stages(z, w, k, tol, offdiagonal)
+                assert_same(scalar, array, (cap, growth))
+                messages.add(scalar.split("'")[1] if "m-line" in scalar
+                             else None)
+        if not offdiagonal:
+            assert messages == {"m-line window too large",
+                                "m-line window failed to converge", None}
+
+    def test_a_window_past_the_cap_that_still_grows(self, monkeypatch):
+        # the identity line at 3i starts at n0 = 2 floor(width) + 1 terms,
+        # under a cap of n0 + 1, and grows by 8 terms or more in its one
+        # round: past the cap, but still growing, it fails to converge
+        z, k, tol_line = Point(0.0, 3.0), 12, 1e-14
+        width = 2.0 * z.y * math.sqrt((tol_line / 8.0) ** (-2.0 / k) - 1.0)
+        n0 = 2 * math.floor(width) + 1
+        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", n0 + 1)
+        monkeypatch.setattr(kernel, "_MAX_GROWTH", 1)
+        out = []
+        for stage, table in ((scalar_lines, [(0, 1, 1.0)]),
+                             (one_pair_array_lines, tuple(
+                                 np.array([a]) for a in (0, 1, 1.0, 0)))):
+            with pytest.raises(CutoffExceeded) as exc:
+                stage(table, z, z, k, tol_line, 0.5, False)
+            out.append((str(exc.value), exc.value.best_tail_bound))
+        assert out[0] == out[1] == ("m-line window failed to converge", 0.5)
+
+
+def test_the_coset_loop_under_the_avx2_dispatch():
+    # numpy's AVX-512 exp, log1p and arctan2 round some arguments apart
+    # from its AVX2 ones; the coset loop reads none of them, so its cases
+    # pass in a child whose numpy takes its AVX2 kernels, as on a host
+    # without AVX-512
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    probe = subprocess.run(
+        [sys.executable, "-W", "always::ImportWarning", "-c", "import numpy"],
+        capture_output=True, text=True, env=env, timeout=120)
+    if probe.returncode or "cannot disable" in probe.stderr:
+        pytest.skip(f"numpy cannot disable those features: {probe.stderr}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestArrayCosetLoop"],
+        capture_output=True, text=True, env=env, timeout=600,
+        cwd=Path(__file__).resolve().parent)
+    assert proc.returncode == 0, proc.stdout[-3000:]
 
 
 def scalar_radii(points, k, tol):
@@ -523,6 +590,30 @@ class TestArrayLatticeRadius:
         want = scalar_radii(points, 12, 1e-14)
         assert {R0 for R0, _ in want} == {8192.0, 16384.0}
         assert array_radii(points, 12, 1e-14) == want
+
+    def test_shortest_vectors_about_the_unit_circle(self):
+        # points of the strip within a few ulps of |z| = 1, where the
+        # array form reads 1.0 only above 1 + 4 eps, points off the strip
+        # and below the circle: the scalar's result, bit for bit
+        gen = rng(5)
+        t = gen.uniform(math.pi / 3, 2 * math.pi / 3, 2000)
+        ulps = gen.integers(-4, 5, (2, 2000))
+        x = np.cos(t) + ulps[0] * np.spacing(np.cos(t))
+        y = np.sin(t) + ulps[1] * np.spacing(np.sin(t))
+        # x*x + y*y rounds to 1.0 at these three, while abs(z) is 1 - 2^-53:
+        # the scalar swaps u and v, and returns that 1.0
+        edge = [(0.36683612976292995, 0.9302855765304301),
+                (0.37682398346386903, 0.9262848835463211),
+                (0.38929730660978396, 0.921112157701964)]
+        x = np.concatenate((x, [0.5, -0.5, 0.0], [a for a, _ in edge],
+                            gen.uniform(-3, 3, 300)))
+        y = np.concatenate((y, [SQRT3_2, SQRT3_2, 1.0], [b for _, b in edge],
+                            gen.uniform(0.05, 2.0, 300)))
+        got = kernel._shortest_vectors_sq(x, y).tolist()
+        want = [kernel._shortest_vector_sq(complex(a, b))
+                for a, b in zip(x.tolist(), y.tolist())]
+        assert got == want
+        assert 0 < sum(v == 1.0 for v in want) < len(want)
 
     def test_batches_of_one(self):
         for z in (BULK, I_PT, Point(-0.5, 0.3), Point(2.5, 0.07)):
@@ -596,9 +687,16 @@ def one_line_stage(z, k, tol):
     """(rows, counts) of the scalar coset loop of bergman_R(z, z) at k."""
     R0, tail = kernel._lattice_radius(z, z, k, tol)
     cosets = coset_table(z, R0)
-    rows, counts, _ = kernel._scalar_lines(
+    rows, counts, _ = scalar_lines(
         cosets, z, z, k, 0.25 * tol / len(cosets), tail, False)
     return rows, counts
+
+
+def first_terms(counts, n):
+    """The counts of a line stage cut to its first n > 0 terms."""
+    last = np.cumsum(counts)
+    i = int(np.searchsorted(last, n))  # the segment of term n - 1
+    return [*counts[:i], counts[i] - int(last[i] - n)]
 
 
 class TestExactSum:
@@ -662,7 +760,8 @@ class TestExactSum:
             sums = []
             for crossover in (1, math.inf):
                 monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
-                sums.append([kernel._term_sums(rows, counts, 8, offdiagonal, n)
+                sums.append([kernel._term_sums(rows, first_terms(counts, n), 8,
+                                               offdiagonal)
                              for n in ends])
             assert sums[0] == sums[1]
 
@@ -718,10 +817,10 @@ def identity_line(y, k, tol):
     the direct window of the scalar coset loop, at the line budget tol / 4
     of a one-coset table: (sum, tail, terms)."""
     z = Point(0.0, y)
-    rows, counts, tail = kernel._scalar_lines([(0, 1, 1.0)], z, z, k,
-                                              0.25 * tol, 0.0, False)
+    rows, counts, tail = scalar_lines([(0, 1, 1.0)], z, z, k, 0.25 * tol, 0.0,
+                                      False)
     n = sum(counts)
-    return kernel._term_sums(rows, counts, k, False, n), tail + n * 5e-324, n
+    return kernel._term_sums(rows, counts, k, False), tail + n * 5e-324, n
 
 
 def r12_oracle(z):

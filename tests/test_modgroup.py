@@ -1,6 +1,7 @@
 """Tests for coset enumeration, elliptic points, and displacement bounds."""
 
 import math
+import re
 import signal
 import time
 
@@ -22,14 +23,13 @@ from cuspkernel import (
 from cuspkernel import modgroup
 from cuspkernel.modgroup import (
     coset_arrays,
-    small_coset_arrays,
-    coset_table,
     reduce_to_domain,
     sample_bulk,
     solve_top_row,
     translate_into_strip,
 )
 
+from coset_oracle import coset_table
 from test_halfplane import random_gamma
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -37,6 +37,13 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 
 def rng(seed=20250809):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def one_table(z, R):
+    """coset_arrays of the one point z, as a list of (c, d, Q) triples."""
+    c, d, Q, owner = coset_arrays(*np.array([[z.x], [z.y], [R]]))
+    assert not owner.any()
+    return list(zip(c.tolist(), d.tolist(), Q.tolist()))
 
 
 def brute_force_sl2(entry_bound):
@@ -121,14 +128,15 @@ class TestCosetReps:
             (c, d) for c in range(1, 30) for d in range(-60, 61)
             if math.gcd(c, d) == 1 and abs(c * z.as_complex + d) ** 2 <= R
         }
-        table = coset_table(z, R)
-        assert table[0] == (0, 1, 1.0)
-        assert [(c, d) for c, d, _ in table] == sorted(want)
+        for table in (coset_table(z, R), one_table(z, R)):
+            assert table[0] == (0, 1, 1.0)
+            assert [(c, d) for c, d, _ in table] == sorted(want)
 
     @pytest.mark.parametrize("block", [None, 40])
     def test_arrays_match_the_table(self, monkeypatch, block):
-        # coset_arrays is coset_table as arrays, triple for triple and bit
-        # for bit, also when its rows are taken a few at a time
+        # coset_arrays of one point is the scalar coset_table as arrays,
+        # triple for triple and bit for bit, also when its rows are taken
+        # a few at a time
         if block is not None:
             monkeypatch.setattr(modgroup, "_BLOCK_CANDIDATES", block)
         gen = rng(17)
@@ -137,15 +145,18 @@ class TestCosetReps:
             z = Point(float(gen.uniform(-2.0, 2.0)), y)
             # at most about 3000 cosets, and now and then none past (0, 1)
             R = math.exp(gen.uniform(math.log(0.5), math.log(3000.0 * y)))
-            c, d, Q = coset_arrays(z, R)
-            assert (c.dtype, d.dtype, Q.dtype) == (np.int64, np.int64, np.float64)
+            c, d, Q, owner = coset_arrays(*np.array([[z.x], [z.y], [R]]))
+            assert ({a.dtype for a in (c, d, owner)} == {np.dtype(np.int64)}
+                    and Q.dtype == np.float64 and not owner.any())
             table = list(zip(c.tolist(), d.tolist(), Q.tolist()))
             assert repr(table) == repr(coset_table(z, R))
 
-    @pytest.mark.parametrize("block", [None, 40])
+    @pytest.mark.parametrize("block", [None, 40, 2000])
     def test_small_tables_match_the_table(self, monkeypatch, block):
-        # small_coset_arrays is coset_table of each point in turn, with the
-        # point's index, triple for triple and bit for bit
+        # coset_arrays of many points is coset_table of each point in turn,
+        # with the point's index, triple for triple and bit for bit: small
+        # tables that share a block, and at blocks of 2000 candidates now
+        # and then a large one that takes blocks of its own between them
         if block is not None:
             monkeypatch.setattr(modgroup, "_BLOCK_CANDIDATES", block)
         gen = rng(19)
@@ -154,10 +165,12 @@ class TestCosetReps:
             zs = [Point(float(gen.uniform(-2.0, 2.0)),
                         math.exp(gen.uniform(math.log(0.3), math.log(30.0))))
                   for _ in range(n)]
-            # up to about 100 cosets a point, and now and then none past (0, 1)
-            Rs = [math.exp(gen.uniform(math.log(0.5), math.log(100.0 * z.y)))
-                  for z in zs]
-            c, d, Q, owner = small_coset_arrays(
+            # up to about 100 cosets a point, or 3000 for one in ten, and
+            # now and then none past (0, 1)
+            Rs = [math.exp(gen.uniform(math.log(0.5), math.log(
+                (3000.0 if gen.uniform() < 0.1 else 100.0) * z.y)))
+                for z in zs]
+            c, d, Q, owner = coset_arrays(
                 np.array([z.x for z in zs]), np.array([z.y for z in zs]),
                 np.array(Rs))
             assert {a.dtype for a in (c, d, owner)} == {np.dtype(np.int64)}
@@ -165,6 +178,40 @@ class TestCosetReps:
             want = [(*t, j) for j, (z, R) in enumerate(zip(zs, Rs))
                     for t in coset_table(z, R)]
             assert repr(got) == repr(want)
+
+    def test_each_table_is_capped(self, monkeypatch):
+        # the cap holds per table: tables of at most n cosets each pass a
+        # cap of n, and a table of more cosets after them raises with its
+        # own radius
+        zs = [Point(0.1, 0.5), Point(-0.3, 0.7), Point(0.2, 0.05), Point(0.0, 1.0)]
+        Rs = [30.0, 40.0, 2.0, 100.0]
+        sizes = [len(coset_table(z, R)) for z, R in zip(zs, Rs)]
+        n = max(sizes[:-1])
+        assert sizes[-1] > n and sum(sizes[:-1]) > n
+        monkeypatch.setattr(modgroup, "MAX_COSETS", n)
+        x, y = np.array([[z.x, z.y] for z in zs]).T
+        coset_arrays(x[:-1], y[:-1], np.array(Rs[:-1]))
+        with pytest.raises(CutoffExceeded, match=r"more than \d+ cosets with "
+                           r"\|cz\+d\|\^2 <= 1\.000e\+02"):
+            coset_arrays(x, y, np.array(Rs))
+
+    @pytest.mark.parametrize("R", [1e16, 1e38, 1e300])
+    def test_a_row_past_the_cap_is_refused_before_it_is_built(self, R):
+        # row c = 1 of the table holds about 2 sqrt(R) candidates d: 2e8,
+        # then past int64's range; the count alone refuses the table.  A
+        # count cast out of range would drop each row and walk the 1e19 or
+        # 1e150 rows one by one: the timer ends that
+        def hung(signum, frame):
+            raise TimeoutError(f"no answer at R = {R} within 10 s")
+
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(CutoffExceeded, match=re.escape(f"<= {R:.3e}")):
+                one_table(Point(0.0, 1.0), R)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_same_pair_differs_by_translation(self):
         # canonical rep has 0 <= a < c, so any other valid (a', b') for the
