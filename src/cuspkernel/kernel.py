@@ -925,11 +925,13 @@ def offdiagonal_sum_bound(z: Point):
     off-identity kernel mass at any larger weight.
     """
     # the lattice sum is truncated at 5% of a guess of its size, refined
-    # twice; the returned value is certified whatever the guess.  For
-    # y >= 1 the c = 0 line alone gives a half-sum >= floor(2y)/2 >= y/2
-    # (each |m| <= 2y adds >= 1/4), so y/2 is a safe first guess and keeps
-    # the first pass within the coset cap at large heights
-    guess = max(1.0, 0.5 * z.y)
+    # twice; the returned value is certified whatever the guess, and only
+    # the first pass's cost depends on it.  The first guess is a closed-form
+    # estimate of the sum: in the bulk 24 = 2 * 4 pi / vol(Gamma \ H), the
+    # hyperbolic lattice-point mean, and from y of about 4 up 2 pi y, the
+    # integral of the c = 0 line, which dominates there.  It is capped so
+    # that it stays finite at every height
+    guess = min(max(24.0, _TWO_PI * z.y), 0.5 * sys.float_info.max)
     for _ in range(3):
         tol = 0.05 * max(guess, 1e-3)
         total, tail, _, _ = _sum_terms(

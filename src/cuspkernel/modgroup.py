@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -35,6 +36,9 @@ MAX_COSETS = 3_000_000
 
 # the most (c, d) candidates one block of coset_arrays rows may hold
 _BLOCK_CANDIDATES = 1 << 16
+
+# the most lines of lattice points that _fewest_cosets counts
+_BOUND_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,74 @@ def _row_blocks(y, r):
         yield owner[keep], c[keep]
 
 
+@functools.lru_cache(maxsize=1)
+def _totients(n: int):
+    """Euler's phi(m) for m = 0..n, as an int64 array, by a sieve."""
+    phi = np.arange(n + 1)
+    for p in range(2, n + 1):
+        if phi[p] == p:  # a prime
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def _fewest_cosets(x: float, y: float, R: float) -> float:
+    """A lower bound on the number of cosets in the coset table of radius R
+    of z = x + iy, as coset_arrays builds it.
+
+    The table holds one entry for each +/- pair of primitive vectors
+    cz + d of the lattice Z + Z z with |cz+d|^2 <= R.  Gauss-Lagrange
+    reduction of the form |cz+d|^2, in exact rationals, gives a primitive
+    vector b1 of least length.  The lattice is the union of the lines
+    m b2 + n b1 (n an integer) for a b2 completing the basis, the line m
+    at distance m h, h = y / |b1|, from 0, and its point n is primitive
+    when gcd(m, n) = 1.  For m >= 1 those are distinct pairs, and the
+    disk |w|^2 <= R' cuts a run of at least floor(l_m) consecutive n from
+    line m, l_m = 2 sqrt(R' - (m h)^2) / |b1|, of which at least
+    phi(m) floor(floor(l_m) / m) are coprime to m.  The bound sums these
+    over the first _BOUND_LINES lines.
+
+    R' = R (1 - 16 eps (1 + 1/y)) covers the rounding of the table's
+    |cz+d|^2 and row ends, whose error grows with c, up to sqrt(R)/y: each
+    vector with |cz+d|^2 <= R' is in the table.  Below Im z of about 4e-15
+    R' is not positive and the bound is 0.  The float steps after the
+    reduction take a slack of 1e-12, far above their rounding.
+    """
+    # imported here, on the rare way to a refused table: fractions takes
+    # about 4 ms of each process's start
+    from fractions import Fraction
+
+    R = R * (1.0 - 16.0 * sys.float_info.epsilon * (1.0 + 1.0 / y))
+    if not R > 0.0:
+        return 0.0
+    # the form A c^2 + 2 B c d + d^2 and its bilinear form, exactly
+    fx, fy = Fraction(x), Fraction(y)
+    A, B = fx * fx + fy * fy, fx
+
+    def dot(u, v):
+        return A * u[0] * v[0] + B * (u[0] * v[1] + u[1] * v[0]) + u[1] * v[1]
+
+    u, v = (0, 1), (1, 0)  # the vectors 1 and z
+    if dot(u, u) > dot(v, v):
+        u, v = v, u
+    while True:  # each swap lowers |u|^2, a multiple of 2^-2148: it ends
+        n = round(dot(u, v) / dot(u, u))
+        v = (v[0] - n * u[0], v[1] - n * u[1])
+        if dot(v, v) >= dot(u, u):
+            break
+        u, v = v, u
+    if u[0]:  # |b1| = y sqrt(t), t = |b1|^2 / y^2 in [1, 2 / (sqrt(3) y)]
+        t = float(dot(u, u) / (fy * fy))
+        b1, h = y * math.sqrt(t), 1.0 / math.sqrt(t)
+    else:  # b1 = 1, at y >= sqrt(3)/2 or so
+        b1, h = 1.0, y
+    m = np.arange(1, _BOUND_LINES + 1)
+    with np.errstate(all="ignore"):  # |b1| of 0 gives inf, a true bound
+        chord = R * (1.0 - 1e-12) - (m * h) ** 2
+        run = np.floor(2.0 * np.sqrt(np.maximum(chord, 0.0)) / b1
+                       * (1.0 - 1e-12))
+        return float(np.sum(_totients(_BOUND_LINES)[1:] * np.floor(run / m)))
+
+
 def coset_arrays(x, y, R):
     """Every translation coset with |cz+d|^2 <= R of each point z = x + iy,
     for float arrays x, y and R of one entry per point, one table after
@@ -284,8 +356,18 @@ def coset_arrays(x, y, R):
     most _BLOCK_CANDIDATES candidates d), each block's gcd filter and Q in
     one numpy pass (_row_cosets).  Raises CutoffExceeded as soon as a block
     takes a table past MAX_COSETS, or a row spans more than 4 MAX_COSETS
-    candidates.
+    candidates.  A table that cannot fit is refused before it is built:
+    where the expected size 3 R / (pi y) (an ellipse of area pi R / y in
+    the (c, d) plane, 6/pi^2 of its lattice points coprime, two to a +/-
+    pair) passes MAX_COSETS, a certified lower bound on the size
+    (_fewest_cosets) decides, so that no table within the cap is refused.
     """
+    with np.errstate(all="ignore"):
+        hopeless = np.flatnonzero(3.0 * R / (math.pi * y) > MAX_COSETS)
+    for j in hopeless.tolist():
+        if _fewest_cosets(float(x[j]), float(y[j]), float(R[j])) > MAX_COSETS:
+            raise CutoffExceeded(
+                f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {R[j]:.3e}")
     n = len(x)
     held = np.ones(n, np.int64)  # cosets of each table so far
     # each table's identity coset
@@ -362,8 +444,11 @@ def _elliptic_points(Y: float) -> tuple:
     if not 1 <= Y < math.inf:
         raise ValueError(f"Y must be finite and >= 1, got {Y!r}")
     pts = []
-    # orbit of i: |c*i + d|^2 = c^2 + d^2, heights 1/(c^2+d^2)
-    q_max_i = math.floor(2.0 * Y / math.sqrt(3.0) + 1e-9)
+    # orbit of i: |c*i + d|^2 = c^2 + d^2, heights 1/(c^2+d^2).  Above Y of
+    # about 1.55e308 the bound overflows to inf: the largest float stands
+    # in for it, a table as far past the coset cap
+    q_max_i = math.floor(min(2.0 * Y / math.sqrt(3.0), sys.float_info.max)
+                         + 1e-9)
     pts += _orbit_points_in_strip(Point(0.0, 1.0), q_max_i, 4, GammaMatrix.S())
     # orbit of e^{i pi/3}: |c z0 + d|^2 = c^2 + cd + d^2, heights (sqrt3/2)/form
     q_max_r = math.floor(Y + 1e-9)

@@ -250,6 +250,17 @@ class TestDumpCommands:
         rc, _, err = fresh_process(["elliptic", "--Y", Y], address_space=2 << 30)
         assert rc == 3 and err.startswith("cutoff exceeded: more than 3000000")
 
+    @pytest.mark.parametrize("argv", [
+        ["elliptic", "--Y", "1.7e308"],
+        ["vertical", "--x", "0.13", "--k", "1200", "--Y", "1.7e308"]])
+    def test_a_height_floor_past_the_float_range_is_the_caps_cutoff(
+            self, capsys, argv):
+        # above Y of about 1.55e308 the orbit bound 2Y/sqrt(3) is no float;
+        # the table still ends in the cap's cutoff, not in OverflowError
+        rc, _, err = run(capsys, *argv)
+        assert rc == 3
+        assert err.startswith("cutoff exceeded: more than 3000000 cosets")
+
     def test_coeffs(self, capsys):
         rc, out, _ = run(capsys, "coeffs", "--n", "5")
         lines = out.strip().splitlines()

@@ -292,10 +292,11 @@ class TestBergmanR:
         with pytest.raises(CutoffExceeded):
             offdiagonal_sum_bound(z)
 
-    @pytest.mark.parametrize("y", [1e78, 1e155, 1e300])
+    @pytest.mark.parametrize("y", [1e78, 1e155, 1e300, 1.7e308])
     def test_very_high_point_returns_or_cuts_off(self, y):
-        # squares such as (c y)^2 and (Q - 1)^2 overflow up here; each entry
-        # point must still return a finite value or raise CutoffExceeded
+        # squares such as (c y)^2 and (Q - 1)^2 overflow up here, and at
+        # 1.7e308 so does 2 pi y; each entry point must still return a
+        # finite value or raise CutoffExceeded
         z, w = Point(0.1, y), Point(0.2, 1.0)
         calls = [(offdiagonal_sum_bound, z), (residual_certificate, z, 200)]
         for k in (12, 1200):
@@ -1044,8 +1045,9 @@ class TestResidualCertificate:
         assert residual_certificate(BULK, 1600) < 1e-3
 
     def test_certificate_at_large_height(self):
-        # the weight-4 sum is about pi*y here; a first tolerance of 5% of
-        # y/2 keeps its lattice tail certifiable within the coset cap
+        # the weight-4 sum is about 2 pi y here, the first guess; a
+        # tolerance of 5% of it keeps the lattice tail certifiable within
+        # the coset cap
         z = Point(-0.007, 200.8)
         cert = residual_certificate(z, 200)
         res = bergman_R(z, z, WeightConfig(200, 1e-12))
@@ -1121,6 +1123,24 @@ class TestResidualCertificate:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("z", [Point(0.13, 1.1), Point(-0.31, 1.45),
+                                   Point(0.42, 2.3), Point(0.21, 1.22)])
+    def test_the_first_pass_is_not_the_largest(self, monkeypatch, z):
+        # the first of the three weight-4 passes is truncated at 5% of a
+        # closed-form estimate of the sum, so it enumerates about the
+        # cosets of the last, where a guess of 1 took 30 times as many
+        passes = []
+
+        def counted(*args, **kwargs):
+            out = sum_terms(*args, **kwargs)
+            passes.append(out[3])
+            return out
+
+        sum_terms = kernel._sum_terms
+        monkeypatch.setattr(kernel, "_sum_terms", counted)
+        offdiagonal_sum_bound(z)
+        assert len(passes) == 3 and passes[0] <= 2 * passes[2]
 
     def test_offdiagonal_bound_is_upper(self):
         # oracle: partial sum over small matrices can never exceed the bound

@@ -22,6 +22,7 @@ from cuspkernel import (
 )
 from cuspkernel import modgroup
 from cuspkernel.modgroup import (
+    MAX_COSETS,
     coset_arrays,
     reduce_to_domain,
     sample_bulk,
@@ -212,6 +213,37 @@ class TestCosetReps:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old)
+
+    def test_the_fewest_cosets_are_a_lower_bound(self):
+        # oracle: the size of the table coset_arrays builds, at points from
+        # the bulk down to Im z = 2e-5 and radii of up to about 30000
+        # cosets, near rationals of small denominator too, where the
+        # lattice is a few lines of close points and the expected size
+        # 3 R / (pi y) can be thousands against a table of 2.  The bound is
+        # also within a factor 2 of a table of 300 cosets or more
+        gen = rng(23)
+        for _ in range(120):
+            y = math.exp(gen.uniform(math.log(2e-5), math.log(30.0)))
+            x = float(gen.choice([gen.uniform(-0.5, 0.5),
+                                  round(gen.uniform(-0.5, 0.5), 1) + 1e-9]))
+            R = math.exp(gen.uniform(math.log(0.5), math.log(3e4 * y)))
+            size = len(one_table(Point(x, y), R))
+            bound = modgroup._fewest_cosets(x, y, R)
+            assert bound <= size
+            if size >= 300:
+                assert bound >= 0.5 * size
+
+    @pytest.mark.parametrize("x, y, R", [(0.1, 1e-12, 8.0), (0.3, 1e-13, 8.0),
+                                         (0.0, 1.0, 1.7e308)])
+    def test_a_hopeless_table_is_refused_before_it_is_built(self, x, y, R):
+        # 0.1+1e-12i: a table of about 7.6e12 cosets, once built up to the
+        # cap's 3 million (about 0.9 s) before it raised; its lower bound
+        # refuses it at once, with the cap's message
+        start = time.perf_counter()
+        with pytest.raises(CutoffExceeded, match=re.escape(
+                f"more than {MAX_COSETS} cosets with |cz+d|^2 <= {R:.3e}")):
+            one_table(Point(x, y), R)
+        assert time.perf_counter() - start < 0.5
 
     def test_same_pair_differs_by_translation(self):
         # canonical rep has 0 <= a < c, so any other valid (a', b') for the
