@@ -15,15 +15,18 @@ certificate:
   * whole quiet cosets: max term times (2 + c_k*(v + v')), where
     c_k = sqrt(pi)*Gamma((k-1)/2)/Gamma(k/2) integrates the line profile;
   * the lattice beyond |cz+d|^2 > R0: dyadic rings, counting lattice points
-    by disk packing and bounding each ring by its inner-edge term, closed
-    by a geometric series whose ratio is controlled analytically.
+    by disk packing (the packing radius from the exact shortest vector of
+    Z + Z z) and bounding each ring by its inner-edge term, closed by a
+    geometric series whose ratio is controlled analytically.
 
 On the diagonal bergman_R takes one of three routes (_diagonal), after the
 lattice radius R0 of z:
   * a point whose radius is out of reach, or whose table would hold
     REDUCTION_MIN_COSETS cosets or more, is evaluated at reduce_to_domain(z),
     as R_k(gz, gz) = R_k(z, z): a low point with 14k-97k cosets at
-    weight 12 becomes one with a few hundred;
+    weight 12 becomes one with a few hundred.  The image is exact but for
+    one rounding of each coordinate, so this route reaches every point of
+    H whose image's height is a float;
   * where the table holds the identity coset alone (R0 < y^2), its
     translation line is Lipschitz's series
     (4 pi y)^k / (k-1)! sum_{n >= 1} n^(k-1) e^(-4 pi n y), wherever that
@@ -88,6 +91,7 @@ from .halfplane import (
 )
 from .modgroup import (
     MAX_COSETS,
+    _reduced_basis,
     coset_arrays,
     min_displacement,
     reduce_to_domain,
@@ -125,6 +129,9 @@ _BUCKET_VALUES = 1 << 26
 _HIGH = ~((1 << 26) - 1)  # a double's bits but the low 26 of its fraction
 _NEG_ZERO = -1 << 63  # the bits of -0.0
 _SCALE = 1 << 1074  # 2^-1074 is the least subnormal
+
+# x*x + y*y at or above this is |z|^2 >= 1 in exact arithmetic
+_ABOVE_ONE = 1.0 + 4.0 * sys.float_info.epsilon
 
 # the squeeze constant A of the admissible window (delta_for, support_top)
 SQUEEZE_A = 2.0
@@ -203,21 +210,18 @@ def _side_tails(M, alpha, beta, k: float):
     return f * (1.0 + alpha * h / (M * (k - 2.0)))
 
 
-def _shortest_vector_sq(zc: complex) -> float:
+def _shortest_vector_sq(x: float, y: float) -> float:
     """Squared length of the shortest nonzero vector of the lattice Z + Z z,
-    by Gauss-Lagrange basis reduction.  Used as the packing radius for the
-    lattice-point counting bound."""
-    u, v = complex(1.0, 0.0), zc
-    if abs(u) > abs(v):
-        u, v = v, u
-    for _ in range(128):
-        num = v.real * u.real + v.imag * u.imag
-        den = u.real * u.real + u.imag * u.imag
-        v = v - round(num / den) * u
-        if abs(v) >= abs(u):
-            break
-        u, v = v, u
-    return u.real * u.real + u.imag * u.imag
+    z = x + iy, from its exact reduced basis (_reduced_basis), rounded
+    once.  Used as the packing radius for the lattice-point counting bound.
+
+    A point of the strip |x| <= 1/2 with |z| >= 1 reads 1.0, the vector 1,
+    without the reduction where x*x + y*y, three roundings of half an ulp
+    each, is 1 + 4 eps or more: there |z| is above 1 exactly."""
+    if abs(x) <= 0.5 and x * x + y * y >= _ABOVE_ONE:
+        return 1.0
+    _, _, (uu, _, _, one) = _reduced_basis(x, y)
+    return uu / one
 
 
 def _lattice_radius(z: Point, w: Point, k: int, tol: float):
@@ -252,12 +256,12 @@ def _lattice_radius(z: Point, w: Point, k: int, tol: float):
         return math.inf
 
     # the working radius must keep the coset table enumerable as well as
-    # push the lattice tail under budget.  Below Im z of about 1e-154 the
-    # lattice is too fine for these bounds in floating point: the squared
-    # shortest vector underflows to 0 or the lattice-point count overflows
+    # push the lattice tail under budget.  Where the lattice is too fine
+    # for floating point, or Im w is far above Im z, the squared shortest
+    # vector underflows or a square overflows: no bound is representable
     R0 = max(4.0 * y / v, 8.0)
     try:
-        rho = 0.5 * math.sqrt(_shortest_vector_sq(z.as_complex))
+        rho = 0.5 * math.sqrt(_shortest_vector_sq(z.x, y))
         while True:
             tail = lattice_tail(R0)
             if tail <= 0.5 * tol:
@@ -270,7 +274,8 @@ def _lattice_radius(z: Point, w: Point, k: int, tol: float):
                 )
     except (OverflowError, ZeroDivisionError):
         raise CutoffExceeded(
-            f"lattice tail bound not representable at Im z = {y:.3e}",
+            f"lattice tail bound not representable at Im z = {y:.3e}, "
+            f"Im w = {v:.3e}",
             best_tail_bound=math.inf,
         ) from None
 
@@ -290,20 +295,12 @@ def _per_value(f, a):
 
 def _shortest_vectors_sq(x, y):
     """_shortest_vector_sq at every point x + iy of two float arrays, with
-    the same bits; a ZeroDivisionError or OverflowError of the scalar is
-    raised.
-
-    At a point of the strip |x| <= 1/2 with abs(z) >= 1 the scalar keeps
-    u = 1: its one step rounds x / 1 to 0, leaves v = z and stops, so its
-    result is 1.0.  Where x*x + y*y, three roundings of half an ulp each,
-    is 1 + 4 eps or more, |z| is above 1 + eps, so abs(z), libm's hypot,
-    within an ulp, is 1.0 or more: those points read 1.0, and the scalar
-    takes every other point, at most a few of a batch of the bulk."""
+    the same bits: the points it reads as 1.0 at once read 1.0 here, and
+    the scalar takes every other point, at most a few of a batch of the
+    bulk."""
     out = np.ones(len(x))
-    above_one = 1.0 + 4.0 * sys.float_info.epsilon
-    at = np.flatnonzero((np.abs(x) > 0.5) | (x * x + y * y < above_one))
-    out[at] = _libm(lambda a, b: _shortest_vector_sq(complex(a, b)),
-                    x[at], y[at])
+    at = np.flatnonzero((np.abs(x) > 0.5) | (x * x + y * y < _ABOVE_ONE))
+    out[at] = _libm(_shortest_vector_sq, x[at], y[at])
     return out
 
 
@@ -319,8 +316,8 @@ def _lattice_radii(x, y, k: int, tol: float):
     alone, are the scalar's own expressions, once per distinct s (s is Q
     but where y Q overflows).  A point whose R0 passes its budget reads
     nan; where some square or division of the batch would not be
-    representable, as at a point below Im z of about 1e-154, every point
-    of the batch takes _lattice_radius instead.
+    representable, as at a point whose squared shortest vector underflows,
+    every point of the batch takes _lattice_radius instead.
     """
     n = len(x)
     ck = _profile_constant(k)
@@ -792,32 +789,25 @@ def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
     * Where the radius cannot be reached, or puts the table at
       REDUCTION_MIN_COSETS cosets or more, the sum is taken at
       reduce_to_domain(z), since R_k(gz, gz) = R_k(z, z).  A point of the
-      domain comes back as the same object and stays.  Where the
-      reduction loses the point, a reached radius keeps z, and else the
-      reduction's CutoffExceeded is raised.
+      domain comes back as the same object and stays, and an unreached
+      radius there is raised.
     * Where the table holds the identity coset alone (R0 < y^2 <=
       |cz+d|^2 for every c >= 1) and _lipschitz_shorter, the sum is
       _lipschitz_line.
     * Else it is the direct _sum_terms at that radius.
     """
-    lost = None
+    unreached = None
     try:
         R0, tail = radius or _lattice_radius(z, w, k, tol)
     except CutoffExceeded as exc:
-        lost = exc
-    if lost or _worth_reducing(z.y, R0):
-        try:
-            p = reduce_to_domain(z)
-        except CutoffExceeded:
-            if lost:
-                raise
-            p = z
+        unreached = exc
+    if unreached or _worth_reducing(z.y, R0):
+        p = reduce_to_domain(z)
         if p is not z:
-            _, z = translate_into_strip(p)
-            w = z
+            z = w = p
             R0, tail = _lattice_radius(z, w, k, tol)
-        elif lost:
-            raise lost
+        elif unreached:
+            raise unreached
     if R0 < z.y * z.y and _lipschitz_shorter(z.y, k, tol):
         return _lipschitz_line(z.y, k, tol, tail)
     return _sum_terms(z, w, k, tol, R0, tail)
@@ -922,8 +912,11 @@ def offdiagonal_sum_bound(z: Point):
     """Certified upper bound on sum over g != +/-I of (1 + u(z, gz))^{-2}.
 
     Used to turn a minimum-displacement value into a certified bound on the
-    off-identity kernel mass at any larger weight.
+    off-identity kernel mass at any larger weight.  The sum is invariant
+    under z -> hz, so it is taken at reduce_to_domain(z), where the lattice
+    sum stays small at low points.
     """
+    z = reduce_to_domain(z)
     # the lattice sum is truncated at 5% of a guess of its size, refined
     # twice; the returned value is certified whatever the guess, and only
     # the first pass's cost depends on it.  The first guess is a closed-form

@@ -4,6 +4,10 @@ The minimum-displacement search returns a *certified* global minimum of
 d(z, gz) over g != +/-I: every matrix outside the examined window is ruled
 out by the height bound u(z, gz) >= (Q-1)^2/(4Q) with Q = |cz+d|^2, so the
 search window can be shrunk as better candidates are found.
+
+The reduction to the fundamental domain, the lower bound on a coset
+table's size and the kernel's lattice-point count rest on one exact
+reduction of the lattice Z + Z z in Python integers (_reduced_basis).
 """
 
 from __future__ import annotations
@@ -78,49 +82,64 @@ def translate_into_strip(z: Point):
 
 
 def reduce_to_domain(z: Point) -> Point:
-    """hz in the standard fundamental domain |Re| <= 1/2, |z| >= 1, with the
-    translations and inversions S accumulated as one integer matrix h and
-    applied once.  A point of the domain, or one with |z|^2 within 1e-12
-    below 1, is returned as it is, the same object; that margin also makes
-    each inversion raise the height, so the loop ends.
-
-    Close to the real line (at Re z = 0.1, below Im z of about 1e-10) h z
-    cancels in cz + d and misses the domain, and further down |z|^2, or
-    |cz+d|^2 or Im hz in the last step, underflows to 0: each raises
-    CutoffExceeded, with an infinite best_tail_bound, as no sum was taken.
+    """hz in the standard fundamental domain |Re| <= 1/2, |z| >= 1, exact
+    but for one rounding of each coordinate.  A point of the domain, or one
+    of the strip with |z|^2 within 1e-12 below 1, is returned as it is, the
+    same object.  Where hz is above the largest float, CutoffExceeded is
+    raised, with an infinite best_tail_bound, as no sum was taken.
     """
     return _reduction(z)[1]
 
 
 def _reduction(z: Point):
-    """(h, hz) of reduce_to_domain(z), h the identity where hz is z."""
-    h, p = GammaMatrix.identity(), z
-    for _ in range(10_000):
-        n, p = translate_into_strip(p)
-        h = GammaMatrix.T(-n) * h
-        r = p.x * p.x + p.y * p.y
-        if r >= 1.0 - 1e-12:
-            break
-        if r == 0.0:
-            raise CutoffExceeded(
-                f"|z|^2 underflows reducing Im z = {z.y:.3e} to the domain",
-                best_tail_bound=math.inf)
-        h, p = GammaMatrix.S() * h, Point(-p.x / r, p.y / r)
-    else:
-        raise CutoffExceeded("reduction to the fundamental domain did not end",
-                             best_tail_bound=math.inf)
-    if h == GammaMatrix.identity():
-        return h, z
+    """(h, hz) of reduce_to_domain(z), h the identity where hz is z.
+
+    With cz + d a shortest vector of Z + Z z and az + b the shortest one
+    independent of it, Im hz = +/-y / |cz+d|^2 is the greatest height of
+    the orbit, |Re hz| = |Re (az+b) conj(cz+d)| / |cz+d|^2 <= 1/2 and
+    |hz| = |az+b| / |cz+d| >= 1; (a, b) is negated where ad - bc = -1.
+    Each coordinate is one quotient of the basis's integers, rounded once.
+    """
+    if abs(z.x) <= 0.5 and z.x * z.x + z.y * z.y >= 1.0 - 1e-12:
+        return GammaMatrix.identity(), z
+    (a, b), (c, d), (uu, uv, area, _) = _reduced_basis(z.x, z.y)
+    if a * d - b * c < 0:
+        a, b, uv = -a, -b, -uv
     try:
-        w = moebius_apply(h, z)
-    except (ZeroDivisionError, ValueError):
-        w = None  # |cz+d|^2 or Im hz underflowed to 0
-    # rounding moves a true image by far less than these margins
-    if w is None or abs(w.x) > 0.5 + 1e-9 or w.x * w.x + w.y * w.y < 1.0 - 1e-9:
+        w = Point(uv / uu, area / uu)
+    except OverflowError:
         raise CutoffExceeded(
-            f"reduction of Im z = {z.y:.3e} to the domain lost the point",
-            best_tail_bound=math.inf)
-    return h, w
+            f"the image of Im z = {z.y:.3e} in the domain is above the "
+            f"largest float", best_tail_bound=math.inf) from None
+    return GammaMatrix(a, b, c, d), w
+
+
+def _reduced_basis(x: float, y: float):
+    """A reduced basis of the lattice Z + Z z, z = x + iy, in exact
+    integers: ((a, b), (c, d), (uu, uv, area, one)), cz + d a shortest
+    nonzero vector and az + b a shortest one independent of it, and
+    uu = |cz+d|^2, uv = Re (az+b) conj(cz+d), area = y and one = 1, each
+    times D^2.  With x = X / D and y = Y / D over their common power-of-two
+    denominator D, D^2 |cz+d|^2 = (cX + dD)^2 + (cY)^2 is an integer form,
+    and its Gauss-Lagrange reduction runs in Python ints.
+    """
+    (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+    D = max(q, s)
+    X, Y = p * (D // q), r * (D // s)
+    one = D * D
+    u, v = (0, 1), (1, 0)  # the vectors 1 and z, and their Gram matrix
+    uu, uv, vv = one, X * D, X * X + Y * Y
+    if uu > vv:
+        u, v, uu, vv = v, u, vv, uu
+    while True:  # each swap lowers uu, a positive integer: it ends
+        n = (2 * uv + uu) // (2 * uu)  # the integer nearest uv / uu
+        v = (v[0] - n * u[0], v[1] - n * u[1])
+        vv -= n * (2 * uv - n * uu)
+        uv -= n * uu
+        if vv >= uu:
+            break
+        u, v, uu, vv = v, u, vv, uu
+    return v, u, (uu, uv, Y * D, one)
 
 
 def solve_top_row(c, d) -> tuple:
@@ -290,7 +309,7 @@ def _fewest_cosets(x: float, y: float, R: float) -> float:
 
     The table holds one entry for each +/- pair of primitive vectors
     cz + d of the lattice Z + Z z with |cz+d|^2 <= R.  Gauss-Lagrange
-    reduction of the form |cz+d|^2, in exact rationals, gives a primitive
+    reduction of the form |cz+d|^2, in exact integers, gives a primitive
     vector b1 of least length.  The lattice is the union of the lines
     m b2 + n b1 (n an integer) for a b2 completing the basis, the line m
     at distance m h, h = y / |b1|, from 0, and its point n is primitive
@@ -306,36 +325,14 @@ def _fewest_cosets(x: float, y: float, R: float) -> float:
     R' is not positive and the bound is 0.  The float steps after the
     reduction take a slack of 1e-12, far above their rounding.
     """
-    # imported here, on the rare way to a refused table: fractions takes
-    # about 4 ms of each process's start
-    from fractions import Fraction
-
     R = R * (1.0 - 16.0 * sys.float_info.epsilon * (1.0 + 1.0 / y))
     if not R > 0.0:
         return 0.0
-    # the form A c^2 + 2 B c d + d^2 and its bilinear form, exactly
-    fx, fy = Fraction(x), Fraction(y)
-    A, B = fx * fx + fy * fy, fx
-
-    def dot(u, v):
-        return A * u[0] * v[0] + B * (u[0] * v[1] + u[1] * v[0]) + u[1] * v[1]
-
-    u, v = (0, 1), (1, 0)  # the vectors 1 and z
-    if dot(u, u) > dot(v, v):
-        u, v = v, u
-    while True:  # each swap lowers |u|^2, a multiple of 2^-2148: it ends
-        n = round(dot(u, v) / dot(u, u))
-        v = (v[0] - n * u[0], v[1] - n * u[1])
-        if dot(v, v) >= dot(u, u):
-            break
-        u, v = v, u
-    if u[0]:  # |b1| = y sqrt(t), t = |b1|^2 / y^2 in [1, 2 / (sqrt(3) y)]
-        t = float(dot(u, u) / (fy * fy))
-        b1, h = y * math.sqrt(t), 1.0 / math.sqrt(t)
-    else:  # b1 = 1, at y >= sqrt(3)/2 or so
-        b1, h = 1.0, y
+    _, _, (uu, _, _, one) = _reduced_basis(x, y)
+    b1 = math.sqrt(uu / one)  # at least y, far above the least float
+    h = y / b1
     m = np.arange(1, _BOUND_LINES + 1)
-    with np.errstate(all="ignore"):  # |b1| of 0 gives inf, a true bound
+    with np.errstate(all="ignore"):  # (m h)^2 overflows high up: a true bound
         chord = R * (1.0 - 1e-12) - (m * h) ** 2
         run = np.floor(2.0 * np.sqrt(np.maximum(chord, 0.0)) / b1
                        * (1.0 - 1e-12))
@@ -473,8 +470,8 @@ def min_displacement(z: Point):
     searched at hz = reduce_to_domain(z), where the search window is small
     (below the domain it grows about tenfold for each decade of Im z), and
     its minimizer g returned as h^-1 g h, canonicalized as above, with the
-    distance found at hz.  A point that the reduction loses raises
-    CutoffExceeded.
+    distance found at hz.  A point whose image is above the largest float
+    raises the reduction's CutoffExceeded.
     """
     h, z = _reduction(z)
     g, d = _displacement_search(z)

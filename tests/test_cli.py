@@ -84,6 +84,14 @@ class TestKernelCommand:
                 else:
                     assert cells[key] == str(value)
 
+    def test_an_unrepresentable_tail_names_both_heights(self, capsys):
+        # the lattice tail's rings overflow because Im w is far above Im z
+        rc, _, err = run(capsys, "kernel", "--z", "0.1+1i",
+                         "--w", "0.1+1e300i", "--k", "12")
+        assert rc == 3
+        assert err == ("cutoff exceeded: lattice tail bound not representable"
+                       " at Im z = 1.000e+00, Im w = 1.000e+300\n")
+
     def test_off_diagonal_argument(self, capsys):
         rc, out, _ = run(capsys, "kernel", "--z", "0.3+0.7i", "--w", "0.1+0.9i",
                          "--k", "12", "--tol", "1e-12")
@@ -394,14 +402,16 @@ class TestParserCache:
     (["vertical", "--x", "0.13", "--k", "24", "--sweep", "1200"], 2),
     (["horizontal", "--y", "1.3", "--k", "1200", "--A", "2"], 2),
     (["kernel", "--z", "0.1+1e-200i", "--k", "12"], 3),
-    # the reduction of 0.1+1e-12i loses the point, and the direct table
+    # an off-diagonal pair is not reduced, and the table at 0.1+1e-12i
     # passes the coset cap; 0.1+1e-8i reduces far up the cusp
-    (["kernel", "--z", "0.1+1e-12i", "--k", "1200"], 3),
+    (["kernel", "--z", "0.1+1e-12i", "--w", "0.2+1e-12i", "--k", "1200"], 3),
     (["kernel", "--z", "0.1+1e-8i", "--k", "1200"], 0),
     # faults F1 and F2 of the benchmark: a table out of reach, reduced,
     # and a translation line past the term cap, summed by Lipschitz
     (["kernel", "--z", "0+0.05i", "--k", "12"], 0),
     (["kernel", "--z", "0+100000i", "--k", "12"], 0),
+    # 0.1+1e-12i reduces to a translation line at height 1e10
+    (["kernel", "--z", "0.1+1e-12i", "--k", "1200"], 0),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:

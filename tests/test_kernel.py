@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from cuspkernel.modgroup import (
 )
 
 from coset_oracle import coset_table, scalar_lines
-from test_modgroup import brute_force_sl2, one_table
+from test_modgroup import brute_force_sl2, mp_reduction, one_table
 from test_halfplane import random_gamma, random_point
 
 I_PT = Point(0.0, 1.0)
@@ -282,14 +283,18 @@ class TestBergmanR:
 
     @pytest.mark.parametrize("y", [1e-155, 1e-160, 1e-200, 1e-300])
     def test_very_low_point_is_a_cutoff(self, y):
-        # below Im z of about 1e-154 the lattice-point count overflows or
-        # the shortest vector underflows; both end in CutoffExceeded
+        # 0.1+iy reduces to about 0.5 + 7.7e(-34)/y i, where the weight-1200
+        # value is one Lipschitz term, the weight-12 lattice tail is out of
+        # reach and the weight-4 sum's m-line window does not converge
         z = Point(0.1, y)
-        for k in (12, 1200):
-            with pytest.raises(CutoffExceeded) as exc:
-                bergman_R(z, z, WeightConfig(k))
-            assert exc.value.best_tail_bound == math.inf
-        with pytest.raises(CutoffExceeded):
+        img = reduce_to_domain(z)
+        assert img.y > 7e-34 / y
+        with pytest.raises(CutoffExceeded, match="not reachable"):
+            bergman_R(z, z, WeightConfig(12))
+        res = bergman_R(z, z, WeightConfig(1200))
+        assert res == bergman_R(img, img, WeightConfig(1200))
+        assert res.tail_bound <= 1e-9
+        with pytest.raises(CutoffExceeded, match="m-line window"):
             offdiagonal_sum_bound(z)
 
     @pytest.mark.parametrize("y", [1e78, 1e155, 1e300, 1.7e308])
@@ -601,8 +606,8 @@ class TestArrayLatticeRadius:
         ulps = gen.integers(-4, 5, (2, 2000))
         x = np.cos(t) + ulps[0] * np.spacing(np.cos(t))
         y = np.sin(t) + ulps[1] * np.spacing(np.sin(t))
-        # x*x + y*y rounds to 1.0 at these three, while abs(z) is 1 - 2^-53:
-        # the scalar swaps u and v, and returns that 1.0
+        # x*x + y*y rounds to 1.0 at these three, while |z| is below 1:
+        # the scalar reduces them, and returns |z|^2 rounded once
         edge = [(0.36683612976292995, 0.9302855765304301),
                 (0.37682398346386903, 0.9262848835463211),
                 (0.38929730660978396, 0.921112157701964)]
@@ -611,7 +616,7 @@ class TestArrayLatticeRadius:
         y = np.concatenate((y, [SQRT3_2, SQRT3_2, 1.0], [b for _, b in edge],
                             gen.uniform(0.05, 2.0, 300)))
         got = kernel._shortest_vectors_sq(x, y).tolist()
-        want = [kernel._shortest_vector_sq(complex(a, b))
+        want = [kernel._shortest_vector_sq(a, b)
                 for a, b in zip(x.tolist(), y.tolist())]
         assert got == want
         assert 0 < sum(v == 1.0 for v in want) < len(want)
@@ -623,9 +628,9 @@ class TestArrayLatticeRadius:
 
     @pytest.mark.parametrize("k", [12, 1200])
     def test_a_point_too_low_to_represent(self, k):
-        # at 0.1+1e-160i the squared shortest vector is subnormal and the
-        # lattice-point count overflows, so the bound is not representable
-        low = Point(0.1, 1e-160)
+        # at 0.1+1e-300i the squared shortest vector, (2^55 y)^2 or so,
+        # underflows to 0, so the bound is not representable
+        low = Point(0.1, 1e-300)
         assert "not representable" in scalar_error(low, k, 0.5e-9)
         for points in ([low], [BULK, low, I_PT], [low, BULK]):
             want = scalar_radii(points, k, 0.5e-9)
@@ -633,10 +638,10 @@ class TestArrayLatticeRadius:
             assert array_radii(points, k, 0.5e-9) == want
 
     def test_each_failure_is_marked(self):
-        # 0.1+1e300i at k 12 is out of reach with a finite tail, 0.1+1e-160i
+        # 0.1+1e300i at k 12 is out of reach with a finite tail, 0.1+1e-300i
         # not representable: each reads nan in a batch, and the other
         # points of the batch keep their radii
-        high, low = Point(0.1, 1e300), Point(0.1, 1e-160)
+        high, low = Point(0.1, 1e300), Point(0.1, 1e-300)
         assert "not reachable" in scalar_error(high, 12, 0.5e-9)
         for points in ([BULK, high, low], [low, high], [high, BULK, low],
                        [BULK, high, I_PT]):
@@ -850,6 +855,22 @@ class TestDiagonalRoutes:
             assert res.cosets_used < want.cosets_used  # taken at the reduction
             assert abs(res.value - want.value) <= res.tail_bound + want.tail_bound
 
+    @pytest.mark.parametrize("k", [12, 1200])
+    def test_low_points_against_an_mpmath_reduction(self, k):
+        # the value at a low point is the one at its exact image: the float
+        # reduction's images were off by |dR| up to 0.14 at Im z = 1e-15,
+        # far outside tails of about 1.4e-10
+        gen = random.Random(7)
+        cfg = WeightConfig(k)
+        for e in range(5, 16):
+            for _ in range(4):
+                z = Point(gen.uniform(-0.5, 0.5),
+                          gen.uniform(1.0, 10.0) * 10.0 ** -e)
+                img = Point(*map(float, mp_reduction(z)))
+                res, want = bergman_R(z, z, cfg), bergman_R(img, img, cfg)
+                gap = abs(res.value - want.value)
+                assert gap <= res.tail_bound + want.tail_bound
+
     @pytest.mark.parametrize("k", [12, 24, 48, 400])
     def test_lipschitz_against_the_direct_line(self, k):
         # y 3-60 at tol 1e-13, where both are sharp; each line is summed to
@@ -875,20 +896,21 @@ class TestDiagonalRoutes:
 
     def test_batch_is_bergman_R_on_every_route(self):
         # at k 24: small tables (0.7 <= y <= 8), low points that reduce and
-        # lines summed by Lipschitz (y >= 10); at k 1200 also 0.1+4i, whose
-        # table holds the identity coset alone but whose direct window is
-        # the shorter.  0.1+1e-12i, whose reduction loses the point, raises
-        # in a batch what bergman_R raises there
+        # lines summed by Lipschitz (y >= 10), 0.1+1e-12i among them, which
+        # reduces to a line at 1e10; at k 1200 also 0.1+4i, whose table
+        # holds the identity coset alone but whose direct window is the
+        # shorter.  0+5e-324i, whose image is above the largest float,
+        # raises in a batch what bergman_R raises there
         cfg = WeightConfig(24, 1e-10)
         points = [Point(0.13, 1.1), Point(-0.4, 0.7), Point(0.3, 0.05),
                   Point(2.2, 0.11), Point(0.0, 12.0), Point(-0.3, 250.0),
-                  Point(0.25, 7.5), Point(0.1, 0.3)]
+                  Point(0.25, 7.5), Point(0.1, 0.3), Point(0.1, 1e-12)]
         routes = {"reduced": 0, "lipschitz": 0}
         for p in points:
             res = bergman_R(p, p, cfg)
             routes["reduced"] += p.y < 0.5
             routes["lipschitz"] += res.terms_used <= 2 and res.cosets_used == 1
-        assert routes == {"reduced": 3, "lipschitz": 2}
+        assert routes == {"reduced": 4, "lipschitz": 3}
         for k, batch in ((24, points), (1200, [Point(0.1, 4.0), *points])):
             k_cfg = WeightConfig(k, 1e-10)
             x, y = np.array([[p.x, p.y] for p in batch]).T
@@ -896,13 +918,13 @@ class TestDiagonalRoutes:
             want = [bergman_R(p, p, k_cfg) for p in batch]
             assert repr(values.tolist()) == repr([r.value for r in want])
             assert repr(tails.tolist()) == repr([r.tail_bound for r in want])
-        lost = Point(0.1, 1e-12)
+        lost = Point(0.0, 5e-324)
         with pytest.raises(CutoffExceeded) as one:
             bergman_R(lost, lost, cfg)
         x, y = np.array([[p.x, p.y] for p in [*points, lost]]).T
         with pytest.raises(CutoffExceeded) as batch:
             kernel.bergman_R_diagonal(x, y, cfg)
-        assert "lost the point" in str(one.value)
+        assert "above the largest float" in str(one.value)
         assert (str(batch.value), batch.value.best_tail_bound) == (
             str(one.value), math.inf)
 
@@ -1109,9 +1131,11 @@ class TestResidualCertificate:
 
     @pytest.mark.parametrize("y", [1e-12, 1e-50, 1e-155, 1e-200])
     def test_a_point_too_low_to_reduce_is_a_cutoff(self, y):
-        # at 1e-50 the reduction once returned a point far below the domain,
-        # whose displacement search ran for minutes: an alarm turns a hang
-        # into a failure
+        # each point reduces to an image at height 1e10 or more, where the
+        # weight-4 sum's m-line window does not converge.  At 1e-50 a float
+        # reduction once returned a point far below the domain, whose
+        # displacement search ran for minutes: an alarm turns a hang into a
+        # failure
         def hung(signum, frame):
             raise TimeoutError(f"no answer at Im z = {y} within 2 s")
 
@@ -1141,6 +1165,15 @@ class TestResidualCertificate:
         monkeypatch.setattr(kernel, "_sum_terms", counted)
         offdiagonal_sum_bound(z)
         assert len(passes) == 3 and passes[0] <= 2 * passes[2]
+
+    @pytest.mark.parametrize("z", [Point(0.3, 0.05), Point(0.21, 0.02),
+                                   Point(-0.4, 0.003), Point(2.2, 0.11)])
+    def test_the_weight_4_sum_is_taken_at_the_reduction(self, z):
+        # the sum is invariant under z -> hz; below the domain, where its
+        # lattice sum took 1.3 s at 0.3+0.05i and was out of reach at
+        # 0.21+0.02i, it is the sum at the image, bit for bit
+        img = reduce_to_domain(z)
+        assert offdiagonal_sum_bound(z) == offdiagonal_sum_bound(img)
 
     def test_offdiagonal_bound_is_upper(self):
         # oracle: partial sum over small matrices can never exceed the bound

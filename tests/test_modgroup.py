@@ -1,10 +1,13 @@
 """Tests for coset enumeration, elliptic points, and displacement bounds."""
 
 import math
+import random
 import re
 import signal
+import sys
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -45,6 +48,46 @@ def one_table(z, R):
     c, d, Q, owner = coset_arrays(*np.array([[z.x], [z.y], [R]]))
     assert not owner.any()
     return list(zip(c.tolist(), d.tolist(), Q.tolist()))
+
+
+def mp_reduction(z):
+    """The image of the dyadic point z in the standard fundamental domain,
+    by translations and inversions in mpmath, as two mpf coordinates.  The
+    working precision grows with the depth of z below the real line: 80
+    digits and 4 bits more for each binary order of magnitude below 1 (2
+    were enough at 300 points from Im z = 1e-300 up, checked against an
+    exact rational reduction)."""
+    with mp.workprec(266 + 4 * max(0, -math.frexp(z.y)[1])):
+        x, y = mp.mpf(z.x), mp.mpf(z.y)
+        while True:
+            x -= mp.nint(x)
+            r = x * x + y * y
+            if r >= 1:
+                return x, y
+            x, y = -x / r, y / r
+
+
+def rounds_to(got, want):
+    """Whether the float got is the mpf want rounded to the nearest float:
+    float(want), or either neighbour where want lies within 2^-200 of a tie
+    between them, as mp_reduction's error leaves an exact tie undecided
+    (0.1+1e-50i goes to Re 1/2 - 2.5 ulp exactly)."""
+    if float(want) == got:
+        return True
+    with mp.workprec(256):
+        mid = (mp.mpf(got) + mp.mpf(math.nextafter(got, float(want)))) / 2
+        return abs(want - mid) <= abs(want) * mp.mpf(2) ** -200
+
+
+def assert_is_the_image(w, z):
+    """w is mp_reduction(z) with each coordinate rounded once, where the
+    edges Re = 1/2 and Re = -1/2, which a translation identifies, count as
+    one."""
+    x, y = mp_reduction(z)
+    wx = w.x
+    if abs(wx) == 0.5:
+        x, wx = abs(x), 0.5
+    assert rounds_to(wx, x) and rounds_to(w.y, y), (z, w, x, y)
 
 
 def brute_force_sl2(entry_bound):
@@ -455,11 +498,7 @@ class TestMinDisplacement:
         old = signal.signal(signal.SIGALRM, hung)
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
-            try:
-                g, d = min_displacement(z)
-            except CutoffExceeded:
-                assert y < 1e-10  # the reduction loses the point
-                return
+            g, d = min_displacement(z)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old)
@@ -471,6 +510,20 @@ class TestMinDisplacement:
         # Re z is ulp / Im z of hyperbolic distance (7.5e-9 off at 1e-8)
         moved = hyp_distance(z, moebius_apply(g, z))
         assert abs(moved - d) <= 64 * math.ulp(z.x) / y
+
+    def test_low_points_against_an_mpmath_reduction(self):
+        # the distance at a low point is the one at its exact image: the
+        # float reduction's image was off by up to 1.7e-2 of hyperbolic
+        # distance at Im z = 1e-15, and its distance at 1e-14 read
+        # 0.3293609974823089 where the exact image gives 0.32928316887492437
+        gen = random.Random(7)
+        for e in range(6, 15):
+            for _ in range(4):
+                z = Point(gen.uniform(-0.5, 0.5),
+                          gen.uniform(1.0, 10.0) * 10.0 ** -e)
+                _, d = min_displacement(z)
+                _, want = min_displacement(Point(*map(float, mp_reduction(z))))
+                assert d == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_below_the_domain_agrees_with_the_direct_search(self):
         z = Point(0.3, 0.05)
@@ -525,15 +578,41 @@ class TestTranslationAndReduction:
     @pytest.mark.parametrize("x, y", [(0.1, 1e-12), (0.1, 1e-50),
                                       (0.1, 1e-155), (0.1, 1e-200),
                                       (0.2887233511355132, 2.479010621819405e-294),
-                                      (-0.25, 1.8004005261850446e-163)])
+                                      (-0.25, 1.8004005261850446e-163),
+                                      (0.5, 5e-324), (0.0, 5e-324)])
     def test_a_point_the_reduction_loses_is_a_cutoff(self, x, y):
-        # hz cancels in cz + d (1e-12 gave Re 177635.9, 1e-50 Im 2.56e-48),
-        # |z|^2 underflows on the way (1e-200 divided by zero), or Im hz
-        # or |cz+d|^2 underflows to 0 in the last step (the last two)
+        # a reduction in floating point lost the first six: hz cancelled in
+        # cz + d (1e-12 gave Re 177635.9, 1e-50 Im 2.56e-48), |z|^2
+        # underflowed on the way (1e-200), or Im hz or |cz+d|^2 underflowed
+        # in the last step (the next two).  The exact reduction finds each
+        # image; it loses only a point whose image is above the largest
+        # float, as 2z - 1 takes 0.5+5e-324i to 5e322i and -1/z takes
+        # 0+5e-324i to 2e323i
+        z = Point(x, y)
         t0 = time.perf_counter()
-        with pytest.raises(CutoffExceeded):
-            reduce_to_domain(Point(x, y))
+        if y == 5e-324:
+            with pytest.raises(CutoffExceeded,
+                               match="above the largest float") as exc:
+                reduce_to_domain(z)
+            assert exc.value.best_tail_bound == math.inf
+        else:
+            assert_is_the_image(reduce_to_domain(z), z)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_the_reduction_is_exact_at_every_height(self):
+        # dyadic points from Im z = 1e-300 to 1e300, near and far from the
+        # strip: each image is in the domain, and is the exact image
+        # rounded once.  None is above the largest float: x has a
+        # denominator of at most 2^1126, so Im hz <= 1 / (c^2 y) stays
+        # below about 1e269
+        gen = random.Random(21)
+        eps = sys.float_info.epsilon
+        for _ in range(300):
+            x = gen.uniform(-3.0, 3.0) * 10.0 ** gen.choice([0, 0, 0, 5, 15])
+            z = Point(x, 10.0 ** gen.uniform(-300.0, 300.0))
+            w = reduce_to_domain(z)
+            assert abs(w.x) <= 0.5 and w.x * w.x + w.y * w.y >= 1.0 - 4 * eps
+            assert_is_the_image(w, z)
 
 
 class TestPaperBounds:
