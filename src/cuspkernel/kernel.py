@@ -130,9 +130,6 @@ _HIGH = ~((1 << 26) - 1)  # a double's bits but the low 26 of its fraction
 _NEG_ZERO = -1 << 63  # the bits of -0.0
 _SCALE = 1 << 1074  # 2^-1074 is the least subnormal
 
-# x*x + y*y at or above this is |z|^2 >= 1 in exact arithmetic
-_ABOVE_ONE = 1.0 + 4.0 * sys.float_info.epsilon
-
 # the squeeze constant A of the admissible window (delta_for, support_top)
 SQUEEZE_A = 2.0
 
@@ -213,13 +210,7 @@ def _side_tails(M, alpha, beta, k: float):
 def _shortest_vector_sq(x: float, y: float) -> float:
     """Squared length of the shortest nonzero vector of the lattice Z + Z z,
     z = x + iy, from its exact reduced basis (_reduced_basis), rounded
-    once.  Used as the packing radius for the lattice-point counting bound.
-
-    A point of the strip |x| <= 1/2 with |z| >= 1 reads 1.0, the vector 1,
-    without the reduction where x*x + y*y, three roundings of half an ulp
-    each, is 1 + 4 eps or more: there |z| is above 1 exactly."""
-    if abs(x) <= 0.5 and x * x + y * y >= _ABOVE_ONE:
-        return 1.0
+    once.  Used as the packing radius for the lattice-point counting bound."""
     _, _, (uu, _, _, one) = _reduced_basis(x, y)
     return uu / one
 
@@ -295,11 +286,14 @@ def _per_value(f, a):
 
 def _shortest_vectors_sq(x, y):
     """_shortest_vector_sq at every point x + iy of two float arrays, with
-    the same bits: the points it reads as 1.0 at once read 1.0 here, and
-    the scalar takes every other point, at most a few of a batch of the
+    the same bits.  A point of the strip |x| <= 1/2 reads 1.0, the vector 1,
+    without a call where x*x + y*y, three roundings of half an ulp each, is
+    1 + 4 eps or more: there |z| >= 1 exactly, and the reduction keeps 1.
+    The scalar takes every other point, at most a few of a batch of the
     bulk."""
+    above_one = 1.0 + 4.0 * sys.float_info.epsilon
     out = np.ones(len(x))
-    at = np.flatnonzero((np.abs(x) > 0.5) | (x * x + y * y < _ABOVE_ONE))
+    at = np.flatnonzero((np.abs(x) > 0.5) | (x * x + y * y < above_one))
     out[at] = _libm(_shortest_vector_sq, x[at], y[at])
     return out
 

@@ -329,7 +329,7 @@ def _fewest_cosets(x: float, y: float, R: float) -> float:
     if not R > 0.0:
         return 0.0
     _, _, (uu, _, _, one) = _reduced_basis(x, y)
-    b1 = math.sqrt(uu / one)  # at least y, far above the least float
+    b1 = math.sqrt(uu / one)  # at least min(1, y), far above the least float
     h = y / b1
     m = np.arange(1, _BOUND_LINES + 1)
     with np.errstate(all="ignore"):  # (m h)^2 overflows high up: a true bound
