@@ -66,9 +66,8 @@ long array as in a short one, so sharing the term pass changes no point's
 sum.  A single pair keeps the scalar _lattice_radius, whose set-up is a
 tenth of the array pass's.
 
-residual_certificate needs two sums that do not depend on the weight, the
-minimum displacement and a weight-4 off-identity sum; it keeps those of
-the last point, so a sweep over weights at one point pays for them once.
+The weight-4 sum behind residual_certificate (offdiagonal_sum_bound) takes
+each m-line in closed form (_weight_4_lines): one coset table, no window.
 """
 
 from __future__ import annotations
@@ -386,8 +385,18 @@ def _lattice_radii(x, y, k: int, tol: float):
     return R0s, tails
 
 
-def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
-                 offdiagonal: bool):
+def _line_starts(c, d, Q, x):
+    """X0 = Re g0z of the line of each coset (c, d) (int64 arrays), with
+    Q = |cz+d|^2 and x = Re z: a0/c - (cx + d)/(cQ) for c >= 1, the top
+    rows from one solve_top_row on arrays, and x for the identity coset."""
+    top = c != 0
+    a0 = np.zeros(len(c), np.int64)
+    a0[top], _ = solve_top_row(c[top], d[top])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(top, a0 / c - (c * x + d) / (c * Q), x)
+
+
+def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     """The coset loop over the coset tables of one or several pairs (z, w),
     in array passes.
 
@@ -421,8 +430,7 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
     one after another, (m_lo - terms before it across all pairs,
     X0 - Re w, beta, alpha, Im gz + Im w, arg(cz+d)), and each segment's
     term count, pair after pair, and arrays of each pair's tail and each
-    pair's number of terms; arg(cz+d) is 0.0 in an offdiagonal sum, which
-    adds only magnitudes.
+    pair's number of terms.
     """
     c, d, Q, owner = cosets
     del cosets  # c, d and Q are soon replaced by their unpruned cosets
@@ -454,20 +462,11 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
     vpv = vp + spread(vs, kept)
     del v, vp
 
-    # the top rows, but of the identity coset (c = 0), whose line sits at
-    # X0 = Re z, with arg(cz+d) = atan2(0, 1) = 0
-    top = c != 0
-    a0 = np.zeros(len(c), np.int64)
-    a0[top], _ = solve_top_row(c[top], d[top])
+    # X0 - Re w, and arg(cz+d): atan2(0, 1) = 0 for the identity coset
     x = spread(xs, kept)
-    cxd = c * x + d
-    # a sum of magnitudes never reads arg(cz+d)
-    argden = (np.zeros(len(c)) if offdiagonal
-              else _libm(math.atan2, c * spread(ys, kept), cxd))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x0 = np.where(top, a0 / c - cxd / (c * Q), x)  # X0
-    del top, a0, x, cxd
-    x0 -= spread(us, kept)  # X0 - Re w
+    argden = _libm(math.atan2, c * spread(ys, kept), c * x + d)
+    x0 = _line_starts(c, d, Q, x) - spread(us, kept)
+    del x
     t0 = -x0  # Re w - X0, exactly
     width = alpha * spread(u_cuts, kept) - beta
     width = np.sqrt(np.where(width > 0.0, width, 0.0))
@@ -526,16 +525,6 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
     tails = acc[:, -1]
     del acc, pos, d, Q
 
-    # one segment per line, but two for the identity off the diagonal,
-    # m <= -1 and m >= 1, since the identity is not an off-diagonal term
-    if offdiagonal:
-        split = np.arange(len(c)).repeat(np.where(c == 0, 2, 1))
-        c, kept, m_lo, m_hi, x0, beta, alpha, vpv, argden = (
-            a[split] for a in (c, kept, m_lo, m_hi, x0, beta, alpha, vpv,
-                               argden))
-        ident = np.flatnonzero(c == 0)
-        m_hi[ident[0::2]] = np.minimum(m_hi[ident[0::2]], -1.0)
-        m_lo[ident[1::2]] = np.maximum(m_lo[ident[1::2]], 1.0)
     count = (m_hi - m_lo + 1.0).astype(np.int64)
     live = count > 0
     count = count[live]
@@ -546,18 +535,15 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails,
     return body.ravel(), count, tails, terms.astype(np.int64)
 
 
-def _terms(cols, at, start: int, k: int, offdiagonal: bool):
+def _terms(cols, at, start: int, k: int):
     """The terms start, start + 1, ... of a term pass, at[i] the segment of
-    term start + i and cols the six columns of the segments' rows: one row
-    of magnitudes in an offdiagonal sum, else a row of real parts and one
-    of imaginary parts.  Each term's value is the same at any start and in
-    a pass of any length."""
+    term start + i and cols the six columns of the segments' rows: a row of
+    real parts and one of imaginary parts.  Each term's value is the same
+    at any start and in a pass of any length."""
     first, x0, beta, alpha, vpv, argden = cols
     offs = x0[at] + (np.arange(start, start + len(at), dtype=np.float64)
                      + first[at])
     mag = np.exp(-0.5 * k * np.log1p((offs * offs + beta[at]) / alpha[at]))
-    if offdiagonal:
-        return mag[None]
     # float(k): numpy scales by a Python float faster than by an int
     ph = float(k) * (_HALF_PI - np.arctan2(vpv[at], offs) - argden[at])
     del offs
@@ -637,10 +623,10 @@ def _exact_sums(chunks, n_rows: int) -> list:
     return sums
 
 
-def _term_sums(rows, counts, k: int, offdiagonal: bool):
+def _term_sums(rows, counts, k: int):
     """The sum of the terms of a line stage, counts[i] of them from segment
-    i: the arithmetic of one line, with each segment's values taken out to
-    its terms (_terms); a float in an offdiagonal sum, else a complex.
+    i, as a complex: the arithmetic of one line, with each segment's values
+    taken out to its terms (_terms).
 
     A sum of EXACT_SUM_MIN_TERMS terms or more is evaluated and summed a
     _CHUNK of terms at a time, exactly in numpy (_exact_sums); a smaller
@@ -662,14 +648,13 @@ def _term_sums(rows, counts, k: int, offdiagonal: bool):
                 seg = np.arange(i, j + 1)
                 at = seg.repeat(np.minimum(last[seg], e)
                                 - np.maximum(last[seg] - counts[seg], s))
-                yield _terms(cols, at, s, k, offdiagonal)
+                yield _terms(cols, at, s, k)
 
-        sums = _exact_sums(chunks(), 1 if offdiagonal else 2)
+        sums = _exact_sums(chunks(), 2)
     else:
-        vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k,
-                      offdiagonal)
+        vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k)
         sums = [math.fsum(memoryview(v)) for v in vals]
-    return sums[0] if offdiagonal else complex(*sums)
+    return complex(*sums)
 
 
 def _part_sums(rows, counts, k: int, ends):
@@ -682,7 +667,7 @@ def _part_sums(rows, counts, k: int, ends):
     each double, with no Python float per part."""
     tab = np.asarray(rows, dtype=np.float64)
     cols = tuple(tab[i::6] for i in range(6))
-    vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k, False)
+    vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k)
     starts = np.concatenate(([0], ends[:-1]))
     one = ends - starts == 1
     sums = np.empty((2, len(ends)))
@@ -703,23 +688,22 @@ def _worth_reducing(y, R0):
 
 
 def _sum_terms(z: Point, w: Point, k: int, tol: float, R0: float,
-               tail: float, *, offdiagonal: bool = False):
+               tail: float):
     """Shared enumeration engine, over the cosets with |cz+d|^2 <= R0 of
     the lattice radius (R0, tail) = _lattice_radius(z, w, k, tol).
 
-    Returns (complex_or_real_sum, tail_bound, terms_used, cosets_used) for
-    the sum over one representative of each +/- pair; callers double both
-    the value and the tail for the full group.  The sum is of t_g(z, w)^k,
-    or with offdiagonal=True of |t_g(z, w)|^k over g != +/-I.
+    Returns (complex_sum, tail_bound, terms_used, cosets_used) for the sum
+    of t_g(z, w)^k over one representative of each +/- pair; callers
+    double both the value and the tail for the full group.
     """
     with np.errstate(all="ignore"):  # as Python's floats, which do not warn
         cosets = coset_arrays(*np.array([[z.x], [z.y], [R0]]))
         n_cosets = len(cosets[0])
         rows, counts, tails, terms = _array_lines(
             cosets, *np.array([[z.x], [z.y], [w.x], [w.y]]), k,
-            np.array([0.25 * tol / n_cosets]), np.array([tail]), offdiagonal)
+            np.array([0.25 * tol / n_cosets]), np.array([tail]))
     tail, n_terms = float(tails[0]), int(terms[0])
-    total = _term_sums(rows, counts, k, offdiagonal)
+    total = _term_sums(rows, counts, k)
     # terms whose magnitude underflows to zero are each below 5e-324
     tail += n_terms * 5e-324
     return total, tail, n_terms, n_cosets
@@ -885,7 +869,7 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
             n_cosets = np.bincount(cosets[3], minlength=len(at))
             rows, counts, tail, terms = _array_lines(
                 cosets, x, y, x, y, k, 0.25 * tol / n_cosets,
-                lattice_tails[at], False)
+                lattice_tails[at])
             del cosets
             re, im = _part_sums(rows, counts, k, np.cumsum(terms))
             # 2.0 * half as Python's complex product, (2, 0) times (re, im)
@@ -902,43 +886,54 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     return values, tails
 
 
+def _weight_4_lines(x, b):
+    """b^4 sum_m ((m + x)^2 + b^2)^-2 over all integers m, at float arrays
+    x and b > 0: -b^3/2 times the b-derivative of the partial fractions of
+    pi cot (DLMF 4.22.3), (pi/b) sinh(2 pi b)/(cosh(2 pi b) - cos(2 pi x)).
+    In E = e^(-2 pi b), C = cos(2 pi x) and D = 1 - 2 C E + E^2, with libm's
+    exp and cos, no intermediate overflows."""
+    E = _libm(math.exp, -_TWO_PI * b)
+    C = _libm(math.cos, _TWO_PI * x)
+    D = 1.0 + E * (E - 2.0 * C)
+    return (_HALF_PI * b * (1.0 - E * E) / D
+            + 2.0 * math.pi ** 2 * (b * E) * b * (C * (1.0 + E * E) - 2.0 * E)
+            / (D * D))
+
+
 def offdiagonal_sum_bound(z: Point):
     """Certified upper bound on sum over g != +/-I of (1 + u(z, gz))^{-2}.
 
     Used to turn a minimum-displacement value into a certified bound on the
     off-identity kernel mass at any larger weight.  The sum is invariant
-    under z -> hz, so it is taken at reduce_to_domain(z), where the lattice
-    sum stays small at low points.
+    under z -> hz, so it is taken at reduce_to_domain(z), where
+    y >= sqrt(3)/2.  On the coset of g0, 1 + u(z, T^m g0 z) =
+    ((m + x)^2 + b^2)/alpha with x = Re g0z - Re z, b = Im g0z + y and
+    alpha = 4 y Im g0z, so its line is (alpha/b^2)^2 _weight_4_lines(x, b).
+    The cosets with |cz+d|^2 <= R0 add their lines, less the identity's
+    m = 0 term, exactly 1, and _lattice_radius bounds the rest at 5% of a
+    closed-form estimate of the sum: in the bulk 24 = 2 * 4 pi / (pi/3),
+    the hyperbolic lattice-point mean, and from y of about 4 up 2 pi y, the
+    c = 0 line, capped to stay finite (the radius is out of reach from y of
+    about 1e301 up, below any height where the sum would overflow).
+
+    Rounding, u = 2^-53: Q and X0 come within 5u relative and 11u absolute
+    of their exact values; a line moves by at most 6 times the relative
+    error of Im g0z = y/Q and 2.4 times the error of x, and the closed form,
+    whose second part is below 5% of its first (E < 0.0044), adds 10u:
+    128u a line.  The lines are positive, fsum rounds once, and the
+    identity's line is at least 2.7, so taking out its 1 scales the error
+    by at most 1.6: 210u, which the factor 1 + 2^-44 (512u) covers.
     """
     z = reduce_to_domain(z)
-    # the lattice sum is truncated at 5% of a guess of its size, refined
-    # twice; the returned value is certified whatever the guess, and only
-    # the first pass's cost depends on it.  The first guess is a closed-form
-    # estimate of the sum: in the bulk 24 = 2 * 4 pi / vol(Gamma \ H), the
-    # hyperbolic lattice-point mean, and from y of about 4 up 2 pi y, the
-    # integral of the c = 0 line, which dominates there.  It is capped so
-    # that it stays finite at every height
-    guess = min(max(24.0, _TWO_PI * z.y), 0.5 * sys.float_info.max)
-    for _ in range(3):
-        tol = 0.05 * max(guess, 1e-3)
-        total, tail, _, _ = _sum_terms(
-            z, z, 4, tol, *_lattice_radius(z, z, 4, tol), offdiagonal=True,
-        )
-        guess = 2.0 * total
-    return 2.0 * total + 2.0 * tail
-
-
-@functools.lru_cache(maxsize=1)
-def _weight_free_sums(z: Point) -> tuple:
-    """(u_min, s2) of residual_certificate at a point z of the domain: the
-    minimum displacement's u and the weight-4 off-identity sum bound.
-    Neither depends on k, so a sweep over weights at one point computes
-    them once.  One entry is enough for that sweep; a larger cache would
-    only serve exact repeats of unrelated calls, which no caller makes, and
-    would let a benchmark that repeats its rounds time the cache instead
-    of the sums.  A CutoffExceeded is raised, not kept."""
-    _, d_min = min_displacement(z)
-    return u_from_distance(d_min), offdiagonal_sum_bound(z)
+    x, y = z.x, z.y
+    tol = 0.05 * min(max(24.0, _TWO_PI * y), 0.5 * sys.float_info.max)
+    R0, tail = _lattice_radius(z, z, 4, tol)
+    c, d, Q, _ = coset_arrays(*np.array([[x], [y], [R0]]))
+    v = y / Q  # Im g0z
+    b = v + y
+    a = 4.0 * (y / b) * (v / b)  # alpha / b^2
+    lines = a * a * _weight_4_lines(_line_starts(c, d, Q, x) - x, b)
+    return 2.0 * (math.fsum(lines.tolist()) - 1.0 + tail) * (1.0 + 2.0 ** -44)
 
 
 def residual_certificate(z: Point, k: int) -> float:
@@ -947,13 +942,11 @@ def residual_certificate(z: Point, k: int) -> float:
     |R_k(z,z) - 2| <= sum_{g != +/-I} (1+u)^{-k/2}
                    <= (1+u_min)^{-(k-4)/2} * sum_{g != +/-I} (1+u)^{-2},
     with u_min certified by the displacement search and the weight-4 sum
-    bounded by its own certified enumeration.  Both sums are invariant under
-    z -> hz, so they are taken at reduce_to_domain(z), where the lattice
-    sum stays small at low points.  Neither depends on k: the pair of the
-    last point is kept (_weight_free_sums), so after the first weight at a
-    point the others cost only this formula.
+    by its closed form (offdiagonal_sum_bound).  Both sums are invariant
+    under z -> hz, and each is taken at reduce_to_domain(z).
     """
     if k % 2 or k < 4:
         raise ValueError("k must be an even integer >= 4")
-    u_min, s2 = _weight_free_sums(reduce_to_domain(z))
-    return s2 * math.exp(-0.5 * (k - 4) * math.log1p(u_min))
+    _, d_min = min_displacement(z)
+    s2 = offdiagonal_sum_bound(z)
+    return s2 * math.exp(-0.5 * (k - 4) * math.log1p(u_from_distance(d_min)))

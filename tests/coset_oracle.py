@@ -38,7 +38,7 @@ def side_tail(M: float, alpha: float, beta: float, k: float) -> float:
 
 
 def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
-                 tail: float, offdiagonal: bool):
+                 tail: float):
     """The coset loop, one (c, d, Q) triple at a time in scalar libm
     arithmetic.
 
@@ -47,8 +47,7 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     tol_line / 2.  Each omitted mass is added to tail in coset order.
     Returns (rows, counts, tail): six values per m-line segment, one after
     another, (m_lo - terms before it, X0 - Re w, beta, alpha,
-    Im gz + Im w, arg(cz+d)), and each segment's term count; arg(cz+d) is
-    0.0 in an offdiagonal sum, which adds only magnitudes.
+    Im gz + Im w, arg(cz+d)), and each segment's term count.
     """
     y, x = z.y, z.x
     v, uw = w.y, w.x
@@ -76,8 +75,7 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
         else:
             a0, _b0 = solve_top_row(c, d)
             X0 = a0 / c - (c * x + d) / (c * Q)
-            # a sum of magnitudes never reads arg(cz+d)
-            argden = 0.0 if offdiagonal else math.atan2(c * y, c * x + d)
+            argden = math.atan2(c * y, c * x + d)
         t0 = uw - X0
         width_sq = alpha * u_cut - beta
         width = math.sqrt(width_sq) if width_sq > 0.0 else 0.0
@@ -107,14 +105,8 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
         tail += hi
         if m_hi - m_lo + 1 > max_terms:
             raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
-        if offdiagonal and c == 0:
-            # the identity is not an off-diagonal term: skip m = 0
-            segments = ((m_lo, min(m_hi, -1)), (max(m_lo, 1), m_hi))
-        else:
-            segments = ((m_lo, m_hi),)
-        for lo_m, hi_m in segments:
-            if lo_m <= hi_m:
-                rows += (lo_m - n_terms, X0 - uw, beta, alpha, vp + v, argden)
-                counts.append(hi_m - lo_m + 1)
-                n_terms += hi_m - lo_m + 1
+        if m_lo <= m_hi:
+            rows += (m_lo - n_terms, X0 - uw, beta, alpha, vp + v, argden)
+            counts.append(m_hi - m_lo + 1)
+            n_terms += m_hi - m_lo + 1
     return rows, counts, tail

@@ -92,6 +92,7 @@ def test_second_entry_points_are_gone(module, name):
     assert not hasattr(cuspkernel, name)
 
 
-def test_kernel_sum_has_one_mode_keyword():
+def test_kernel_sum_has_no_mode_keyword():
+    # the weight-4 sum is in closed form: the term pass sums t_g^k alone
     params = inspect.signature(kernel._sum_terms).parameters.values()
-    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == ["offdiagonal"]
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == []

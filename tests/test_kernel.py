@@ -40,8 +40,6 @@ from test_halfplane import random_gamma, random_point
 I_PT = Point(0.0, 1.0)
 BULK = Point(0.13, 1.1)
 SQRT3_2 = math.sqrt(3.0) / 2.0
-# the weights of acceptance criterion 3
-SWEEP = (200, 400, 800, 1600)
 GOLDEN = Path(__file__).resolve().parent / "golden" / "kernel_regimes.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -284,8 +282,9 @@ class TestBergmanR:
     @pytest.mark.parametrize("y", [1e-155, 1e-160, 1e-200, 1e-300])
     def test_very_low_point_is_a_cutoff(self, y):
         # 0.1+iy reduces to about 0.5 + 7.7e(-34)/y i, where the weight-1200
-        # value is one Lipschitz term, the weight-12 lattice tail is out of
-        # reach and the weight-4 sum's m-line window does not converge
+        # value is one Lipschitz term and the weight-12 lattice tail is out
+        # of reach; the weight-4 sum there is about that of its c = 0 line,
+        # 2 pi Im z, and at least the line's 2 pi Im z - 2
         z = Point(0.1, y)
         img = reduce_to_domain(z)
         assert img.y > 7e-34 / y
@@ -294,9 +293,11 @@ class TestBergmanR:
         res = bergman_R(z, z, WeightConfig(1200))
         assert res == bergman_R(img, img, WeightConfig(1200))
         assert res.tail_bound <= 1e-9
-        with pytest.raises(CutoffExceeded, match="m-line window"):
-            offdiagonal_sum_bound(z)
+        bound = offdiagonal_sum_bound(z)
+        assert bound == offdiagonal_sum_bound(img)
+        assert 2.0 * math.pi * img.y - 2.0 <= bound <= 1.1 * 2.0 * math.pi * img.y
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("y", [1e78, 1e155, 1e300, 1.7e308])
     def test_very_high_point_returns_or_cuts_off(self, y):
         # squares such as (c y)^2 and (Q - 1)^2 overflow up here, and at
@@ -359,15 +360,15 @@ class TestBergmanR:
             assert abs(res.value - base.value) <= 1e-14 * abs(base.value)
 
 
-def one_pair_array_lines(cosets, z, w, k, tol_line, tail, offdiagonal):
+def one_pair_array_lines(cosets, z, w, k, tol_line, tail):
     """_array_lines on the table of one pair, in scalar_lines's terms."""
     rows, counts, tails, _ = kernel._array_lines(
         cosets, *np.array([[z.x], [z.y], [w.x], [w.y]]), k,
-        np.array([tol_line]), np.array([tail]), offdiagonal)
+        np.array([tol_line]), np.array([tail]))
     return rows, counts, float(tails[0])
 
 
-def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
+def both_line_stages(z, w, k, tol, max_cosets=None):
     """The scalar oracle and the array coset loop, each called directly on
     its own table of the radius _sum_terms picks: per stage, the repr of
     (rows, counts, tail), or of the CutoffExceeded it raised.  None for a
@@ -382,8 +383,7 @@ def both_line_stages(z, w, k, tol, offdiagonal=False, max_cosets=None):
                           (one_pair_array_lines,
                            coset_arrays(*np.array([[z.x], [z.y], [R0]])))):
         try:
-            rows, counts, t = stage(cosets, z, w, k, tol_line, tail,
-                                    offdiagonal)
+            rows, counts, t = stage(cosets, z, w, k, tol_line, tail)
         except CutoffExceeded as exc:
             out.append(repr((str(exc), exc.best_tail_bound)))
             continue
@@ -420,15 +420,14 @@ class TestArrayCosetLoop:
                 w = Point(float(gen.uniform(-0.5, 0.5)),
                           y * math.exp(gen.uniform(-1.0, 1.0)))
             tol = 10.0 ** gen.uniform(-14.0, -3.0)
-            offdiagonal = bool(gen.uniform() < 0.3)
             try:
                 # tables past 5000 cosets are skipped for time; the low
                 # points below have 20k-100k
-                out = both_line_stages(z, w, k, tol, offdiagonal, 5000)
+                out = both_line_stages(z, w, k, tol, 5000)
             except CutoffExceeded:
                 continue  # the lattice radius is out of reach: no table
             if out is not None:
-                assert_same(*out, (z, w, k, tol, offdiagonal))
+                assert_same(*out, (z, w, k, tol))
                 cases += 1
 
     @pytest.mark.parametrize("z", [Point(0.159202, 0.080638),
@@ -449,7 +448,7 @@ class TestArrayCosetLoop:
         R0, tail = kernel._lattice_radius(z, z, 12, 1e-12)
         table = coset_table(z, R0)
         _, counts, _ = scalar_lines(table, z, z, 12, 0.25e-12 / len(table),
-                                    tail, False)
+                                    tail)
         assert counts[0] < max(counts)
         cap = (counts[0] + max(counts)) // 2
         monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", cap)
@@ -464,17 +463,16 @@ class TestArrayCosetLoop:
         monkeypatch.setattr(kernel, "_MAX_GROWTH", 1)
         R0, tail = kernel._lattice_radius(z, z, 12, 1e-12)
         tol_line = 0.25 * 1e-12 / len(coset_table(z, R0))
-        scalar_lines([(0, 1, 1.0)], z, z, 12, tol_line, tail, False)
+        scalar_lines([(0, 1, 1.0)], z, z, 12, tol_line, tail)
         scalar, array = both_line_stages(z, z, 12, 1e-12)
         assert "failed to converge" in scalar
         assert_same(scalar, array)
 
-    @pytest.mark.parametrize("z, w, k, tol, offdiagonal", [
-        (Point(0.1, 0.3), Point(0.1, 0.3), 12, 1e-12, False),
-        (BULK, Point(-0.2, 0.9), 24, 1e-10, True),
+    @pytest.mark.parametrize("z, w, k, tol", [
+        (Point(0.1, 0.3), Point(0.1, 0.3), 12, 1e-12),
+        (BULK, Point(-0.2, 0.9), 24, 1e-10),
     ])
-    def test_cutoffs_of_every_kind(self, monkeypatch, z, w, k, tol,
-                                   offdiagonal):
+    def test_cutoffs_of_every_kind(self, monkeypatch, z, w, k, tol):
         # term caps and growth limits across the windows of a table: a
         # window too wide to start, one grown past the cap and one still
         # growing when the rounds run out end the sum at the first such
@@ -484,11 +482,11 @@ class TestArrayCosetLoop:
             for growth in (1, 2, 200):
                 monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", cap)
                 monkeypatch.setattr(kernel, "_MAX_GROWTH", growth)
-                scalar, array = both_line_stages(z, w, k, tol, offdiagonal)
+                scalar, array = both_line_stages(z, w, k, tol)
                 assert_same(scalar, array, (cap, growth))
                 messages.add(scalar.split("'")[1] if "m-line" in scalar
                              else None)
-        if not offdiagonal:
+        if z == w:
             assert messages == {"m-line window too large",
                                 "m-line window failed to converge", None}
 
@@ -506,16 +504,17 @@ class TestArrayCosetLoop:
                              (one_pair_array_lines, tuple(
                                  np.array([a]) for a in (0, 1, 1.0, 0)))):
             with pytest.raises(CutoffExceeded) as exc:
-                stage(table, z, z, k, tol_line, 0.5, False)
+                stage(table, z, z, k, tol_line, 0.5)
             out.append((str(exc.value), exc.value.best_tail_bound))
         assert out[0] == out[1] == ("m-line window failed to converge", 0.5)
 
 
 def test_the_coset_loop_under_the_avx2_dispatch():
     # numpy's AVX-512 exp, log1p and arctan2 round some arguments apart
-    # from its AVX2 ones; the coset loop reads none of them, so its cases
-    # pass in a child whose numpy takes its AVX2 kernels, as on a host
-    # without AVX-512
+    # from its AVX2 ones; the coset loop and the weight-4 sum read none of
+    # them, so the loop's cases and the golden certificate lines pass in a
+    # child whose numpy takes its AVX2 kernels, as on a host without
+    # AVX-512
     env = dict(os.environ,
                NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -525,9 +524,13 @@ def test_the_coset_loop_under_the_avx2_dispatch():
         capture_output=True, text=True, env=env, timeout=120)
     if probe.returncode or "cannot disable" in probe.stderr:
         pytest.skip(f"numpy cannot disable those features: {probe.stderr}")
+    golden = [f"{__file__}::TestGoldenRegimes::test_bit_identical[{name}]"
+              for name in TestGoldenRegimes.CASES
+              if name.startswith(("offdiagonal_sum_bound", "residual_certificate"))]
+    assert len(golden) == 9
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::TestArrayCosetLoop"],
+         f"{__file__}::TestArrayCosetLoop", *golden],
         capture_output=True, text=True, env=env, timeout=600,
         cwd=Path(__file__).resolve().parent)
     assert proc.returncode == 0, proc.stdout[-3000:]
@@ -694,7 +697,7 @@ def one_line_stage(z, k, tol):
     R0, tail = kernel._lattice_radius(z, z, k, tol)
     cosets = coset_table(z, R0)
     rows, counts, _ = scalar_lines(
-        cosets, z, z, k, 0.25 * tol / len(cosets), tail, False)
+        cosets, z, z, k, 0.25 * tol / len(cosets), tail)
     return rows, counts
 
 
@@ -762,14 +765,12 @@ class TestExactSum:
         rows, counts = one_line_stage(BULK, 8, 1e-9)
         ends = [kernel.EXACT_SUM_MIN_TERMS - 1, kernel.EXACT_SUM_MIN_TERMS,
                 self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, sum(counts)]
-        for offdiagonal in (False, True):
-            sums = []
-            for crossover in (1, math.inf):
-                monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
-                sums.append([kernel._term_sums(rows, first_terms(counts, n), 8,
-                                               offdiagonal)
-                             for n in ends])
-            assert sums[0] == sums[1]
+        sums = []
+        for crossover in (1, math.inf):
+            monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
+            sums.append([kernel._term_sums(rows, first_terms(counts, n), 8)
+                         for n in ends])
+        assert sums[0] == sums[1]
 
     @pytest.mark.parametrize("z, w, tol", [
         (Point(0.2, 4672.0), None, 1e-12),
@@ -783,8 +784,7 @@ class TestExactSum:
         got = []
         for crossover in (1, math.inf):
             monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
-            got.append((bergman_R(z, w or z, cfg),
-                        offdiagonal_sum_bound(reduce_to_domain(z))))
+            got.append(bergman_R(z, w or z, cfg))
         assert repr(got[0]) == repr(got[1])
 
 
@@ -823,10 +823,9 @@ def identity_line(y, k, tol):
     the direct window of the scalar coset loop, at the line budget tol / 4
     of a one-coset table: (sum, tail, terms)."""
     z = Point(0.0, y)
-    rows, counts, tail = scalar_lines([(0, 1, 1.0)], z, z, k, 0.25 * tol, 0.0,
-                                      False)
+    rows, counts, tail = scalar_lines([(0, 1, 1.0)], z, z, k, 0.25 * tol, 0.0)
     n = sum(counts)
-    return kernel._term_sums(rows, counts, k, False), tail + n * 5e-324, n
+    return kernel._term_sums(rows, counts, k), tail + n * 5e-324, n
 
 
 def r12_oracle(z):
@@ -1085,86 +1084,28 @@ class TestResidualCertificate:
         assert math.isfinite(cert)
         assert cert >= abs(res.value - 2.0) - res.tail_bound
 
-    @staticmethod
-    def cold(z, k):
-        kernel._weight_free_sums.cache_clear()
-        return residual_certificate(z, k)
-
-    def test_kept_sums_give_the_cold_bits(self):
-        # the k-free sums of the last point are kept: a sweep over k, points
-        # interleaved, and images of one point must each give the bits of a
-        # call that starts with nothing kept
-        z = Point(0.21, 1.22)
-        gz = moebius_apply(GammaMatrix(2, 1, 5, 3), z)
-        calls = [(p, k) for p in (z, Point(0.0, 1.3), Point(-0.0, 1.3))
-                 for k in SWEEP]
-        calls += [(p, k) for k in SWEEP
-                  for p in (z, gz, Point(z.x + 1.0, z.y), Point(0.0, 0.3))]
-        want = [self.cold(p, k) for p, k in calls]
-        kernel._weight_free_sums.cache_clear()
-        assert [residual_certificate(p, k) for p, k in calls] == want
-
-    def test_a_sweep_sums_once_per_point(self, monkeypatch):
-        summed = []
-
-        def counted(z):
-            summed.append(z)
-            return offdiagonal_sum_bound(z)
-
-        monkeypatch.setattr(kernel, "offdiagonal_sum_bound", counted)
-        kernel._weight_free_sums.cache_clear()
-        points = [BULK, Point(-0.31, 1.45), BULK]
-        for z in points:
-            for k in SWEEP:
-                residual_certificate(z, k)
-        assert summed == points
-
-    def test_a_cutoff_is_not_kept(self, monkeypatch):
-        # a weight-4 sum that cuts off raises at every weight of the sweep
-        # and leaves nothing behind
-        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", 4)
-        kernel._weight_free_sums.cache_clear()
-        for k in SWEEP:
-            with pytest.raises(CutoffExceeded, match="m-line window"):
-                residual_certificate(BULK, k)
-        assert kernel._weight_free_sums.cache_info().currsize == 0
-
     @pytest.mark.parametrize("y", [1e-12, 1e-50, 1e-155, 1e-200])
     def test_a_point_too_low_to_reduce_is_a_cutoff(self, y):
-        # each point reduces to an image at height 1e10 or more, where the
-        # weight-4 sum's m-line window does not converge.  At 1e-50 a float
-        # reduction once returned a point far below the domain, whose
-        # displacement search ran for minutes: an alarm turns a hang into a
-        # failure
+        # each point reduces to an image at height 1e10 or more, 0.1+1e-50i
+        # to 0.4999999999999999+7.7037e16i, whose weight-4 sum is in closed
+        # form: the certificate is finite and holds at the image.  At 1e-50
+        # a float reduction once returned a point far below the domain,
+        # whose displacement search ran for minutes: an alarm turns a hang
+        # into a failure
         def hung(signum, frame):
             raise TimeoutError(f"no answer at Im z = {y} within 2 s")
 
         old = signal.signal(signal.SIGALRM, hung)
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
-            with pytest.raises(CutoffExceeded):
-                residual_certificate(Point(0.1, y), 200)
+            cert = residual_certificate(Point(0.1, y), 200)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old)
-
-    @pytest.mark.parametrize("z", [Point(0.13, 1.1), Point(-0.31, 1.45),
-                                   Point(0.42, 2.3), Point(0.21, 1.22)])
-    def test_the_first_pass_is_not_the_largest(self, monkeypatch, z):
-        # the first of the three weight-4 passes is truncated at 5% of a
-        # closed-form estimate of the sum, so it enumerates about the
-        # cosets of the last, where a guess of 1 took 30 times as many
-        passes = []
-
-        def counted(*args, **kwargs):
-            out = sum_terms(*args, **kwargs)
-            passes.append(out[3])
-            return out
-
-        sum_terms = kernel._sum_terms
-        monkeypatch.setattr(kernel, "_sum_terms", counted)
-        offdiagonal_sum_bound(z)
-        assert len(passes) == 3 and passes[0] <= 2 * passes[2]
+        img = reduce_to_domain(Point(0.1, y))
+        res = bergman_R(img, img, WeightConfig(200, 1e-12))
+        assert math.isfinite(cert)
+        assert cert >= abs(res.value - 2.0) - res.tail_bound
 
     @pytest.mark.parametrize("z", [Point(0.3, 0.05), Point(0.21, 0.02),
                                    Point(-0.4, 0.003), Point(2.2, 0.11)])
@@ -1174,6 +1115,58 @@ class TestResidualCertificate:
         # 0.21+0.02i, it is the sum at the image, bit for bit
         img = reduce_to_domain(z)
         assert offdiagonal_sum_bound(z) == offdiagonal_sum_bound(img)
+
+    def test_the_line_sum_against_mpmath(self):
+        # the closed form of b^4 sum_m ((m + x)^2 + b^2)^-2 against
+        # mpmath's Euler-Maclaurin sum of the line at 30 digits, from the
+        # lowest b of the domain, sqrt(3)/2, to 1e3
+        gen = rng(4)
+        x = np.concatenate(([0.0, 0.5], gen.uniform(-2.1, 2.1, 14)))
+        b = np.concatenate(([0.86, 1e3], np.exp(gen.uniform(
+            math.log(0.86), math.log(1e3), 14))))
+        got = kernel._weight_4_lines(x, b)
+        with mp.workdps(30):
+            for xi, bi, g in zip(x.tolist(), b.tolist(), got.tolist()):
+                xm, bm = mp.mpf(xi), mp.mpf(bi)
+                want = mp.nsum(lambda m: bm ** 4 / ((m + xm) ** 2 + bm ** 2) ** 2,
+                               [-mp.inf, mp.inf], method="e")
+                assert abs(g / want - 1) <= 1e-14, (xi, bi)
+
+    @pytest.mark.parametrize("z", [
+        Point(0.13, 1.1), Point(-0.31, 1.45), Point(0.42, 2.3),
+        # the centres of the benchmark's four region disks at seed 1
+        Point(0.042511, 1.735725), Point(0.222178, 1.537618),
+        Point(-0.212539, 1.541507), Point(0.253284, 1.497607)])
+    def test_the_bound_against_the_sum_over_100_times_its_radius(self, z):
+        # the weight-4 sum over every coset with |cz+d|^2 <= 100 R0, from
+        # the scalar coset table and the hyperbolic form of the line's
+        # closed form, -(1/2b) d/db of (pi/b) sinh 2 pi b/(cosh 2 pi b -
+        # cos 2 pi x): it is below the sum, so below the bound, and the
+        # bound is at most 5% above it
+        y = z.y
+        R0, _ = kernel._lattice_radius(z, z, 4, 0.05 * max(24.0, 2 * math.pi * y))
+        lines = []
+        for c, d, Q in coset_table(z, 100.0 * R0):
+            v = y / Q
+            x = (0.0 if c == 0
+                 else modgroup.solve_top_row(c, d)[0] / c - (c * z.x + d) / (c * Q)
+                 - z.x)
+            b = y + v
+            sh, ch = math.sinh(2 * math.pi * b), math.cosh(2 * math.pi * b)
+            cs = math.cos(2 * math.pi * x)
+            lines.append((4.0 * y * v) ** 2 * (
+                math.pi / (2 * b ** 3) * sh / (ch - cs)
+                + (math.pi / b) ** 2 * (ch * cs - 1.0) / (ch - cs) ** 2))
+        partial = 2.0 * (math.fsum(lines) - 1.0)
+        bound = offdiagonal_sum_bound(z)
+        assert partial <= bound <= 1.05 * partial
+
+    def test_a_point_at_height_1e6(self):
+        # the c = 0 line alone is 2 pi y - 2 over g != +/-I; a window of
+        # its terms would hold millions of them
+        z = Point(0.1, 1e6)
+        bound = offdiagonal_sum_bound(z)
+        assert 2.0 * math.pi * z.y - 2.0 <= bound <= 1.05 * 2.0 * math.pi * z.y
 
     def test_offdiagonal_bound_is_upper(self):
         # oracle: partial sum over small matrices can never exceed the bound
