@@ -320,8 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="evaluate R_k(z, w)")
-    p.add_argument("--z", type=parse_point, required=True)
-    p.add_argument("--w", type=parse_point, default=None)
+    p.add_argument("--z", type=parse_point, required=True,
+                   help="point a+bi; a negative one as --z=-0.3+1.1i")
+    p.add_argument("--w", type=parse_point, default=None,
+                   help="second point (default z); a negative one as --w=-0.3+1.1i")
     _add_flags(p, "k", "tol", "out", "format")
     p.set_defaults(func=cmd_kernel)
 

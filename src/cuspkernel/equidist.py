@@ -289,8 +289,8 @@ def integrate_vertical(x: float, psi: TestFunction, cfg: WeightConfig,
     parameter: the support must lie above 1/Y, and the quadrature breaks
     where the line crosses the cfg.delta_for(Y) neighborhoods of the
     strip's elliptic points."""
-    if abs(x) > 0.5:
-        raise ValueError("x must lie in [-1/2, 1/2]")
+    if not abs(x) <= 0.5:
+        raise ValueError(f"x must lie in [-1/2, 1/2], got {x!r}")
     if psi.a <= 0:
         raise ValueError("the support on a vertical line must stay above 0")
     elist = elliptic_points_in_strip(Y)  # also rejects a bad Y
@@ -306,6 +306,8 @@ def integrate_horizontal(y: float, psi: TestFunction, cfg: WeightConfig,
     """Integral of psi(x) against the mass density along Im z = y over one
     period, with reference (3/pi) * int psi dx.  psi may be an indicator.
     Y plays the same part as in integrate_vertical."""
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"y must be positive and finite, got {y!r}")
     elist = elliptic_points_in_strip(Y)  # also rejects a bad Y
     if not unsafe:
         _check_window(y, y, cfg, Y, "height")

@@ -55,16 +55,17 @@ bergman_R_diagonal evaluates the diagonal at many points at once, given
 as two coordinate arrays, bit for bit as bergman_R at each, and with no
 Python object per point: the points move into the strip as arrays, their
 lattice radii come from one lockstep pass (_lattice_radii, the steps of
-_lattice_radius on every point, its libm calls once per distinct value),
-a point with a large table, an unreachable radius or a Lipschitz line
-takes _diagonal on its own with the radius found, and the array pass
+_lattice_radius on every point, with one R0 and one ring sequence for the
+batch), a point with a large table, an unreachable radius or a Lipschitz
+line takes _diagonal on its own with the radius found, and the array pass
 carries an owner index per coset, so the small tables of all the other
 points go through one coset pass and one term pass, with one fsum for
 each point whose sum has more than one term.  numpy's exp,
 log1p, arctan2, cos, sin and remainder give an element the same bits in a
 long array as in a short one, so sharing the term pass changes no point's
-sum.  A single pair keeps the scalar _lattice_radius, whose set-up is a
-tenth of the array pass's.
+sum.  A single pair keeps the scalar _lattice_radius, which takes about a
+tenth of the lockstep pass's time on one point at k 200-1600 (5-6 us on a
+2-core Xeon) and a twentieth at k 12 (35 us).
 
 The weight-4 sum behind residual_certificate (offdiagonal_sum_bound) takes
 each m-line in closed form (_weight_4_lines): one coset table, no window.
@@ -214,32 +215,41 @@ def _shortest_vector_sq(x: float, y: float) -> float:
     return uu / one
 
 
+def _ring_factors(s: float, k: int):
+    """(g0, rb) of the ring Q < |cz+d|^2 <= 2Q at s = Im w Q / Im z:
+    g0 = (1 + min u)^(-k/2), where 1 + min u = (s+1)^2/(4s) over a coset of
+    size Q, and rb bounds the ratio of later rings, as
+    (2s+1)^2/(2(s+1)^2) = (1+F(2Q))/(1+F(Q)) increases in s."""
+    nhk = -0.5 * k  # a term's magnitude is exp(nhk * log(1 + u))
+    g0 = math.exp(nhk * math.log((s + 1.0) ** 2 / (4.0 * s)))
+    growth = (2.0 * s + 1.0) ** 2 / (2.0 * (s + 1.0) ** 2)
+    return g0, 2.0 * math.exp(nhk * math.log(growth))
+
+
 def _lattice_radius(z: Point, w: Point, k: int, tol: float):
     """(R0, tail): a working radius R0 whose lattice tail, the mass of
     every coset with |cz+d|^2 > R0, is at most tol / 2, and that tail."""
     y, v = z.y, w.y
     ck = _profile_constant(k)
-    nhk = -0.5 * k  # a term's magnitude is exp(nhk * log(1 + u))
 
     def npm(R):
         # upper bound on the number of +/- lattice pairs with |cz+d|^2 <= R
         return 0.5 * (math.sqrt(R) / rho + 1.0) ** 2 + 1.0
 
+    rings = {}  # the factors at each Q, shared by every R0 of the search
+
     def lattice_tail(R0):
         # dyadic rings over Q > R0; each ring bounded by count * inner-edge
-        # line bound; closed geometrically (ratio bounded analytically
-        # because (1+F(2Q))/(1+F(Q)) = (2s+1)^2/(2(s+1)^2) increases in s)
+        # line bound, closed geometrically (_ring_factors)
         total = 0.0
         Q = R0
-        term = None
         for _ in range(250):
-            # 1 + min u over the coset of size Q is (s+1)^2/(4s)
-            s = v * Q / y
-            g0 = math.exp(nhk * math.log((s + 1.0) ** 2 / (4.0 * s)))
+            if Q not in rings:
+                # on the diagonal s is Q exactly, where v Q may overflow
+                rings[Q] = _ring_factors(Q if v == y else v * Q / y, k)
+            g0, rb = rings[Q]
             term = npm(2.0 * Q) * g0 * (2.0 + ck * (v + y / Q))
             total += term
-            growth = (2.0 * s + 1.0) ** 2 / (2.0 * (s + 1.0) ** 2)
-            rb = 2.0 * math.exp(nhk * math.log(growth))
             if rb < 1.0 and term < max(1e-4 * total, 1e-300):
                 return total + term * rb / (1.0 - rb)
             Q *= 2.0
@@ -249,7 +259,7 @@ def _lattice_radius(z: Point, w: Point, k: int, tol: float):
     # push the lattice tail under budget.  Where the lattice is too fine
     # for floating point, or Im w is far above Im z, the squared shortest
     # vector underflows or a square overflows: no bound is representable
-    R0 = max(4.0 * y / v, 8.0)
+    R0 = max(4.0 * (y / v), 8.0)  # 8 on the diagonal at every height
     try:
         rho = 0.5 * math.sqrt(_shortest_vector_sq(z.x, y))
         while True:
@@ -302,75 +312,51 @@ def _lattice_radii(x, y, k: int, tol: float):
     arrays, in lockstep: arrays of R0 and of the tail, with the same bits,
     and nan in both where _lattice_radius raises CutoffExceeded.
 
-    Every point takes the scalar's steps on its own values, in numpy's
-    exactly rounded arithmetic: its reduction (_shortest_vectors_sq), its
-    rings while they last and its doublings of R0.  Each square is libm's
-    pow, and the ring factors g0 and rb, which depend on s = v Q / y
-    alone, are the scalar's own expressions, once per distinct s (s is Q
-    but where y Q overflows).  A point whose R0 passes its budget reads
-    nan; where some square or division of the batch would not be
+    On the diagonal every point starts from R0 = 8 and every ring has
+    s = Q, so the batch shares one R0 and one Q: g0 and rb are Python
+    floats once per ring (_ring_factors), and the rest is the scalar's
+    arithmetic in numpy's exactly rounded ops, each square libm's pow.
+    Where some square or division of the batch would not be
     representable, as at a point whose squared shortest vector underflows,
     every point of the batch takes _lattice_radius instead.
     """
     n = len(x)
     ck = _profile_constant(k)
-    nhk = -0.5 * k
-    v = y  # the diagonal: w = z
-
-    # the scalar's expressions of a ring at s, as in lattice_tail
-    def ring_g0(s):
-        return math.exp(nhk * math.log((s + 1.0) ** 2 / (4.0 * s)))
-
-    def ring_rb(s):
-        growth = (2.0 * s + 1.0) ** 2 / (2.0 * (s + 1.0) ** 2)
-        return 2.0 * math.exp(nhk * math.log(growth))
+    R0s, tails = np.full(n, math.nan), np.full(n, math.nan)
 
     def npm(R, rho):
-        return 0.5 * _per_value(lambda b: b ** 2, np.sqrt(R) / rho + 1.0) + 1.0
+        return 0.5 * _per_value(lambda b: b ** 2, math.sqrt(R) / rho + 1.0) + 1.0
 
-    def lattice_tails(R0, at):
-        # lattice_tail(R0[i]) at each point at[i], the rings in lockstep
-        yv, vv, rho = y[at], v[at], rhos[at]
-        out = np.full(len(at), math.inf)
-        total, Q = np.zeros(len(at)), R0
-        live = np.arange(len(at))
-        for _ in range(250):
-            s = vv * Q / yv
-            g0, rb = _per_value(ring_g0, s), _per_value(ring_rb, s)
-            term = npm(2.0 * Q, rho) * g0 * (2.0 + ck * (vv + yv / Q))
-            total = total + term
-            done = (rb < 1.0) & (term < np.maximum(1e-4 * total, 1e-300))
-            if done.all():
-                out[live] = total + term * rb / (1.0 - rb)
-                return out
-            if done.any():
-                out[live[done]] = (total + term * rb / (1.0 - rb))[done]
-                go = ~done
-                live, yv, vv, rho, total, Q = (
-                    a[go] for a in (live, yv, vv, rho, total, Q))
-            Q = 2.0 * Q
-        return out
-
-    R0s, tails = np.empty(n), np.empty(n)
-    bad = np.zeros(n, bool)
     try:
         with np.errstate(all="ignore"):  # Python's floats do not warn
             rhos = 0.5 * np.sqrt(_shortest_vectors_sq(x, y))
             if not rhos.all():
                 raise ZeroDivisionError("float division by zero")
-            at = np.arange(n)
-            R0 = np.maximum(4.0 * y / v, 8.0)
+            at, R0 = np.arange(n), 8.0
             while at.size:
-                tail = lattice_tails(R0, at)
+                # the rings over Q > R0 of every point at, as lattice_tail
+                tail = np.full(len(at), math.inf)
+                live, yv, rho, total = np.arange(len(at)), y[at], rhos[at], 0.0
+                Q = R0
+                for _ in range(250):
+                    g0, rb = _ring_factors(Q, k)
+                    term = npm(2.0 * Q, rho) * g0 * (2.0 + ck * (yv + yv / Q))
+                    total = total + term
+                    if rb < 1.0:
+                        done = term < np.maximum(1e-4 * total, 1e-300)
+                        tail[live[done]] = (total + term * rb / (1.0 - rb))[done]
+                        if done.all():
+                            break
+                        live, yv, rho, total = (
+                            a[~done] for a in (live, yv, rho, total))
+                    Q *= 2.0
                 ok = tail <= 0.5 * tol
-                R0s[at[ok]], tails[at[ok]] = R0[ok], tail[ok]
-                at, R0 = at[~ok], 2.0 * R0[~ok]
-                over = R0 > 1e14
-                under = np.flatnonzero(~over)
-                if under.size:
-                    over[under] = npm(R0[under], rhos[at[under]]) > MAX_COSETS
-                bad[at[over]] = True
-                at, R0 = at[~over], R0[~over]
+                R0s[at[ok]], tails[at[ok]] = R0, tail[ok]
+                at, R0 = at[~ok], 2.0 * R0
+                if R0 > 1e14 or not at.size:
+                    break
+                # npm is one float where the rhos are
+                at = at[np.broadcast_to(npm(R0, rhos[at]) <= MAX_COSETS, at.shape)]
     except (OverflowError, ZeroDivisionError):
         # some bound of the batch is not representable: every point takes
         # the scalar's steps on its own
@@ -380,8 +366,6 @@ def _lattice_radii(x, y, k: int, tol: float):
                 R0s[j], tails[j] = _lattice_radius(z, z, k, tol)
             except CutoffExceeded:
                 R0s[j] = tails[j] = math.nan
-        return R0s, tails
-    R0s[bad] = tails[bad] = math.nan
     return R0s, tails
 
 
@@ -913,8 +897,8 @@ def offdiagonal_sum_bound(z: Point):
     m = 0 term, exactly 1, and _lattice_radius bounds the rest at 5% of a
     closed-form estimate of the sum: in the bulk 24 = 2 * 4 pi / (pi/3),
     the hyperbolic lattice-point mean, and from y of about 4 up 2 pi y, the
-    c = 0 line, capped to stay finite (the radius is out of reach from y of
-    about 1e301 up, below any height where the sum would overflow).
+    c = 0 line, capped to stay finite.  Where the bound is above the largest
+    float, from y of about 2.8e307 up, it raises CutoffExceeded.
 
     Rounding, u = 2^-53: Q and X0 come within 5u relative and 11u absolute
     of their exact values; a line moves by at most 6 times the relative
@@ -928,12 +912,17 @@ def offdiagonal_sum_bound(z: Point):
     x, y = z.x, z.y
     tol = 0.05 * min(max(24.0, _TWO_PI * y), 0.5 * sys.float_info.max)
     R0, tail = _lattice_radius(z, z, 4, tol)
-    c, d, Q, _ = coset_arrays(*np.array([[x], [y], [R0]]))
-    v = y / Q  # Im g0z
-    b = v + y
-    a = 4.0 * (y / b) * (v / b)  # alpha / b^2
-    lines = a * a * _weight_4_lines(_line_starts(c, d, Q, x) - x, b)
-    return 2.0 * (math.fsum(lines.tolist()) - 1.0 + tail) * (1.0 + 2.0 ** -44)
+    with np.errstate(all="ignore"):  # as Python's floats, which do not warn
+        c, d, Q, _ = coset_arrays(*np.array([[x], [y], [R0]]))
+        v = y / Q  # Im g0z
+        b = v + y
+        a = 4.0 * (y / b) * (v / b)  # alpha / b^2
+        lines = a * a * _weight_4_lines(_line_starts(c, d, Q, x) - x, b)
+    bound = 2.0 * (math.fsum(lines.tolist()) - 1.0 + tail) * (1.0 + 2.0 ** -44)
+    if not bound < math.inf:
+        raise CutoffExceeded(f"weight-4 sum not representable at Im z = {y:.3e}",
+                             best_tail_bound=math.inf)
+    return bound
 
 
 def residual_certificate(z: Point, k: int) -> float:

@@ -412,6 +412,9 @@ class TestParserCache:
     (["kernel", "--z", "0+100000i", "--k", "12"], 0),
     # 0.1+1e-12i reduces to a translation line at height 1e10
     (["kernel", "--z", "0.1+1e-12i", "--k", "1200"], 0),
+    # the lattice radius is reached on the diagonal to the top of the
+    # doubles, and the translation line there is Lipschitz's, value 0
+    (["kernel", "--z", "0.1+1.7e308i", "--k", "1200"], 0),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:

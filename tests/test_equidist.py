@@ -279,6 +279,18 @@ class TestTestFunction:
         with pytest.raises(ValueError):
             integrate_vertical(0.13, BumpSpec.bump(-1.0, 1.0),
                                WeightConfig(1200, 1e-9), Y, unsafe=True)
+        # a nan x and a height that is no height are the argument's error,
+        # not that of a quadrature node, with or without the window check
+        cfg = WeightConfig(1200, 1e-9)
+        for unsafe in (False, True):
+            for x in (math.nan, 0.6, -math.inf):
+                with pytest.raises(ValueError, match="x must"):
+                    integrate_vertical(x, BumpSpec.bump(1.1, 1.2), cfg, Y,
+                                       unsafe=unsafe)
+            for y in (math.nan, math.inf, 0.0, -1.3):
+                with pytest.raises(ValueError, match="y must"):
+                    integrate_horizontal(y, BumpSpec.indicator(-0.5, 0.5),
+                                         cfg, Y, unsafe=unsafe)
 
 
 class TestVertical:

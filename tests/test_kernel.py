@@ -298,11 +298,15 @@ class TestBergmanR:
         assert 2.0 * math.pi * img.y - 2.0 <= bound <= 1.1 * 2.0 * math.pi * img.y
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("y", [1e78, 1e155, 1e300, 1.7e308])
+    @pytest.mark.parametrize("y", [1e78, 1e155, 1e300, 2.0 ** 1000, 1e305,
+                                   2e307, 3e307, 1e308, 1.7e308])
     def test_very_high_point_returns_or_cuts_off(self, y):
-        # squares such as (c y)^2 and (Q - 1)^2 overflow up here, and at
-        # 1.7e308 so does 2 pi y; each entry point must still return a
-        # finite value or raise CutoffExceeded
+        # squares such as (c y)^2 and (Q - 1)^2 overflow up here, from
+        # 1.4e307 so does 4 pi y, and from 2.9e307 2 pi y; each entry point
+        # must still return a finite value or raise CutoffExceeded.  The
+        # point is in the domain, and a weight-4 sum that returns lies
+        # within that of its c = 0 line, 2 pi y, as at the images of
+        # test_very_low_point_is_a_cutoff
         z, w = Point(0.1, y), Point(0.2, 1.0)
         calls = [(offdiagonal_sum_bound, z), (residual_certificate, z, 200)]
         for k in (12, 1200):
@@ -315,6 +319,8 @@ class TestBergmanR:
             except CutoffExceeded:
                 continue
             assert math.isfinite(getattr(out, "tail_bound", out))
+            if f is offdiagonal_sum_bound:
+                assert 2.0 * math.pi * y - 2.0 <= out <= 1.1 * 2.0 * math.pi * y
         g, d = modgroup.min_displacement(z)
         assert g.c == 0 and abs(g.b) == 1
         if y < 1e150:
@@ -655,16 +661,18 @@ class TestArrayLatticeRadius:
     @pytest.mark.parametrize("y", [1e300, 1e305, 2e307, 3e307, 1.7e308])
     @pytest.mark.parametrize("k", [12, 48, 1200, 1600])
     def test_great_heights(self, y, k):
-        # where y Q overflows in a ring, s = v Q / y is inf, not Q, and the
-        # ring reads nan, so no radius is reached: at 2e307 from Q = 16 on,
-        # where s = Q would reach R0 = 16 (k 1200, 1600), and at 3e307 from
-        # Q = 8, where the s of a bulk point would reach R0 = 8 (k 1600);
-        # a batch must keep them apart from points whose s is Q, such as a
-        # bulk point or -0.2+1e300i, whose rings at k 1600 run with those
-        # of 0.1+3e307i up to Q = 16
+        # on the diagonal s is Q exactly at every height, though y Q
+        # overflows from 1.1e307 up.  At k 1200 and 1600 the radius is
+        # reached at every height: R0 is 8 or 16, and 32 at 1.7e308, where
+        # y + y/Q overflows at Q = 8 and 16 and those rings read inf.  A
+        # batch must give each point its own steps beside a bulk point or
+        # -0.2+1e300i, whose rings run with its own
         z = Point(0.1, y)
         for points in ([z], [BULK, z], [z, BULK], [Point(-0.2, 1e300), z]):
-            assert array_radii(points, k, 0.5e-9) == scalar_radii(points, k, 0.5e-9)
+            want = scalar_radii(points, k, 0.5e-9)
+            assert array_radii(points, k, 0.5e-9) == want
+            if k >= 1200:
+                assert want[points.index(z)] is not None
 
 
 def exact_sum(values):
