@@ -14,10 +14,11 @@ certificate:
     f(M) * (1 + alpha*h(M)/(M*(k-2))) per side beyond offset M;
   * whole quiet cosets: max term times (2 + c_k*(v + v')), where
     c_k = sqrt(pi)*Gamma((k-1)/2)/Gamma(k/2) integrates the line profile;
-  * the lattice beyond |cz+d|^2 > R0: dyadic rings, counting lattice points
-    by disk packing (the packing radius from the exact shortest vector of
-    Z + Z z) and bounding each ring by its inner-edge term, closed by a
-    geometric series whose ratio is controlled analytically.
+  * the lattice beyond |cz+d|^2 > R0: rings of ratio 2^(1/4), counting the
+    lattice points of each row by row (Cassels's count of an ellipse) and
+    bounding each ring by its inner-edge term, closed by a geometric series
+    whose ratio is controlled analytically; R0 is the first radius of the
+    rings' grid whose tail is within budget, found in one walk up the grid.
 
 On the diagonal bergman_R takes one of three routes (_diagonal), after the
 lattice radius R0 of z:
@@ -55,8 +56,8 @@ bergman_R_diagonal evaluates the diagonal at many points at once, given
 as two coordinate arrays, bit for bit as bergman_R at each, and with no
 Python object per point: the points move into the strip as arrays, their
 lattice radii come from one lockstep pass (_lattice_radii, the steps of
-_lattice_radius on every point, with one R0 and one ring sequence for the
-batch), a point with a large table, an unreachable radius or a Lipschitz
+_lattice_radius on every point, with one grid of rings for the batch), a
+point with a large table, an unreachable radius or a Lipschitz
 line takes _diagonal on its own with the radius found, and the array pass
 carries an owner index per coset, so the small tables of all the other
 points go through one coset pass and one term pass, with one fsum for
@@ -64,8 +65,8 @@ each point whose sum has more than one term.  numpy's exp,
 log1p, arctan2, cos, sin and remainder give an element the same bits in a
 long array as in a short one, so sharing the term pass changes no point's
 sum.  A single pair keeps the scalar _lattice_radius, which takes about a
-tenth of the lockstep pass's time on one point at k 200-1600 (5-6 us on a
-2-core Xeon) and a twentieth at k 12 (35 us).
+tenth of the lockstep pass's time on one point: 3-5 us at k 200-1600 and
+about 40 us at k 12 on a 2-core Xeon.
 
 The weight-4 sum behind residual_certificate (offdiagonal_sum_bound) takes
 each m-line in closed form (_weight_4_lines): one coset table, no window.
@@ -77,7 +78,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -91,7 +92,6 @@ from .halfplane import (
 )
 from .modgroup import (
     MAX_COSETS,
-    _reduced_basis,
     coset_arrays,
     min_displacement,
     reduce_to_domain,
@@ -100,6 +100,12 @@ from .modgroup import (
 )
 
 _HALF_PI = 0.5 * math.pi
+_LOG4 = math.log(4.0)
+# the ratio of the lattice tail's rings, and the most rings of one walk
+# (250 octaves, as many as the dyadic rings before them took)
+_RING = 2.0 ** 0.25
+_QUARTERS = (1.0, _RING, 2.0 ** 0.5, 2.0 ** 0.75)
+_MAX_RINGS = 1000
 _TWO_PI = 2.0 * math.pi
 # most terms one m-line may contribute
 _MAX_LINE_TERMS = 5_000_000
@@ -207,77 +213,107 @@ def _side_tails(M, alpha, beta, k: float):
     return f * (1.0 + alpha * h / (M * (k - 2.0)))
 
 
-def _shortest_vector_sq(x: float, y: float) -> float:
-    """Squared length of the shortest nonzero vector of the lattice Z + Z z,
-    z = x + iy, from its exact reduced basis (_reduced_basis), rounded
-    once.  Used as the packing radius for the lattice-point counting bound."""
-    _, _, (uu, _, _, one) = _reduced_basis(x, y)
-    return uu / one
-
-
+@functools.lru_cache(maxsize=4096)  # a diagonal walk's rings repeat
 def _ring_factors(s: float, k: int):
-    """(g0, rb) of the ring Q < |cz+d|^2 <= 2Q at s = Im w Q / Im z:
-    g0 = (1 + min u)^(-k/2), where 1 + min u = (s+1)^2/(4s) over a coset of
-    size Q, and rb bounds the ratio of later rings, as
-    (2s+1)^2/(2(s+1)^2) = (1+F(2Q))/(1+F(Q)) increases in s."""
+    """(g0, rb) of the ring Q < |cz+d|^2 <= rQ (r = _RING) at
+    s = Im w Q / Im z >= 1: g0 = (1 + min u)^(-k/2) over a coset of size Q,
+    where 1 + min u = (s+1)^2/(4s), and rb = r growth^(-k/2) with
+    growth = ((rs+1)/(s+1))^2 / r, the ratio of 1 + min u at rs to that
+    at s.  In log and ratio form no large s is squared."""
     nhk = -0.5 * k  # a term's magnitude is exp(nhk * log(1 + u))
-    g0 = math.exp(nhk * math.log((s + 1.0) ** 2 / (4.0 * s)))
-    growth = (2.0 * s + 1.0) ** 2 / (2.0 * (s + 1.0) ** 2)
-    return g0, 2.0 * math.exp(nhk * math.log(growth))
+    g0 = math.exp(nhk * (2.0 * math.log1p(s) - _LOG4 - math.log(s)))
+    ratio = (_RING * s + 1.0) / (s + 1.0)
+    return g0, _RING * math.exp(nhk * math.log(ratio * ratio / _RING))
+
+
+def _grid(start: float, j: int) -> float:
+    """The j-th radius of the ring grid from start, start r^j (r = _RING):
+    start r^(j mod 4) rounded once, times 2^(j div 4) exactly, so every
+    fourth radius is start times a power of two."""
+    return start * _QUARTERS[j % 4] * 2.0 ** (j // 4)
+
+
+def _ring_pairs(Q, Q2, y, grow):
+    """Upper bound on the +/- pairs (c, d) with Q < |cz+d|^2 <= Q2, at
+    y = Im z (a float or an array) and grow = 2 (1 + 1/y).
+
+    Row c of N(X) = #{(c, d) : |cz+d|^2 <= X} holds the integers d of an
+    interval of length 2 L_c, L_c = sqrt(X - c^2 y^2), so 2 L_c - 1 to
+    2 L_c + 1 of them, over at most 2 sqrt(X)/y + 1 rows; and the sum of
+    2 L_c over the integers c is within max 2 L_c = 2 sqrt(X) of its
+    integral pi X / y, as 2 L_c rises and then falls in c (the row-by-row
+    count of Cassels, Geometry of Numbers, ch. III).  So N(X) is within
+    sqrt(X) grow + 1 of pi X / y, and the ring holds at most
+    (N+(Q2) - N-(Q)) / 2 pairs."""
+    return 0.5 * (math.pi * (Q2 - Q) / y
+                  + grow * (math.sqrt(Q2) + math.sqrt(Q)) + 2.0)
+
+
+def _table_fits(R, root, y, grow):
+    """Whether a coset table of radius R (a float or an array), root its
+    square root, stays enumerable: R <= 1e14, and N+(R) / 2 of _ring_pairs,
+    a bound on its cosets, at most MAX_COSETS."""
+    return (R <= 1e14) & (0.5 * (math.pi * R / y + grow * root + 1.0)
+                          <= MAX_COSETS)
 
 
 def _lattice_radius(z: Point, w: Point, k: int, tol: float):
     """(R0, tail): a working radius R0 whose lattice tail, the mass of
-    every coset with |cz+d|^2 > R0, is at most tol / 2, and that tail."""
+    every coset with |cz+d|^2 > R0, is at most tol / 2, and that tail.
+
+    The rings Q < |cz+d|^2 <= rQ, r = _RING, start at
+    Q = max(4 Im z / Im w, 8), so s = Im w Q / Im z >= 4 throughout.  A
+    coset of the ring weighs at most g0 (2 + c_k (Im w + Im z / Q)), as
+    1 + min u rises in s from s = 1 on and Im g0z = Im z / |cz+d|^2 falls,
+    and the ring's term is that times its pairs (_ring_pairs).  Each
+    ring's term is at most rb times the one before from ring j on, where
+    rb = rb(s_j) of _ring_factors: the pairs grow at most r-fold a ring
+    (their parts scale by r, sqrt r and 1), the line factor falls in Q,
+    g0 falls by growth(s)^(-k/2) exactly, and growth rises in s, as
+    (rs+1)/(s+1) has derivative (r-1)/(s+1)^2 > 0.  So once rb < 1 the
+    rings after j weigh at most term * rb / (1 - rb).
+
+    One walk up the grid stops at the first ring whose term / (1 - rb) is
+    at most 1e-4 of the budget tol / 2, with that rest; its suffix sums,
+    taken from the top down, are the tails of the grid's radii, and R0 is
+    the first whose tail is within budget.  A radius past the start must
+    keep its table enumerable (_table_fits), which holds up to some radius
+    of the grid and not beyond.  A ring whose term is not a number (an
+    infinite count or line factor times a g0 that underflows to 0) weighs
+    inf."""
     y, v = z.y, w.y
     ck = _profile_constant(k)
-
-    def npm(R):
-        # upper bound on the number of +/- lattice pairs with |cz+d|^2 <= R
-        return 0.5 * (math.sqrt(R) / rho + 1.0) ** 2 + 1.0
-
-    rings = {}  # the factors at each Q, shared by every R0 of the search
-
-    def lattice_tail(R0):
-        # dyadic rings over Q > R0; each ring bounded by count * inner-edge
-        # line bound, closed geometrically (_ring_factors)
-        total = 0.0
-        Q = R0
-        for _ in range(250):
-            if Q not in rings:
-                # on the diagonal s is Q exactly, where v Q may overflow
-                rings[Q] = _ring_factors(Q if v == y else v * Q / y, k)
-            g0, rb = rings[Q]
-            term = npm(2.0 * Q) * g0 * (2.0 + ck * (v + y / Q))
-            total += term
-            if rb < 1.0 and term < max(1e-4 * total, 1e-300):
-                return total + term * rb / (1.0 - rb)
-            Q *= 2.0
-        return math.inf
-
-    # the working radius must keep the coset table enumerable as well as
-    # push the lattice tail under budget.  Where the lattice is too fine
-    # for floating point, or Im w is far above Im z, the squared shortest
-    # vector underflows or a square overflows: no bound is representable
-    R0 = max(4.0 * (y / v), 8.0)  # 8 on the diagonal at every height
-    try:
-        rho = 0.5 * math.sqrt(_shortest_vector_sq(z.x, y))
-        while True:
-            tail = lattice_tail(R0)
-            if tail <= 0.5 * tol:
-                return R0, tail
-            R0 *= 2.0
-            if R0 > 1e14 or npm(R0) > MAX_COSETS:
-                raise CutoffExceeded(
-                    f"tail bound {tail:.3e} not reachable at tol {tol:.3e}",
-                    best_tail_bound=tail,
-                )
-    except (OverflowError, ZeroDivisionError):
+    grow, budget = 2.0 * (1.0 + 1.0 / y), 0.5 * tol
+    start = max(4.0 * (y / v), 8.0)  # 8 on the diagonal at every height
+    grid, terms, rest = [], [], math.inf
+    Q2 = start
+    for j in range(_MAX_RINGS):
+        Q, Q2 = Q2, _grid(start, j + 1)
+        # s = Q exactly on the diagonal; v Q would overflow first
+        g0, rb = _ring_factors(Q * (v / y), k)
+        term = _ring_pairs(Q, Q2, y, grow) * g0 * (2.0 + ck * (v + y / Q))
+        grid.append(Q)
+        terms.append(math.inf if math.isnan(term) else term)
+        if rb < 1.0 and terms[-1] / (1.0 - rb) <= 1e-4 * budget:
+            rest = terms[-1] * rb / (1.0 - rb)
+            break
+    tails = list(accumulate(reversed(terms), initial=rest))[:0:-1]
+    j = next((j for j, t in enumerate(tails) if t <= budget), len(grid) - 1)
+    while j and not _table_fits(grid[j], math.sqrt(grid[j]), y, grow):
+        j -= 1
+    best = tails[j]
+    if best <= budget:
+        return grid[j], best
+    if best == math.inf:
         raise CutoffExceeded(
             f"lattice tail bound not representable at Im z = {y:.3e}, "
             f"Im w = {v:.3e}",
             best_tail_bound=math.inf,
-        ) from None
+        )
+    raise CutoffExceeded(
+        f"tail bound {best:.3e} not reachable at tol {tol:.3e}",
+        best_tail_bound=best,
+    )
 
 
 def _per_value(f, a):
@@ -293,80 +329,53 @@ def _per_value(f, a):
     return _libm(f, values)[np.searchsorted(values, a)]
 
 
-def _shortest_vectors_sq(x, y):
-    """_shortest_vector_sq at every point x + iy of two float arrays, with
-    the same bits.  A point of the strip |x| <= 1/2 reads 1.0, the vector 1,
-    without a call where x*x + y*y, three roundings of half an ulp each, is
-    1 + 4 eps or more: there |z| >= 1 exactly, and the reduction keeps 1.
-    The scalar takes every other point, at most a few of a batch of the
-    bulk."""
-    above_one = 1.0 + 4.0 * sys.float_info.epsilon
-    out = np.ones(len(x))
-    at = np.flatnonzero((np.abs(x) > 0.5) | (x * x + y * y < above_one))
-    out[at] = _libm(_shortest_vector_sq, x[at], y[at])
-    return out
-
-
 def _lattice_radii(x, y, k: int, tol: float):
     """_lattice_radius(z, z, k, tol) at every point z = x + iy of two float
     arrays, in lockstep: arrays of R0 and of the tail, with the same bits,
     and nan in both where _lattice_radius raises CutoffExceeded.
 
-    On the diagonal every point starts from R0 = 8 and every ring has
-    s = Q, so the batch shares one R0 and one Q: g0 and rb are Python
-    floats once per ring (_ring_factors), and the rest is the scalar's
-    arithmetic in numpy's exactly rounded ops, each square libm's pow.
-    Where some square or division of the batch would not be
-    representable, as at a point whose squared shortest vector underflows,
-    every point of the batch takes _lattice_radius instead.
+    On the diagonal every point starts from Q = 8 and every ring has
+    s = Q, so the batch shares one grid of rings, and g0 and rb are Python
+    floats once per ring (_ring_factors).  Each point's ring terms are the
+    scalar's arithmetic in numpy's exactly rounded ops, a row of a
+    (points x rings) array, zero past the ring where the point stops as
+    the scalar does; its rest follows in a last column.  A reversed
+    sequential np.add.accumulate takes the suffix sums, adding in the
+    scalar's order (the zeros change no sum), and each point's R0 is its
+    first grid radius within budget, or nan where that is past its guard.
     """
     n = len(x)
     ck = _profile_constant(k)
-    R0s, tails = np.full(n, math.nan), np.full(n, math.nan)
-
-    def npm(R, rho):
-        return 0.5 * _per_value(lambda b: b ** 2, math.sqrt(R) / rho + 1.0) + 1.0
-
-    try:
-        with np.errstate(all="ignore"):  # Python's floats do not warn
-            rhos = 0.5 * np.sqrt(_shortest_vectors_sq(x, y))
-            if not rhos.all():
-                raise ZeroDivisionError("float division by zero")
-            at, R0 = np.arange(n), 8.0
-            while at.size:
-                # the rings over Q > R0 of every point at, as lattice_tail
-                tail = np.full(len(at), math.inf)
-                live, yv, rho, total = np.arange(len(at)), y[at], rhos[at], 0.0
-                Q = R0
-                for _ in range(250):
-                    g0, rb = _ring_factors(Q, k)
-                    term = npm(2.0 * Q, rho) * g0 * (2.0 + ck * (yv + yv / Q))
-                    total = total + term
-                    if rb < 1.0:
-                        done = term < np.maximum(1e-4 * total, 1e-300)
-                        tail[live[done]] = (total + term * rb / (1.0 - rb))[done]
-                        if done.all():
-                            break
-                        live, yv, rho, total = (
-                            a[~done] for a in (live, yv, rho, total))
-                    Q *= 2.0
-                ok = tail <= 0.5 * tol
-                R0s[at[ok]], tails[at[ok]] = R0, tail[ok]
-                at, R0 = at[~ok], 2.0 * R0
-                if R0 > 1e14 or not at.size:
+    grid, cols, rest = [], [], np.full(n, math.inf)
+    live, Q2 = np.arange(n), 8.0
+    with np.errstate(all="ignore"):  # Python's floats do not warn
+        grow, budget = 2.0 * (1.0 + 1.0 / y), 0.5 * tol
+        for j in range(_MAX_RINGS):
+            Q, Q2 = Q2, _grid(8.0, j + 1)
+            g0, rb = _ring_factors(Q, k)
+            yl = y[live]
+            term = (_ring_pairs(Q, Q2, yl, grow[live]) * g0
+                    * (2.0 + ck * (yl + yl / Q)))
+            term[np.isnan(term)] = math.inf
+            grid.append(Q)
+            cols.append(np.zeros(n))
+            cols[-1][live] = term
+            if rb < 1.0:
+                done = term / (1.0 - rb) <= 1e-4 * budget
+                rest[live[done]] = (term * rb / (1.0 - rb))[done]
+                live = live[~done]
+                if not live.size:
                     break
-                # npm is one float where the rhos are
-                at = at[np.broadcast_to(npm(R0, rhos[at]) <= MAX_COSETS, at.shape)]
-    except (OverflowError, ZeroDivisionError):
-        # some bound of the batch is not representable: every point takes
-        # the scalar's steps on its own
-        for j in range(n):
-            z = Point(float(x[j]), float(y[j]))
-            try:
-                R0s[j], tails[j] = _lattice_radius(z, z, k, tol)
-            except CutoffExceeded:
-                R0s[j] = tails[j] = math.nan
-    return R0s, tails
+        cols.append(rest)
+        tails = np.add.accumulate(np.stack(cols[::-1], axis=1), axis=1)
+        tails = tails[:, :0:-1]  # tails[:, j] is the suffix sum from ring j
+        within = tails <= budget
+        first = within.argmax(axis=1)
+        R0 = np.array(grid)[first]
+        ok = within.any(axis=1) & (
+            (first == 0) | _table_fits(R0, np.sqrt(R0), y, grow))
+        tail = tails[np.arange(n), first]
+    return np.where(ok, R0, math.nan), np.where(ok, tail, math.nan)
 
 
 def _line_starts(c, d, Q, x):
@@ -435,7 +444,10 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     v = spread(vs, slice(None))
     vp = spread(ys, slice(None)) / Q
     alpha = 4.0 * v * vp
-    beta = _libm(pow, v - vp, repeat(2))
+    try:
+        beta = _libm(pow, v - vp, repeat(2))
+    except OverflowError:  # as in IEEE arithmetic, a square past 1e308 is inf
+        beta = _libm(lambda t: t * t if abs(t) > 1e154 else t ** 2, v - vp)
     # what each coset adds to the tail, in turn: g_max lf (and 0) if it is
     # pruned, else the side tails lo and hi of its final window
     added = np.zeros((len(Q), 2))
@@ -778,9 +790,10 @@ def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
 def _checked(half, tail: float, n_terms: int, n_cosets: int,
              tol: float) -> KernelResult:
     """The KernelResult of a half sum over the +/- pairs, or CutoffExceeded
-    where its tail is above tol."""
+    where its tail is above tol or not a number (a pair of great heights
+    whose alpha and beta both overflow)."""
     result = KernelResult(2.0 * half, 2.0 * tail, n_terms, n_cosets)
-    if result.tail_bound > tol:
+    if not result.tail_bound <= tol:
         raise CutoffExceeded(
             f"achieved tail {result.tail_bound:.3e} exceeds tol {tol:.3e}",
             best_tail_bound=result.tail_bound,

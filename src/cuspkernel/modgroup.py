@@ -5,9 +5,9 @@ d(z, gz) over g != +/-I: every matrix outside the examined window is ruled
 out by the height bound u(z, gz) >= (Q-1)^2/(4Q) with Q = |cz+d|^2, so the
 search window can be shrunk as better candidates are found.
 
-The reduction to the fundamental domain, the lower bound on a coset
-table's size and the kernel's lattice-point count rest on one exact
-reduction of the lattice Z + Z z in Python integers (_reduced_basis).
+The reduction to the fundamental domain and the lower bound on a coset
+table's size rest on one exact reduction of the lattice Z + Z z in Python
+integers (_reduced_basis).
 """
 
 from __future__ import annotations

@@ -85,12 +85,13 @@ class TestKernelCommand:
                     assert cells[key] == str(value)
 
     def test_an_unrepresentable_tail_names_both_heights(self, capsys):
-        # the lattice tail's rings overflow because Im w is far above Im z
-        rc, _, err = run(capsys, "kernel", "--z", "0.1+1i",
-                         "--w", "0.1+1e300i", "--k", "12")
+        # the lattice tail's ring count pi Q / Im z overflows, as Im z is
+        # below the normal doubles
+        rc, _, err = run(capsys, "kernel", "--z", "0.1+1e-310i",
+                         "--w", "0.1+1i", "--k", "12")
         assert rc == 3
         assert err == ("cutoff exceeded: lattice tail bound not representable"
-                       " at Im z = 1.000e+00, Im w = 1.000e+300\n")
+                       " at Im z = 1.000e-310, Im w = 1.000e+00\n")
 
     def test_off_diagonal_argument(self, capsys):
         rc, out, _ = run(capsys, "kernel", "--z", "0.3+0.7i", "--w", "0.1+0.9i",

@@ -34,6 +34,7 @@ from cuspkernel.modgroup import (
 )
 
 from coset_oracle import coset_table, scalar_lines
+from radius_oracle import dyadic_radius
 from test_modgroup import brute_force_sl2, mp_reduction, one_table
 from test_halfplane import random_gamma, random_point
 
@@ -298,6 +299,16 @@ class TestBergmanR:
         assert 2.0 * math.pi * img.y - 2.0 <= bound <= 1.1 * 2.0 * math.pi * img.y
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_partner_far_up_the_cusp(self):
+        # s = Im w Q / Im z reaches 8e300 here: the ring factors never
+        # square it, and (Im w - Im gz)^2 is inf once it overflows, so every
+        # term underflows and the sum is 0 within tol
+        z = Point(0.2, 1.0)
+        for e in range(150, 301, 5):
+            res = bergman_R(z, Point(0.1, 10.0 ** e), WeightConfig(12))
+            assert res.value == 0 and 0.0 <= res.tail_bound <= 1e-9, e
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("y", [1e78, 1e155, 1e300, 2.0 ** 1000, 1e305,
                                    2e307, 3e307, 1e308, 1.7e308])
     def test_very_high_point_returns_or_cuts_off(self, y):
@@ -342,9 +353,10 @@ class TestBergmanR:
         assert peak < 64 * res.terms_used
 
     def test_array_stage_memory_per_coset(self):
-        # 97k cosets and 16k terms: the peak is the array coset loop's, a
-        # few float64 columns of the table and one list of Python floats
-        # at a time for libm (about 190 bytes a coset)
+        # 41k cosets, none of them pruned, and 13k terms: the peak is the
+        # array coset loop's, a few float64 columns of the table and one
+        # list of Python floats at a time for libm (about 290 bytes a kept
+        # coset)
         z = Point(0.159202, 0.080638)
         cfg = WeightConfig(12, 1e-12)
         direct(z, cfg)
@@ -354,8 +366,8 @@ class TestBergmanR:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res.cosets_used == 97033
-        assert peak < 224 * res.cosets_used
+        assert res.cosets_used == 40788
+        assert peak < 320 * res.cosets_used
 
     def test_periodic_in_each_argument(self):
         cfg = WeightConfig(24, 1e-12)
@@ -441,11 +453,11 @@ class TestArrayCosetLoop:
                                    Point(0.420853, 0.181562),
                                    Point(-0.072304, 0.273911)])
     def test_low_points(self, z):
-        # the benchmark's low points at k 12, tol 1e-12 (half of it per
-        # +/- representative, as bergman_R asks _sum_terms)
-        R0, _ = kernel._lattice_radius(z, z, 12, 0.5e-12)
+        # the benchmark's low points at k 12, tol 1e-14 (half of it per
+        # +/- representative, as bergman_R asks _sum_terms): 24k-97k cosets
+        R0, _ = kernel._lattice_radius(z, z, 12, 0.5e-14)
         assert len(coset_table(z, R0)) > 20000
-        assert_same(*both_line_stages(z, z, 12, 0.5e-12))
+        assert_same(*both_line_stages(z, z, 12, 0.5e-14))
 
     def test_a_line_past_the_term_cap(self, monkeypatch):
         # at 0.1+0.3i the identity line is shorter than the longest c >= 1
@@ -597,38 +609,15 @@ class TestArrayLatticeRadius:
             assert array_radii(batch, k, tol) == list(want)
 
     def test_radii_that_double(self):
-        # k 12 below the unit circle at tol 1e-14: R0 doubles from 8 to
-        # 8192 or 16384, 10 times at some points and 11 at others
+        # k 12 below the unit circle at tol 1e-14: R0 moves up the ring
+        # grid from 8 to its 37th, 38th or 39th radius (4871 to 6889),
+        # each a point's own
         gen = rng(3)
         points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.08, 0.6)))
                   for _ in range(60)]
         want = scalar_radii(points, 12, 1e-14)
-        assert {R0 for R0, _ in want} == {8192.0, 16384.0}
+        assert {R0 for R0, _ in want} == {kernel._grid(8.0, j) for j in (37, 38, 39)}
         assert array_radii(points, 12, 1e-14) == want
-
-    def test_shortest_vectors_about_the_unit_circle(self):
-        # points of the strip within a few ulps of |z| = 1, where the
-        # array form reads 1.0 only above 1 + 4 eps, points off the strip
-        # and below the circle: the scalar's result, bit for bit
-        gen = rng(5)
-        t = gen.uniform(math.pi / 3, 2 * math.pi / 3, 2000)
-        ulps = gen.integers(-4, 5, (2, 2000))
-        x = np.cos(t) + ulps[0] * np.spacing(np.cos(t))
-        y = np.sin(t) + ulps[1] * np.spacing(np.sin(t))
-        # x*x + y*y rounds to 1.0 at these three, while |z| is below 1:
-        # the scalar reduces them, and returns |z|^2 rounded once
-        edge = [(0.36683612976292995, 0.9302855765304301),
-                (0.37682398346386903, 0.9262848835463211),
-                (0.38929730660978396, 0.921112157701964)]
-        x = np.concatenate((x, [0.5, -0.5, 0.0], [a for a, _ in edge],
-                            gen.uniform(-3, 3, 300)))
-        y = np.concatenate((y, [SQRT3_2, SQRT3_2, 1.0], [b for _, b in edge],
-                            gen.uniform(0.05, 2.0, 300)))
-        got = kernel._shortest_vectors_sq(x, y).tolist()
-        want = [kernel._shortest_vector_sq(a, b)
-                for a, b in zip(x.tolist(), y.tolist())]
-        assert got == want
-        assert 0 < sum(v == 1.0 for v in want) < len(want)
 
     def test_batches_of_one(self):
         for z in (BULK, I_PT, Point(-0.5, 0.3), Point(2.5, 0.07)):
@@ -637,9 +626,9 @@ class TestArrayLatticeRadius:
 
     @pytest.mark.parametrize("k", [12, 1200])
     def test_a_point_too_low_to_represent(self, k):
-        # at 0.1+1e-300i the squared shortest vector, (2^55 y)^2 or so,
-        # underflows to 0, so the bound is not representable
-        low = Point(0.1, 1e-300)
+        # at 0.1+1e-310i the ring count pi Q / y overflows from the first
+        # ring on, so no bound is representable
+        low = Point(0.1, 1e-310)
         assert "not representable" in scalar_error(low, k, 0.5e-9)
         for points in ([low], [BULK, low, I_PT], [low, BULK]):
             want = scalar_radii(points, k, 0.5e-9)
@@ -648,7 +637,7 @@ class TestArrayLatticeRadius:
 
     def test_each_failure_is_marked(self):
         # 0.1+1e300i at k 12 is out of reach with a finite tail, 0.1+1e-300i
-        # not representable: each reads nan in a batch, and the other
+        # not representable (its rings do not close within _MAX_RINGS): each reads nan in a batch, and the other
         # points of the batch keep their radii
         high, low = Point(0.1, 1e300), Point(0.1, 1e-300)
         assert "not reachable" in scalar_error(high, 12, 0.5e-9)
@@ -673,6 +662,42 @@ class TestArrayLatticeRadius:
             assert array_radii(points, k, 0.5e-9) == want
             if k >= 1200:
                 assert want[points.index(z)] is not None
+
+
+class TestLatticeTailAudit:
+    # the lattice tail of _lattice_radius must bound the cosets beyond R0,
+    # each by the weight bound of the tail's derivation, and its R0 must be
+    # no larger than the dyadic-ring bound's (radius_oracle)
+
+    def test_the_tail_bounds_the_cosets_beyond_R0(self):
+        # 64 seeded pairs, k 4, 12, 24 and 60, half on the diagonal, y in
+        # [0.87, 3], tol 1e-14 to 1e-6, and at k 4 on the diagonal the
+        # weight-4 sum's budget, 5% of max(24, 2 pi y); the cosets up to
+        # 64 R0 weigh at most the tail
+        gen = rng(24)
+        checked = 0
+        for i in range(64):
+            k = (4, 12, 24, 60)[i % 4]
+            z = Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.87, 3.0)))
+            w = (z if i % 8 < 4 else
+                 Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.87, 3.0))))
+            tol = 10.0 ** gen.uniform(-14.0, -6.0)
+            if i % 8 == 0:
+                tol = 0.05 * max(24.0, 2.0 * math.pi * z.y)
+            try:
+                R0, tail = kernel._lattice_radius(z, w, k, tol)
+            except CutoffExceeded:
+                assert dyadic_radius(z, w, k, tol) == math.inf
+                continue
+            assert R0 <= dyadic_radius(z, w, k, tol), (z, w, k, tol)
+            _, _, Q, _ = coset_arrays(*np.array([[z.x], [z.y], [64.0 * R0]]))
+            Q = Q[Q > R0]
+            s = w.y * Q / z.y
+            g_max = np.exp(-0.5 * k * np.log((s + 1.0) ** 2 / (4.0 * s)))
+            weights = g_max * (2.0 + kernel._profile_constant(k) * (w.y + z.y / Q))
+            assert math.fsum(weights.tolist()) <= tail, (z, w, k, tol)
+            checked += 1
+        assert checked >= 40
 
 
 def exact_sum(values):
@@ -902,8 +927,8 @@ class TestDiagonalRoutes:
         assert abs(res.value - want) <= res.tail_bound
 
     def test_batch_is_bergman_R_on_every_route(self):
-        # at k 24: small tables (0.7 <= y <= 8), low points that reduce and
-        # lines summed by Lipschitz (y >= 10), 0.1+1e-12i among them, which
+        # at k 24: small tables (0.7 <= y <= 1.1), low points that reduce
+        # and lines summed by Lipschitz (y >= 7.5), 0.1+1e-12i among them, which
         # reduces to a line at 1e10; at k 1200 also 0.1+4i, whose table
         # holds the identity coset alone but whose direct window is the
         # shorter.  0+5e-324i, whose image is above the largest float,
@@ -917,7 +942,7 @@ class TestDiagonalRoutes:
             res = bergman_R(p, p, cfg)
             routes["reduced"] += p.y < 0.5
             routes["lipschitz"] += res.terms_used <= 2 and res.cosets_used == 1
-        assert routes == {"reduced": 4, "lipschitz": 3}
+        assert routes == {"reduced": 4, "lipschitz": 4}
         for k, batch in ((24, points), (1200, [Point(0.1, 4.0), *points])):
             k_cfg = WeightConfig(k, 1e-10)
             x, y = np.array([[p.x, p.y] for p in batch]).T
