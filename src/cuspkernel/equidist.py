@@ -79,10 +79,14 @@ class TestFunction:
     def __call__(self, s):
         """psi at the nodes s (an array)."""
         s = np.asarray(s, dtype=np.float64)
-        if self.kind == "indicator":
-            return np.where((self.a <= s) & (s <= self.b), 1.0, 0.0)
+        inside = ((self.a <= s) & (s <= self.b) if self.kind == "indicator"
+                  else (self.a < s) & (s < self.b))
         t = (2.0 * s - (self.a + self.b)) / (self.b - self.a)
-        return np.where((self.a < s) & (s < self.b), _bump(t), 0.0)
+        return np.where(inside, self.in_own_variable(t), 0.0)
+
+    def in_own_variable(self, t):
+        """psi at s = (a + b)/2 + t (b - a)/2, for the nodes t (an array)."""
+        return np.ones(np.shape(t)) if self.kind == "indicator" else _bump(t)
 
 
 @dataclass
@@ -268,16 +272,16 @@ def _horizontal_crossings(y: float, elliptic_list, delta: float) -> list:
 
 def _line_integral(psi: TestFunction, at, breaks: list, cfg: WeightConfig,
                    rtol: float) -> IntegralResult:
-    """Integral of psi(t) against the mass density along the line
-    t -> at(t) = (x, y, w), where w is the denominator of the line's base
-    measure, with the reference (3/pi) * int psi(t) dt / w."""
-
-    def density(t):
-        return _integrand(psi(t), *at(t), cfg)
-
-    val, qerr, extra, nodes = adaptive(density, psi.a, psi.b, rtol=rtol,
-                                       breakpoints=breaks)
-    ref = _reference(lambda t: psi(t) / at(t)[2], psi.a, psi.b)
+    """Integral of psi(s) against the mass density along the line
+    s -> at(s) = (x, y, w), where w is the denominator of the line's base
+    measure, with the reference (3/pi) * int psi(s) ds / w, taken in psi's
+    own variable, which resolves a support however narrow beside |a|."""
+    val, qerr, extra, nodes = adaptive(
+        lambda s: _integrand(psi(s), *at(s), cfg), psi.a, psi.b, rtol=rtol,
+        breakpoints=breaks)
+    mid, half = 0.5 * (psi.a + psi.b), 0.5 * (psi.b - psi.a)
+    ref = half * _reference(
+        lambda t: psi.in_own_variable(t) / at(mid + half * t)[2], -1.0, 1.0)
     return IntegralResult(val, THREE_OVER_PI * ref, qerr + extra, nodes)
 
 

@@ -2,16 +2,25 @@
 
 R_k(z, w) is a sum over the full integer Moebius group of normalized terms
 t_g(z, w)^k with |t_g| = (1 + u(w, gz))^{-1/2}, where u is the point-pair
-invariant.  The sum is organized as translation cosets (c, d) crossed with
-translation powers m, because within a coset the image height
-Im(gz) = y/|cz+d|^2 is constant and the m-line decays like a power of the
-horizontal offset.  Every truncation is accompanied by an analytic upper
-bound on the omitted mass, so KernelResult.tail_bound is a genuine
-certificate:
+invariant.  The sum is organized as translation cosets g0 = (c, d), each
+an m-line sum_m (2i sqrt(Im g0z Im w) / (tau + m))^k e^(-ik arg(cz+d)) with
+tau = g0z - conj(w), because within a coset the image height
+Im(gz) = y/|cz+d|^2 is constant.  A line has two evaluators, and takes
+the one with fewer terms by closed-form lengths (_array_lines): its direct
+window of terms, or Lipschitz's series sum_m (tau + m)^-k =
+(-2 pi i)^k / (k-1)! sum_{n >= 1} n^(k-1) e^(2 pi i n tau), whose term n is
+(2 pi sqrt(alpha))^k n^(k-1) e^(-2 pi n Im tau) / (k-1)! at phase
+2 pi n Re tau - k arg(cz+d), alpha = 4 Im g0z Im w: a handful of terms
+where the window would hold up to millions that cancel.  Every truncation
+is accompanied by an analytic upper bound on the omitted mass, so
+KernelResult.tail_bound is a genuine certificate:
 
   * m-line side tails: sum-vs-integral comparison of h(t)^{-k/2} with
     h(t) = 1 + (t^2 + beta)/alpha convex, giving
     f(M) * (1 + alpha*h(M)/(M*(k-2))) per side beyond offset M;
+  * the series' rest past term N: term N times r_N / (1 - r_N), as the
+    ratio r_n = (1 + 1/n)^(k-1) e^(-2 pi Im tau) of term n + 1 to term n
+    falls with n;
   * whole quiet cosets: max term times (2 + c_k*(v + v')), where
     c_k = sqrt(pi)*Gamma((k-1)/2)/Gamma(k/2) integrates the line profile;
   * the lattice beyond |cz+d|^2 > R0: rings of ratio 2^(1/4), counting the
@@ -20,53 +29,42 @@ certificate:
     whose ratio is controlled analytically; R0 is the first radius of the
     rings' grid whose tail is within budget, found in one walk up the grid.
 
-On the diagonal bergman_R takes one of three routes (_diagonal), after the
-lattice radius R0 of z:
-  * a point whose radius is out of reach, or whose table would hold
-    REDUCTION_MIN_COSETS cosets or more, is evaluated at reduce_to_domain(z),
-    as R_k(gz, gz) = R_k(z, z): a low point with 14k-97k cosets at
-    weight 12 becomes one with a few hundred.  The image is exact but for
-    one rounding of each coordinate, so this route reaches every point of
-    H whose image's height is a float;
-  * where the table holds the identity coset alone (R0 < y^2), its
-    translation line is Lipschitz's series
-    (4 pi y)^k / (k-1)! sum_{n >= 1} n^(k-1) e^(-4 pi n y), wherever that
-    is expected to be shorter than the direct window (_lipschitz_shorter):
-    a handful of terms, and a geometric bound on the rest, in place of up
-    to millions of terms that cancel to about e^(-4 pi y);
-  * every other point, and every pair off the diagonal, is the direct sum
-    below.
+On the diagonal bergman_R takes one of two routes (_diagonal): a point
+whose lattice radius is out of reach, or whose table would hold
+REDUCTION_MIN_COSETS cosets or more, is evaluated at reduce_to_domain(z),
+as R_k(gz, gz) = R_k(z, z) (a low point with 14k-97k cosets at weight 12
+becomes one with a few hundred; the image is exact but for one rounding of
+each coordinate); every other point, as every pair off the diagonal, is
+the direct sum.
 
-The coset loop (_array_lines) prunes, sizes each m-line window and adds
-the tails, in array passes over the tables of coset_arrays; it records
-each line as one row.  Its bits are those of a scalar loop over one coset
-at a time, which the tests keep as its oracle: numpy does only exactly
-rounded arithmetic, every exp, log, log1p, atan2 and square is libm's,
-mapped over the array one Python float at a time, and the top rows come
-from one integer extended Euclid over all the cosets (solve_top_row on
-arrays).  The terms of every row are then evaluated in numpy and summed
-exactly, so the result is order-independent and deterministic.  A sum of
-EXACT_SUM_MIN_TERMS terms or more is evaluated a _CHUNK of terms at a time,
-and each chunk goes into exact buckets by binary exponent (_exact_sums),
-with no Python float per term; a smaller sum is evaluated in one pass and
-handed to Shewchuk's fsum through a memoryview.  Both are the correctly
-rounded exact sum, so they give the same bits.
+The coset loop (_array_lines) prunes, chooses each line's evaluator and
+adds the tails, in array passes over the tables of coset_arrays, and
+records each line as one row.  Its bits are those of a scalar loop over
+one coset at a time, which the tests keep as its oracle: numpy does only
+exactly rounded arithmetic, every exp, log, log1p, expm1, atan2 and square
+is libm's, mapped over the array one Python float at a time, and the top
+rows come from one integer extended Euclid over all the cosets
+(solve_top_row on arrays).  The terms of every row are then evaluated in
+numpy and summed exactly, so the result is order-independent and
+deterministic: a sum of EXACT_SUM_MIN_TERMS terms or more a _CHUNK of terms
+at a time into exact buckets by binary exponent (_exact_sums), with no
+Python float per term, a smaller one by Shewchuk's fsum through a
+memoryview, which give the same bits.
 
 bergman_R_diagonal evaluates the diagonal at many points at once, given
 as two coordinate arrays, bit for bit as bergman_R at each, and with no
 Python object per point: the points move into the strip as arrays, their
 lattice radii come from one lockstep pass (_lattice_radii, the steps of
 _lattice_radius on every point, with one grid of rings for the batch), a
-point with a large table, an unreachable radius or a Lipschitz
-line takes _diagonal on its own with the radius found, and the array pass
-carries an owner index per coset, so the small tables of all the other
-points go through one coset pass and one term pass, with one fsum for
-each point whose sum has more than one term.  numpy's exp,
-log1p, arctan2, cos, sin and remainder give an element the same bits in a
-long array as in a short one, so sharing the term pass changes no point's
-sum.  A single pair keeps the scalar _lattice_radius, which takes about a
-tenth of the lockstep pass's time on one point: 3-5 us at k 200-1600 and
-about 40 us at k 12 on a 2-core Xeon.
+point to be reduced takes _diagonal on its own with the radius found, and
+the array pass carries an owner index per coset, so the small tables of
+all the other points go through one coset pass and one term pass, with
+one fsum for each point whose sum has more than one term.  numpy's exp,
+log, log1p, arctan2, cos, sin and remainder give an element the same bits
+in a long array as in a short one, so sharing the term pass changes no
+point's sum.  A single pair keeps the scalar _lattice_radius, which takes
+about a tenth of the lockstep pass's time on one point: 3-5 us at k
+200-1600 and about 40 us at k 12 on a 2-core Xeon.
 
 The weight-4 sum behind residual_certificate (offdiagonal_sum_bound) takes
 each m-line in closed form (_weight_4_lines): one coset table, no window.
@@ -125,9 +123,12 @@ REDUCTION_MIN_COSETS = 100
 EXACT_SUM_MIN_TERMS = 2560
 # terms per chunk of an exact sum's pass, the fastest of 2^12..2^18 on a
 # 2-core Xeon (2 MB L2 a core): bergman_R at 0.2+4672i, tol 1e-12 (890k
-# terms), took 101, 82, 77, 67, 85, 85 and 98 ms, and at 0.13+1.1i, tol
+# direct terms then; its line is now one series term), took 101, 82, 77,
+# 67, 85, 85 and 98 ms, and at 0.13+1.1i, tol
 # 1e-14 (23k terms), 15.4, 11.1, 10.9, 10.7, 13.8, 13.7 and 11.9 ms
 _CHUNK = 1 << 15
+# values in a row of the term pass, one row per m-line segment
+_ROW = 7
 # the buckets of _exact_sums, one per biased exponent, and the most values
 # of a row that float64 bucket sums take before Python ints take over
 _EXPONENTS = 1 << 11
@@ -318,12 +319,11 @@ def _lattice_radius(z: Point, w: Point, k: int, tol: float):
 
 def _per_value(f, a):
     """f (a Python function of one float) at every entry of the nonempty
-    array a, called once per distinct value.  The points of a batch mostly
-    share one: then the result is that one float, which broadcasts as the
-    array would."""
+    array a, called once per distinct value: the points of a batch mostly
+    share one."""
     first = a[0].item()
     if (a == first).all():
-        return f(first)
+        return np.full(a.shape, f(first))
     values = np.sort(a)
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     return _libm(f, values)[np.searchsorted(values, a)]
@@ -389,6 +389,17 @@ def _line_starts(c, d, Q, x):
         return np.where(top, a0 / c - (c * x + d) / (c * Q), x)
 
 
+def _series_reach(b: float, k: int) -> float:
+    """The closed-form length of Lipschitz's series at line budget b, times
+    its rate lambda = 2 pi Im tau: its terms are at most the Gamma(k)
+    density of rate lambda at n, whose Chernoff tail exp(-k h(x)),
+    h(x) = x - 1 - log x at x = lambda n / k, falls below b once
+    k (x - 1)^2 / (2x) >= L = -log b, from n = (k + L + sqrt(L^2 + 2 k L))
+    / lambda on."""
+    L = -math.log(b)
+    return k + L + math.sqrt(max(L * L + 2.0 * k * L, 0.0))
+
+
 def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     """The coset loop over the coset tables of one or several pairs (z, w),
     in array passes.
@@ -398,32 +409,38 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     budget tol_lines[j] and starting tail tails[j], all float arrays)
     contiguous and in increasing j, each table's identity coset first.
     A coset whose whole line is below the budget is pruned and adds
-    g_max lf to the tail.  Every other line gets a window [m_lo, m_hi],
-    grown in rounds, lo's step and then hi's, until both side tails are
-    below half the budget, and adds lo, then hi.  Each pair's tail takes
-    its additions in coset order (np.add.accumulate along one row per
-    pair, as long as the longest table).
+    g_max lf to the tail.  Every other line takes Lipschitz's series where
+    its closed-form length N = max(ceil(_series_reach / (2 pi Im tau)), 1)
+    is below the first direct window's 2 width + 1 terms and its rest past
+    term N is within the budget, and adds that rest.  Every direct line
+    gets a window [m_lo, m_hi], grown in rounds, lo's step and then hi's,
+    until both side tails are below half the budget, and adds lo, then hi.
+    Each pair's tail takes its additions in coset order (np.add.accumulate
+    along one row per pair, as long as the longest table).
 
     The bits are those of a loop over one coset at a time in scalar libm
     arithmetic, which the tests keep as the oracle: numpy does only exactly
     rounded arithmetic (+ - * / sqrt, floor, ceil) on values that are that
-    loop's; every exp, log, log1p, atan2 and square goes through libm
-    (_libm), and the top rows of all the cosets through one call of
+    loop's; every exp, log, log1p, expm1, atan2 and square goes through
+    libm (_libm), and the top rows of all the cosets through one call of
     solve_top_row on arrays, whose integer extended Euclid gives each the
     scalar form's a.
 
     The first coset whose line cannot be summed raises CutoffExceeded:
     "m-line window too large" where its first window holds more than
     2 width - 1 >= _MAX_LINE_TERMS terms, "failed to converge" where it is
-    still growing after _MAX_GROWTH rounds, and "too large" again where it
-    has grown past _MAX_LINE_TERMS terms.  best_tail_bound is its pair's
-    tail before the coset, with the coset's lo and hi added in the last
-    case.
-    Returns (rows, counts, tails, terms): six values per m-line segment,
-    one after another, (m_lo - terms before it across all pairs,
-    X0 - Re w, beta, alpha, Im gz + Im w, arg(cz+d)), and each segment's
-    term count, pair after pair, and arrays of each pair's tail and each
-    pair's number of terms.
+    still growing after _MAX_GROWTH rounds, and "too large" again where its
+    window or series runs past _MAX_LINE_TERMS terms.  best_tail_bound is
+    its pair's tail before the coset, with the coset's additions in the
+    last case.
+    Returns (rows, counts, tails, terms): _ROW values per m-line segment,
+    one after another, (first, X0 - Re w, beta, alpha, Im gz + Im w,
+    arg(cz+d), lead), and each segment's term count, pair after pair, and
+    arrays of each pair's tail and each pair's number of terms.  Term i of
+    the term pass is m = i + first of a direct row and n = i + first of a
+    series row; lead is nan on a direct row, and log((2 pi sqrt(alpha))^k
+    / (k-1)!) on a series row, from log Im w and log Im gz, so that no
+    alpha that overflows enters it.
     """
     c, d, Q, owner = cosets
     del cosets  # c, d and Q are soon replaced by their unpruned cosets
@@ -437,9 +454,9 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     ck = _profile_constant(k)
     nhk = -0.5 * k
     half_lines = 0.5 * tol_lines
-    u_cuts = np.broadcast_to(
-        _per_value(lambda t: (t / 8.0) ** (-2.0 / k) - 1.0, tol_lines),
-        tol_lines.shape)
+    # functions of each pair's line budget, once per distinct budget
+    u_cuts = _per_value(lambda t: (t / 8.0) ** (-2.0 / k) - 1.0, tol_lines)
+    reaches = _per_value(lambda t: _series_reach(t, k), tol_lines)
 
     v = spread(vs, slice(None))
     vp = spread(ys, slice(None)) / Q
@@ -448,15 +465,23 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
         beta = _libm(pow, v - vp, repeat(2))
     except OverflowError:  # as in IEEE arithmetic, a square past 1e308 is inf
         beta = _libm(lambda t: t * t if abs(t) > 1e154 else t ** 2, v - vp)
+    r = beta / alpha
+    # where alpha or beta overflows, the same ratio with no square
+    lost = np.flatnonzero(np.isinf(alpha) | np.isinf(beta))
+    if lost.size:
+        vl, vpl = spread(vs, lost), vp[lost]
+        r[lost] = np.square((vl - vpl) / (2.0 * np.sqrt(vl) * np.sqrt(vpl)))
     # what each coset adds to the tail, in turn: g_max lf (and 0) if it is
-    # pruned, else the side tails lo and hi of its final window
+    # pruned, the rest (and 0) of a series line, else the side tails lo and
+    # hi of its final window
     added = np.zeros((len(Q), 2))
-    added[:, 0] = (_libm(math.exp, nhk * _libm(math.log1p, beta / alpha))
+    added[:, 0] = (_libm(math.exp, nhk * _libm(math.log1p, r))
                    * (2.0 + ck * (v + vp)))
+    del r
     kept = np.flatnonzero(~(added[:, 0] <= spread(tol_lines, slice(None))))
     c, d, Q, vp, alpha, beta = (a[kept] for a in (c, d, Q, vp, alpha, beta))
     vpv = vp + spread(vs, kept)
-    del v, vp
+    del v
 
     # X0 - Re w, and arg(cz+d): atan2(0, 1) = 0 for the identity coset
     x = spread(xs, kept)
@@ -469,10 +494,29 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     m_lo = np.ceil(t0 - width) + 0.0  # -0.0 to 0.0, as the scalar loop's ints
     m_hi = np.floor(t0 + width)
     lo, hi = np.zeros(len(c)), np.zeros(len(c))
-    # a window this wide ends the sum before it grows
+    lead = np.full(len(c), math.nan)
+
+    # the lines whose series is the shorter, and whose rest at its
+    # closed-form length N is within the budget, take the series
+    rate = _TWO_PI * vpv
+    s = np.flatnonzero(spread(reaches, kept) / rate < 2.0 * width + 1.0)
+    if s.size:
+        n = np.maximum(np.ceil(spread(reaches, kept[s]) / rate[s]), 1.0)
+        log_r = (k - 1) * _libm(math.log1p, 1.0 / n) - rate[s]
+        pairs = owner[kept[s]]
+        log_q = _per_value(math.log, vs[pairs]) + _libm(math.log, vp[s])
+        head = k * (math.log(4.0 * math.pi) + 0.5 * log_q) - math.lgamma(k)
+        rest = _libm(math.exp, head + (k - 1) * _libm(math.log, n)
+                     - rate[s] * n + log_r) / -_libm(math.expm1, log_r)
+        fits = (log_r < 0.0) & (rest <= tol_lines[pairs])
+        s = s[fits]
+        m_lo[s], m_hi[s], lo[s], lead[s] = 1.0, n[fits], rest[fits], head[fits]
+        width[s] = 0.0  # a series line has no window
+
+    # a direct window this wide ends the sum before it grows
     wide = 2.0 * width - 1.0 >= _MAX_LINE_TERMS
     del width
-    grow = np.flatnonzero(~wide)
+    grow = np.flatnonzero(~wide & np.isnan(lead))
     half_line = spread(half_lines, kept)
     for _ in range(_MAX_GROWTH):
         if not grow.size:
@@ -516,7 +560,7 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
             raise CutoffExceeded("m-line window failed to converge",
                                  best_tail_bound=tail)
         if not wide[b]:
-            tail = float(acc[owner[i], 2 * pos[i] + 2])  # with its lo and hi
+            tail = float(acc[owner[i], 2 * pos[i] + 2])  # with its additions
         raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
     tails = acc[:, -1]
     del acc, pos, d, Q
@@ -526,23 +570,32 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     count = count[live]
     before = np.cumsum(count) - count
     body = np.column_stack((m_lo[live] - before, x0[live], beta[live],
-                            alpha[live], vpv[live], argden[live]))
+                            alpha[live], vpv[live], argden[live], lead[live]))
     terms = np.bincount(owner[kept[live]], weights=count, minlength=n_pairs)
     return body.ravel(), count, tails, terms.astype(np.int64)
 
 
-def _terms(cols, at, start: int, k: int):
-    """The terms start, start + 1, ... of a term pass, at[i] the segment of
-    term start + i and cols the six columns of the segments' rows: a row of
-    real parts and one of imaginary parts.  Each term's value is the same
-    at any start and in a pass of any length."""
-    first, x0, beta, alpha, vpv, argden = cols
-    offs = x0[at] + (np.arange(start, start + len(at), dtype=np.float64)
-                     + first[at])
+def _terms(rows, at, start: int, k: int):
+    """The terms start, start + 1, ... of a term pass, as a row of real
+    parts and one of imaginary parts; at[i] is the segment of term
+    start + i, and rows the float array of the segments' rows.  Every term
+    is evaluated as a direct one, m of (1 + ((X0 - Re w + m)^2 + beta) /
+    alpha)^(-k/2) at phase k (pi/2 - arg(tau + m) - arg(cz+d)), and the
+    few of series rows again, n of exp(lead + (k-1) log n - 2 pi Im tau n)
+    at phase 2 pi (n Re tau mod 1) - k arg(cz+d).  Each term's value is
+    the same at any start and in a pass of any length."""
+    first, x0, beta, alpha, vpv, argden, lead = rows.reshape(-1, _ROW).T
+    m = np.arange(start, start + len(at), dtype=np.float64) + first[at]
+    offs = x0[at] + m
     mag = np.exp(-0.5 * k * np.log1p((offs * offs + beta[at]) / alpha[at]))
     # float(k): numpy scales by a Python float faster than by an int
     ph = float(k) * (_HALF_PI - np.arctan2(vpv[at], offs) - argden[at])
     del offs
+    if not np.isnan(lead).all():
+        s = np.flatnonzero(~np.isnan(lead)[at])
+        n, row = m[s], at[s]
+        mag[s] = np.exp(lead[row] + (k - 1) * np.log(n) - _TWO_PI * vpv[row] * n)
+        ph[s] = _TWO_PI * np.remainder(n * x0[row], 1.0) - k * argden[row]
     ph = np.remainder(ph + math.pi, _TWO_PI) - math.pi
     out = np.empty((2, len(at)))
     np.multiply(mag, np.cos(ph), out=out[0])
@@ -630,40 +683,35 @@ def _term_sums(rows, counts, k: int):
     through a memoryview.  Both sums are exact, correctly rounded, so they
     give the same bits.  numpy evaluates a pass in place, reusing each
     temporary that nothing else refers to."""
-    tab = np.asarray(rows, dtype=np.float64)
-    cols = tuple(tab[i::6] for i in range(6))
-    counts = np.asarray(counts)
+    rows, counts = np.asarray(rows, dtype=np.float64), np.asarray(counts)
     n_terms = int(counts.sum())
-    if n_terms >= EXACT_SUM_MIN_TERMS:
-        last = np.cumsum(counts)  # one past the last term of each segment
+    if n_terms < EXACT_SUM_MIN_TERMS:
+        vals = _terms(rows, np.arange(len(counts)).repeat(counts), 0, k)
+        return complex(*(math.fsum(memoryview(v)) for v in vals))
+    last = np.cumsum(counts)  # one past the last term of each segment
 
-        def chunks():
-            for s in range(0, n_terms, _CHUNK):
-                e = min(s + _CHUNK, n_terms)
-                i, j = np.searchsorted(last, [s, e - 1], side="right")
-                seg = np.arange(i, j + 1)
-                at = seg.repeat(np.minimum(last[seg], e)
-                                - np.maximum(last[seg] - counts[seg], s))
-                yield _terms(cols, at, s, k)
+    def chunks():
+        for s in range(0, n_terms, _CHUNK):
+            e = min(s + _CHUNK, n_terms)
+            i, j = np.searchsorted(last, [s, e - 1], side="right")
+            seg = np.arange(i, j + 1)
+            at = seg.repeat(np.minimum(last[seg], e)
+                            - np.maximum(last[seg] - counts[seg], s))
+            yield _terms(rows, at, s, k)
 
-        sums = _exact_sums(chunks(), 2)
-    else:
-        vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k)
-        sums = [math.fsum(memoryview(v)) for v in vals]
-    return complex(*sums)
+    return complex(*_exact_sums(chunks(), 2))
 
 
 def _part_sums(rows, counts, k: int, ends):
     """The sums of the terms [ends[j-1], ends[j]) (from 0 for j = 0) of a
-    line stage on the diagonal, as an array of real parts and one of
-    imaginary parts: the terms are evaluated in one array pass (_terms),
-    and each part is summed by one math.fsum a row, through a memoryview,
-    but for a part of one term.  fsum gives one double as it is, but for a
-    -0.0, which it may make 0.0; adding its sum of -0.0 does the same to
-    each double, with no Python float per part."""
-    tab = np.asarray(rows, dtype=np.float64)
-    cols = tuple(tab[i::6] for i in range(6))
-    vals = _terms(cols, np.arange(len(counts)).repeat(counts), 0, k)
+    line stage, as an array of real parts and one of imaginary parts: the
+    terms are evaluated in one array pass (_terms), and each part is summed
+    by one math.fsum a row, through a memoryview, but for a part of one
+    term.  fsum gives one double as it is, but for a -0.0, which it may
+    make 0.0; adding its sum of -0.0 does the same to each double, with no
+    Python float per part."""
+    vals = _terms(np.asarray(rows, dtype=np.float64),
+                  np.arange(len(counts)).repeat(counts), 0, k)
     starts = np.concatenate(([0], ends[:-1]))
     one = ends - starts == 1
     sums = np.empty((2, len(ends)))
@@ -698,76 +746,22 @@ def _sum_terms(z: Point, w: Point, k: int, tol: float, R0: float,
         rows, counts, tails, terms = _array_lines(
             cosets, *np.array([[z.x], [z.y], [w.x], [w.y]]), k,
             np.array([0.25 * tol / n_cosets]), np.array([tail]))
-    tail, n_terms = float(tails[0]), int(terms[0])
-    total = _term_sums(rows, counts, k)
+        total = _term_sums(rows, counts, k)
+    n_terms = int(terms[0])
     # terms whose magnitude underflows to zero are each below 5e-324
-    tail += n_terms * 5e-324
-    return total, tail, n_terms, n_cosets
-
-
-def _lipschitz_shorter(y, k: int, tol: float):
-    """Whether the identity line of a diagonal sum at height y (a float, or
-    an array with the same bits per entry) is expected to take fewer terms
-    as _lipschitz_line's series than as the direct window, at the line
-    budget b = tol / 4 of a one-coset table.
-
-    Both counts are closed forms.  The direct window starts 2 * 2y
-    sqrt(u_cut) + 1 terms wide, u_cut = (b/8)^(-2/k) - 1 as in
-    _array_lines.  The series' terms sample the Gamma(k) density of rate
-    4 pi y, whose Chernoff tail exp(-k h(x)), h(x) = x - 1 - log x at
-    x = 4 pi y n / k, falls below b once k (x - 1)^2 / (2x) >= L = -log b:
-    from n = (k + L + sqrt(L^2 + 2 k L)) / (4 pi y) on.
-    """
-    b = 0.25 * tol
-    L = -math.log(b)
-    n_series = (k + L + math.sqrt(L * L + 2.0 * k * L)) / (4.0 * math.pi * y)
-    n_direct = 4.0 * math.sqrt((b / 8.0) ** (-2.0 / k) - 1.0) * y + 1.0
-    return n_series < n_direct
-
-
-def _lipschitz_line(y: float, k: int, tol: float, tail: float):
-    """The identity coset's line of the diagonal half sum at height y, in
-    the terms of _sum_terms, with tail the lattice tail beyond it.
-
-    Lipschitz's formula turns sum_m (2iy / (2iy + m))^k into
-    (4 pi y)^k / (k-1)! sum_{n >= 1} n^(k-1) e^(-4 pi n y), whose terms are
-    each taken from their logarithm.  The ratio of term n + 1 to term n,
-    r_n = (1 + 1/n)^(k-1) e^(-4 pi y), falls with n, so once r_n < 1 the
-    terms after n sum to at most term n times r_n / (1 - r_n).  The series
-    stops where that rest is within the line budget tol / 4 of a one-coset
-    table, and the rest goes into the tail.
-    """
-    beta = 4.0 * math.pi * y  # inf above Im z of about 1.4e307
-    head = k * (math.log(y) + math.log(4.0 * math.pi)) - math.lgamma(k)
-    terms = []
-    n = 0
-    while True:
-        n += 1
-        log_term = head + (k - 1) * math.log(n) - beta * n
-        terms.append(math.exp(log_term))
-        log_r = (k - 1) * math.log1p(1.0 / n) - beta
-        if log_r < 0.0:
-            rest = math.exp(log_term + log_r - math.log(-math.expm1(log_r)))
-            if rest <= 0.25 * tol:
-                break
-    # the terms and the rest that underflow to zero are each below 5e-324
-    tail += rest + (n + 1) * 5e-324
-    return complex(math.fsum(terms)), tail, n, 1
+    return total, float(tails[0]) + n_terms * 5e-324, n_terms, n_cosets
 
 
 def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
     """_sum_terms(z, w, k, tol, ...) for a pair of the strip with w == z,
-    by the cheapest of three routes; radius is the lattice radius
-    (R0, tail) of z if it is known.
+    by the cheaper of two routes; radius is the lattice radius (R0, tail)
+    of z if it is known.
 
     * Where the radius cannot be reached, or puts the table at
       REDUCTION_MIN_COSETS cosets or more, the sum is taken at
       reduce_to_domain(z), since R_k(gz, gz) = R_k(z, z).  A point of the
       domain comes back as the same object and stays, and an unreached
       radius there is raised.
-    * Where the table holds the identity coset alone (R0 < y^2 <=
-      |cz+d|^2 for every c >= 1) and _lipschitz_shorter, the sum is
-      _lipschitz_line.
     * Else it is the direct _sum_terms at that radius.
     """
     unreached = None
@@ -782,22 +776,22 @@ def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
             R0, tail = _lattice_radius(z, w, k, tol)
         elif unreached:
             raise unreached
-    if R0 < z.y * z.y and _lipschitz_shorter(z.y, k, tol):
-        return _lipschitz_line(z.y, k, tol, tail)
     return _sum_terms(z, w, k, tol, R0, tail)
+
+
+def _check_tail(tail: float, tol: float) -> None:
+    """CutoffExceeded where a tail bound is above tol or not a number."""
+    if not tail <= tol:
+        raise CutoffExceeded(f"achieved tail {tail:.3e} exceeds tol {tol:.3e}",
+                             best_tail_bound=tail)
 
 
 def _checked(half, tail: float, n_terms: int, n_cosets: int,
              tol: float) -> KernelResult:
-    """The KernelResult of a half sum over the +/- pairs, or CutoffExceeded
-    where its tail is above tol or not a number (a pair of great heights
-    whose alpha and beta both overflow)."""
+    """The KernelResult of a half sum over the +/- pairs, with its tail
+    checked against tol (_check_tail)."""
     result = KernelResult(2.0 * half, 2.0 * tail, n_terms, n_cosets)
-    if not result.tail_bound <= tol:
-        raise CutoffExceeded(
-            f"achieved tail {result.tail_bound:.3e} exceeds tol {tol:.3e}",
-            best_tail_bound=result.tail_bound,
-        )
+    _check_tail(result.tail_bound, tol)
     return result
 
 
@@ -808,9 +802,10 @@ def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
     moved into |Re| <= 1/2 first (translate_into_strip, exact in floating
     point).  An off-diagonal pair is the direct lattice sum.  On the
     diagonal, a point whose table would be large or out of reach is
-    evaluated at its reduction to the fundamental domain, and a point
-    whose table holds the identity coset alone sums its translation line
-    by Lipschitz's formula where that series is the shorter (_diagonal).
+    evaluated at its reduction to the fundamental domain (_diagonal), and
+    every other point is the direct sum.  The direct sum takes each m-line
+    by the shorter of its two evaluators, the direct window or Lipschitz's
+    series (_array_lines).
     """
     _, z = translate_into_strip(z)
     _, w = translate_into_strip(w)
@@ -829,19 +824,17 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     The points move into the strip as arrays: x - rint(x) where
     |x| > 1/2, which is exact, and rint rounds half to even, as round
     does.  Their lattice radii come from one lockstep pass
-    (_lattice_radii).  A point whose radius is out of reach, whose coset
-    table is large enough to be reduced, or whose translation line takes
-    Lipschitz's series, goes the way of bergman_R on its own,
-    its radius passed on (_diagonal): the call's set-up is small beside
-    its work.  The points with small tables (every weight-1200 point of
-    the bulk) share the set-up instead: their coset tables come
-    from one coset_arrays call, their cosets go through one
-    _array_lines pass and their terms through one _part_sums pass, where a
-    point whose sum holds one term (every bulk weight-1200 point) needs no
-    fsum.  All of it runs under np.errstate, so a batch makes no numpy
-    warning.  Where some point fails, CutoffExceeded is raised, but not
-    necessarily that of the first point to fail in a loop of bergman_R
-    calls; measure_density, which calls this, finds that one.
+    (_lattice_radii).  A point whose radius is out of reach, or whose
+    coset table is large enough to be reduced, goes the way of bergman_R
+    on its own, its radius passed on (_diagonal): the call's set-up is
+    small beside its work.  The other points share the set-up instead:
+    their coset tables come from one coset_arrays call, their cosets go
+    through one _array_lines pass and their terms through one _part_sums
+    pass, where a point whose sum holds one term (every bulk weight-1200
+    point) needs no fsum.  All of it runs under np.errstate, so a batch
+    makes no numpy warning.  Where some point fails, CutoffExceeded is
+    raised, but not necessarily that of the first point to fail in a loop
+    of bergman_R calls; measure_density, which calls this, finds that one.
     """
     k, tol = cfg.k, 0.5 * cfg.tol
     invalid = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & (y > 0.0)))
@@ -851,8 +844,7 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     values, tails = np.empty(len(x), complex), np.empty(len(x))
     with np.errstate(all="ignore"):
         radii, lattice_tails = _lattice_radii(x, y, k, tol)
-        own = (np.isnan(radii) | _worth_reducing(y, radii)
-               | (radii < y * y) & _lipschitz_shorter(y, k, tol))
+        own = np.isnan(radii) | _worth_reducing(y, radii)
         for j in np.flatnonzero(own).tolist():
             z = Point(float(x[j]), float(y[j]))
             radius = (None if math.isnan(radii[j])
@@ -874,12 +866,9 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
             values.imag[at] = 2.0 * im + 0.0 * re
             # terms whose magnitude underflows to zero are each below 5e-324
             tails[at] = 2.0 * (tail + terms * 5e-324)
-    over = np.flatnonzero(tails > cfg.tol)
-    if over.size:  # as _checked
-        tail = float(tails[over[0]])
-        raise CutoffExceeded(
-            f"achieved tail {tail:.3e} exceeds tol {cfg.tol:.3e}",
-            best_tail_bound=tail)
+    over = tails[~(tails <= cfg.tol)]
+    if over.size:  # the first point's, as _checked raises it
+        _check_tail(float(over[0]), cfg.tol)
     return values, tails
 
 

@@ -2,8 +2,8 @@
 modgroup.coset_arrays and kernel._array_lines must reproduce bit for bit.
 
 Each is the plain form of its array counterpart, one coset at a time in
-Python ints and floats, with every exp, log, log1p, atan2 and square
-libm's.  The loop reads kernel._MAX_LINE_TERMS and kernel._MAX_GROWTH,
+Python ints and floats, with every exp, log, log1p, expm1, atan2 and
+square libm's.  The loop reads kernel._MAX_LINE_TERMS and kernel._MAX_GROWTH,
 and coset_table modgroup.MAX_COSETS, when called, so a test may patch them.
 """
 
@@ -38,16 +38,22 @@ def side_tail(M: float, alpha: float, beta: float, k: float) -> float:
 
 
 def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
-                 tail: float):
+                 tail: float, series: bool = True):
     """The coset loop, one (c, d, Q) triple at a time in scalar libm
     arithmetic.
 
-    A coset whose whole line is below tol_line is pruned; every other line
-    gets a window [m_lo, m_hi] grown until both side tails are below
-    tol_line / 2.  Each omitted mass is added to tail in coset order.
-    Returns (rows, counts, tail): six values per m-line segment, one after
-    another, (m_lo - terms before it, X0 - Re w, beta, alpha,
-    Im gz + Im w, arg(cz+d)), and each segment's term count.
+    A coset whose whole line is below tol_line is pruned.  Every other
+    line takes Lipschitz's series where its closed-form length
+    N = max(ceil(reach / rate), 1), rate = 2 pi Im tau, is below the first
+    direct window's 2 width + 1 terms and its rest after term N is within
+    tol_line; every other line gets a window [m_lo, m_hi] grown until both
+    side tails are below tol_line / 2.  series=False keeps every line
+    direct: the plain direct loop.  Each omitted mass is added to tail in
+    coset order.  Returns (rows, counts, tail): seven values per m-line
+    segment, one after another, (first, X0 - Re w, beta, alpha,
+    Im gz + Im w, arg(cz+d), lead), and each segment's term count; first
+    is m_lo (a direct row) or 1 (a series row) less the terms before it,
+    and lead is nan on a direct row.
     """
     y, x = z.y, z.x
     v, uw = w.y, w.x
@@ -55,6 +61,8 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     nhk = -0.5 * k
     half_line = 0.5 * tol_line
     u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
+    L = -math.log(tol_line)
+    reach = k + L + math.sqrt(max(L * L + 2.0 * k * L, 0.0))
     max_terms = kernel._MAX_LINE_TERMS
 
     rows, counts = [], []
@@ -63,8 +71,16 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     for c, d, Q in cosets:
         vp = y / Q
         alpha = 4.0 * v * vp
-        beta = (v - vp) ** 2
-        g_max = math.exp(nhk * math.log1p(beta / alpha))
+        try:
+            beta = (v - vp) ** 2
+        except OverflowError:  # as in IEEE arithmetic
+            beta = math.inf
+        if math.isfinite(alpha) and math.isfinite(beta):
+            ratio = beta / alpha
+        else:  # the same ratio with no square
+            r = (v - vp) / (2.0 * math.sqrt(v) * math.sqrt(vp))
+            ratio = r * r
+        g_max = math.exp(nhk * math.log1p(ratio))
         lf = 2.0 + ck * (v + vp)
         if g_max * lf <= tol_line:
             tail += g_max * lf
@@ -79,34 +95,49 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
         t0 = uw - X0
         width_sq = alpha * u_cut - beta
         width = math.sqrt(width_sq) if width_sq > 0.0 else 0.0
-        # the window below holds more than 2 * width - 1 terms
-        if 2.0 * width - 1.0 >= max_terms:
-            raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
-        m_lo = math.ceil(t0 - width)
-        m_hi = math.floor(t0 + width)
-        # grow the window until both side tails fit the per-line budget;
-        # the pair computed last is that of the final window
-        for _ in range(kernel._MAX_GROWTH):
-            grew = False
-            lo = side_tail(t0 - (m_lo - 1), alpha, beta, k)
-            if lo > half_line:
-                m_lo -= max(4, (m_hi - m_lo + 1) // 2)
-                grew = True
-            hi = side_tail((m_hi + 1) - t0, alpha, beta, k)
-            if hi > half_line:
-                m_hi += max(4, (m_hi - m_lo + 1) // 2)
-                grew = True
-            if not grew:
-                break
-        else:
-            raise CutoffExceeded("m-line window failed to converge",
-                                 best_tail_bound=tail)
+        rate = 2.0 * math.pi * (vp + v)
+        lead = math.nan
+        if series and reach / rate < 2.0 * width + 1.0:
+            n = max(math.ceil(reach / rate), 1)
+            log_r = (k - 1) * math.log1p(1.0 / n) - rate
+            if log_r < 0.0:
+                head = (k * (math.log(4.0 * math.pi)
+                             + 0.5 * (math.log(v) + math.log(vp)))
+                        - math.lgamma(k))
+                rest = (math.exp(head + (k - 1) * math.log(n) - rate * n
+                                 + log_r) / -math.expm1(log_r))
+                if rest <= tol_line:
+                    m_lo, m_hi, lo, hi, lead = 1, n, rest, 0.0, head
+        if math.isnan(lead):
+            # the window below holds more than 2 * width - 1 terms
+            if 2.0 * width - 1.0 >= max_terms:
+                raise CutoffExceeded("m-line window too large",
+                                     best_tail_bound=tail)
+            m_lo = math.ceil(t0 - width)
+            m_hi = math.floor(t0 + width)
+            # grow the window until both side tails fit the per-line
+            # budget; the pair computed last is that of the final window
+            for _ in range(kernel._MAX_GROWTH):
+                grew = False
+                lo = side_tail(t0 - (m_lo - 1), alpha, beta, k)
+                if lo > half_line:
+                    m_lo -= max(4, (m_hi - m_lo + 1) // 2)
+                    grew = True
+                hi = side_tail((m_hi + 1) - t0, alpha, beta, k)
+                if hi > half_line:
+                    m_hi += max(4, (m_hi - m_lo + 1) // 2)
+                    grew = True
+                if not grew:
+                    break
+            else:
+                raise CutoffExceeded("m-line window failed to converge",
+                                     best_tail_bound=tail)
         tail += lo
         tail += hi
         if m_hi - m_lo + 1 > max_terms:
             raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
         if m_lo <= m_hi:
-            rows += (m_lo - n_terms, X0 - uw, beta, alpha, vp + v, argden)
+            rows += (m_lo - n_terms, X0 - uw, beta, alpha, vp + v, argden, lead)
             counts.append(m_hi - m_lo + 1)
             n_terms += m_hi - m_lo + 1
     return rows, counts, tail

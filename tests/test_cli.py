@@ -408,7 +408,8 @@ class TestParserCache:
     (["kernel", "--z", "0.1+1e-12i", "--w", "0.2+1e-12i", "--k", "1200"], 3),
     (["kernel", "--z", "0.1+1e-8i", "--k", "1200"], 0),
     # faults F1 and F2 of the benchmark: a table out of reach, reduced,
-    # and a translation line past the term cap, summed by Lipschitz
+    # and a translation line past the term cap, summed by Lipschitz's
+    # series
     (["kernel", "--z", "0+0.05i", "--k", "12"], 0),
     (["kernel", "--z", "0+100000i", "--k", "12"], 0),
     # 0.1+1e-12i reduces to a translation line at height 1e10
@@ -416,6 +417,12 @@ class TestParserCache:
     # the lattice radius is reached on the diagonal to the top of the
     # doubles, and the translation line there is Lipschitz's, value 0
     (["kernel", "--z", "0.1+1.7e308i", "--k", "1200"], 0),
+    # supports of width 1e-9 away from 0: the line reference is taken in
+    # the test function's own variable, where the support is resolved
+    (["vertical", "--x", "0.13", "--support", "1.5,1.500000001",
+      "--k", "1200"], 0),
+    (["horizontal", "--y", "1.3", "--psi", "bump:0.1,0.100000001",
+      "--k", "1200"], 0),
 ])
 def test_exits_with_a_documented_code(capsys, argv, code):
     try:

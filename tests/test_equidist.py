@@ -178,7 +178,7 @@ class TestBatchedDensity:
 
     def test_a_batch_far_up_makes_no_warning(self):
         # from 1e200 up, squares such as 4 v Im gz and y^2 overflow; these
-        # points hold the identity coset alone, whose line is Lipschitz's
+        # points hold the identity coset alone, whose line takes Lipschitz's
         # series, and numpy writes no warning on the way
         cfg = WeightConfig(1200, 1e-9)
         points = [Point(0.13, y) for y in (1e200, 3e200, 1e201)]
@@ -193,13 +193,13 @@ class TestBatchedDensity:
             measure_density(points, WeightConfig(14, 1e-9))
 
     def test_the_first_failure_is_raised(self, monkeypatch):
-        # with m-lines capped at 16 terms, 0.3+1.4i and -0.2+1.9i fail in the
-        # coset pass with different tails, the two others pass; 0.1+1e-200i
-        # fails before it, at the lattice radius of its image
-        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", 16)
+        # with m-lines capped at 9 terms, 0.13+0.95i and 0.05+1.05i fail in
+        # the coset pass with different tails, the two others pass;
+        # 0.1+1e-200i fails before it, at the lattice radius of its image
+        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", 9)
         cfg = WeightConfig(24, 1e-9)
-        ok, low = [Point(0.13, 0.95), Point(0.05, 1.05)], Point(0.1, 1e-200)
-        fail = [Point(0.3, 1.4), Point(-0.2, 1.9)]
+        ok, low = [Point(0.3, 1.4), Point(-0.2, 1.9)], Point(0.1, 1e-200)
+        fail = [Point(0.13, 0.95), Point(0.05, 1.05)]
         assert _first_error(ok, cfg) is None
         assert _first_error(fail[:1], cfg) != _first_error(fail[1:], cfg)
         for points in ([ok[0], fail[0], fail[1], ok[1]],
@@ -226,6 +226,9 @@ class _Zero1D:
 
     def __call__(self, s):
         return np.zeros(np.shape(s))
+
+    def in_own_variable(self, t):
+        return np.zeros(np.shape(t))
 
 
 class TestTestFunction:
@@ -262,6 +265,25 @@ class TestTestFunction:
         with mp.workdps(40):
             want = 3 / mp.pi * mp.quad(
                 lambda s: mp.exp(-1 / (1 - (2 * s / b - 1) ** 2)), [0, b])
+        assert abs(res.reference - want) <= close_to(float(want))
+
+    @pytest.mark.parametrize("line", ["vertical", "horizontal"])
+    def test_narrow_support_away_from_zero(self, line):
+        # a support of width 1e-9 at 1.5 (dy/y) and at 0.1 (dx): in the
+        # line's coordinate its nodes were resolved to 1e-7 relative only,
+        # and the reference did not converge
+        cfg, (a, b) = WeightConfig(1200, 1e-9), (0.1, 0.100000001)
+        if line == "vertical":
+            a, b = 1.5, 1.500000001
+            res = integrate_vertical(0.13, BumpSpec.bump(a, b), cfg, Y)
+        else:
+            res = integrate_horizontal(1.3, BumpSpec.bump(a, b), cfg, Y)
+        with mp.workdps(40):
+            a, b = mp.mpf(a), mp.mpf(b)
+            mid, half = (a + b) / 2, (b - a) / 2
+            want = 3 / mp.pi * half * mp.quad(
+                lambda t: mp.exp(-1 / (1 - t * t))
+                / (mid + half * t if line == "vertical" else 1), [-1, 1])
         assert abs(res.reference - want) <= close_to(float(want))
 
     @pytest.mark.parametrize("ref, err", [

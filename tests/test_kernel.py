@@ -51,11 +51,25 @@ def rng(seed=20250809):
 
 def direct(z, cfg):
     """R_k(z, z) by the direct lattice sum at z itself: the cosets of z's
-    own lattice radius, with no reduction and no Lipschitz line."""
+    own lattice radius, with no reduction."""
     tol = 0.5 * cfg.tol
     radius = kernel._lattice_radius(z, z, cfg.k, tol)
     return kernel._checked(*kernel._sum_terms(z, z, cfg.k, tol, *radius),
                            cfg.tol)
+
+
+def direct_windows(z, cfg):
+    """direct(z, cfg) with every line summed by its direct window: the
+    rows of the oracle's direct loop, through the term pass."""
+    tol = 0.5 * cfg.tol
+    R0, tail = kernel._lattice_radius(z, z, cfg.k, tol)
+    table = coset_table(z, R0)
+    rows, counts, tail = scalar_lines(table, z, z, cfg.k,
+                                      0.25 * tol / len(table), tail,
+                                      series=False)
+    n = sum(counts)
+    return kernel._checked(kernel._term_sums(rows, counts, cfg.k),
+                           tail + n * 5e-324, n, len(table), cfg.tol)
 
 
 class TestBTerm:
@@ -298,6 +312,21 @@ class TestBergmanR:
         assert bound == offdiagonal_sum_bound(img)
         assert 2.0 * math.pi * img.y - 2.0 <= bound <= 1.1 * 2.0 * math.pi * img.y
 
+    @pytest.mark.parametrize("z, w, k", [
+        (Point(0.1, 1e150), Point(0.2, 1e200), 12),
+        (Point(0.0, 1e153), Point(0.0, 1e155), 1200),
+        (Point(0.0, 1e305), Point(0.0, 1e300), 1200),
+    ])
+    def test_far_apart_at_great_heights(self, z, w, k):
+        # alpha = 4 Im w Im gz and beta = (Im w - Im gz)^2 both overflow
+        # here, and the identity coset is pruned by their ratio taken with
+        # no square: every term underflows, and the tail is a number
+        cfg = WeightConfig(k)
+        res = bergman_R(z, w, cfg)
+        assert res.value == 0 and 0.0 <= res.tail_bound <= cfg.tol
+        with np.errstate(all="ignore"):  # as bergman_R's pass
+            assert_same(*both_line_stages(z, w, k, 0.5 * cfg.tol), (z, w, k))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_partner_far_up_the_cusp(self):
         # s = Im w Q / Im z reaches 8e300 here: the ring factors never
@@ -342,10 +371,10 @@ class TestBergmanR:
         # list of one Python float (32 bytes) per term
         z = Point(0.0, 3000.0)
         cfg = WeightConfig(12)
-        direct(z, cfg)
+        direct_windows(z, cfg)
         tracemalloc.start()
         try:
-            res = direct(z, cfg)
+            res = direct_windows(z, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -476,8 +505,9 @@ class TestArrayCosetLoop:
 
     def test_a_window_that_does_not_converge(self, monkeypatch):
         # one round of growth only: the first line that has to grow ends
-        # the sum, and here that is a c >= 1 line
-        z = Point(0.1, 0.3)
+        # the sum, and here that is a c >= 1 line (the identity line is a
+        # series line)
+        z = Point(0.0, 12.0)
         monkeypatch.setattr(kernel, "_MAX_GROWTH", 1)
         R0, tail = kernel._lattice_radius(z, z, 12, 1e-12)
         tol_line = 0.25 * 1e-12 / len(coset_table(z, R0))
@@ -488,15 +518,17 @@ class TestArrayCosetLoop:
 
     @pytest.mark.parametrize("z, w, k, tol", [
         (Point(0.1, 0.3), Point(0.1, 0.3), 12, 1e-12),
+        (Point(0.0, 12.0), Point(0.0, 12.0), 12, 1e-12),
         (BULK, Point(-0.2, 0.9), 24, 1e-10),
     ])
     def test_cutoffs_of_every_kind(self, monkeypatch, z, w, k, tol):
         # term caps and growth limits across the windows of a table: a
-        # window too wide to start, one grown past the cap and one still
-        # growing when the rounds run out end the sum at the first such
-        # coset, with the same message and tail
+        # window too wide to start, one grown past the cap, a series past
+        # the cap (at 12i, whose series lines take 1 or 2 terms) and one
+        # still growing when the rounds run out end the sum at the first
+        # such coset, with the same message and tail
         messages = set()
-        for cap in (8, 40, 200, 1000):
+        for cap in (1, 8, 40, 200, 1000):
             for growth in (1, 2, 200):
                 monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", cap)
                 monkeypatch.setattr(kernel, "_MAX_GROWTH", growth)
@@ -504,23 +536,26 @@ class TestArrayCosetLoop:
                 assert_same(scalar, array, (cap, growth))
                 messages.add(scalar.split("'")[1] if "m-line" in scalar
                              else None)
-        if z == w:
+        if z.y == 12.0:
             assert messages == {"m-line window too large",
                                 "m-line window failed to converge", None}
 
     def test_a_window_past_the_cap_that_still_grows(self, monkeypatch):
-        # the identity line at 3i starts at n0 = 2 floor(width) + 1 terms,
-        # under a cap of n0 + 1, and grows by 8 terms or more in its one
-        # round: past the cap, but still growing, it fails to converge
-        z, k, tol_line = Point(0.0, 3.0), 12, 1e-14
-        width = 2.0 * z.y * math.sqrt((tol_line / 8.0) ** (-2.0 / k) - 1.0)
-        n0 = 2 * math.floor(width) + 1
-        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", n0 + 1)
+        # the line of the coset (1, 39) at 12i starts with an empty window,
+        # as alpha u_cut < beta, and grows to 8 terms in its one round:
+        # past a cap of 1, but still growing, it fails to converge
+        z, k, tol_line = Point(0.0, 12.0), 12, 1.76e-15
+        c, d, Q = 1, 39, 1665.0
+        vp = z.y / Q
+        u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
+        assert 4.0 * z.y * vp * u_cut < (z.y - vp) ** 2
+        assert scalar_lines([(c, d, Q)], z, z, k, tol_line, 0.0)[1] == [8]
+        monkeypatch.setattr(kernel, "_MAX_LINE_TERMS", 1)
         monkeypatch.setattr(kernel, "_MAX_GROWTH", 1)
         out = []
-        for stage, table in ((scalar_lines, [(0, 1, 1.0)]),
+        for stage, table in ((scalar_lines, [(c, d, Q)]),
                              (one_pair_array_lines, tuple(
-                                 np.array([a]) for a in (0, 1, 1.0, 0)))):
+                                 np.array([a]) for a in (c, d, Q, 0)))):
             with pytest.raises(CutoffExceeded) as exc:
                 stage(table, z, z, k, tol_line, 0.5)
             out.append((str(exc.value), exc.value.best_tail_bound))
@@ -824,13 +859,16 @@ class TestExactSum:
 class TestGoldenRegimes:
     # repr of each result, recorded before the terms of a sum were
     # evaluated in one array pass: the direct sum at a low point with 65k
-    # cosets and on a single c = 0 line of 213k terms, an off-diagonal
-    # pair, and the weight-4 off-identity sum behind residual_certificate
-    # at three points of F_delta; then bergman_R at the same two points,
-    # where it reduces the low point and sums the line by Lipschitz
+    # cosets and the direct window of a single c = 0 line of 213k terms
+    # (pinned through the oracle's direct loop, as the coset loop sums that
+    # line by Lipschitz's series), an off-diagonal pair, and the weight-4
+    # off-identity sum behind residual_certificate at three points of
+    # F_delta; then bergman_R at the same two points, where it reduces the
+    # low point and sums the line by Lipschitz's series
     CASES = {
         "low": lambda: direct(Point(0.1, 0.12), WeightConfig(12, 1e-12)),
-        "line_3000i": lambda: direct(Point(0.0, 3000.0), WeightConfig(12)),
+        "line_3000i": lambda: direct_windows(Point(0.0, 3000.0),
+                                             WeightConfig(12)),
         "offdiag": lambda: bergman_R(
             Point(0.13, 1.1), Point(-0.21, 0.9), WeightConfig(24, 1e-12)),
         "low_reduced": lambda: bergman_R(
@@ -851,14 +889,30 @@ class TestGoldenRegimes:
         assert repr(self.CASES[name]()) == want[name]
 
 
-def identity_line(y, k, tol):
-    """The identity coset's line of the diagonal half sum at height y by
-    the direct window of the scalar coset loop, at the line budget tol / 4
-    of a one-coset table: (sum, tail, terms)."""
-    z = Point(0.0, y)
-    rows, counts, tail = scalar_lines([(0, 1, 1.0)], z, z, k, 0.25 * tol, 0.0)
-    n = sum(counts)
-    return kernel._term_sums(rows, counts, k), tail + n * 5e-324, n
+def line_sums(coset, z, w, k, tol_line):
+    """The line of one coset (c, d, Q) as the array pass sums it and as the
+    oracle's direct loop does, each as (sum, tail), and whether the array
+    pass took Lipschitz's series; None where the line is pruned."""
+    c, d, Q = coset
+    rows, counts, tail = one_pair_array_lines(
+        tuple(np.array([a]) for a in (c, d, Q, 0)), z, w, k, tol_line, 0.0)
+    if not counts.size:
+        return None
+    want_rows, want_counts, want_tail = scalar_lines(
+        [coset], z, w, k, tol_line, 0.0, series=False)
+    return ((kernel._term_sums(rows, counts, k), tail),
+            (kernel._term_sums(want_rows, want_counts, k), want_tail),
+            not math.isnan(rows[6]))
+
+
+def series_lines(z, w, k, tol):
+    """The number of lines that the array pass of bergman_R(z, w) at k and
+    tol sums by Lipschitz's series."""
+    R0, tail = kernel._lattice_radius(z, w, k, 0.5 * tol)
+    cosets = coset_arrays(*np.array([[z.x], [z.y], [R0]]))
+    rows, _, _ = one_pair_array_lines(cosets, z, w, k,
+                                      0.125 * tol / len(cosets[0]), tail)
+    return int((~np.isnan(rows[6::kernel._ROW])).sum())
 
 
 def r12_oracle(z):
@@ -874,8 +928,9 @@ def r12_oracle(z):
 
 class TestDiagonalRoutes:
     # on the diagonal, bergman_R reduces a point whose table is large or out
-    # of reach, and sums a line that holds the whole table by Lipschitz's
-    # series where that is the shorter; both must agree with the direct sum
+    # of reach, which must agree with the direct sum; and every line of a
+    # direct sum takes Lipschitz's series where that is the shorter, which
+    # must agree with the line's direct window
 
     @pytest.mark.parametrize("k", [12, 24, 48])
     def test_low_points_against_the_direct_sum(self, k):
@@ -905,17 +960,40 @@ class TestDiagonalRoutes:
 
     @pytest.mark.parametrize("k", [12, 24, 48, 400])
     def test_lipschitz_against_the_direct_line(self, k):
-        # y 3-60 at tol 1e-13, where both are sharp; each line is summed to
-        # within its tail, and each takes rounding of a few k eps relative
-        # (measured up to 5 k eps): the series from logarithms of size up to
+        # the first cosets' lines of pairs at heights 3-60 at tol 1e-13,
+        # where both are sharp, on the diagonal and off it: each series
+        # line of the array pass against the oracle's direct loop.  Each is
+        # summed to within its tail, and each takes rounding of a few k eps
+        # relative: the series from logarithms of size up to
         # k log(4 pi y), the direct window from its terms' phases
         eps = 2.0 ** -52
+        compared = 0
         for y in np.geomspace(3.0, 60.0, 12).tolist():
-            want, tail, _ = identity_line(y, k, 1e-13)
-            got, lip_tail, _, cosets = kernel._lipschitz_line(y, k, 1e-13, 0.0)
-            assert cosets == 1
-            allowance = 8 * k * eps * max(1.0, abs(want))
-            assert abs(got - want) <= tail + lip_tail + allowance
+            for z, w in ((Point(0.0, y), Point(0.0, y)),
+                         (Point(0.13, y), Point(-0.3, 0.8 * y))):
+                R0, _ = kernel._lattice_radius(z, w, k, 0.5e-13)
+                table = coset_table(z, R0)
+                for coset in table[:8]:
+                    sums = line_sums(coset, z, w, k, 0.125e-13 / len(table))
+                    if sums is None or not sums[2]:
+                        continue
+                    (got, tail), (want, want_tail), _ = sums
+                    allowance = 8 * k * eps * max(1.0, abs(want))
+                    assert abs(got - want) <= tail + want_tail + allowance
+                    compared += 1
+        assert compared >= 15
+
+    @pytest.mark.parametrize("z, w", [(Point(0.0, 300.0), Point(0.1, 300.0)),
+                                      (Point(0.13, 2.2), Point(0.3, 1.9))])
+    def test_hermitian_symmetry_with_series_lines(self, z, w):
+        # R_k(z, w) = conj R_k(w, z), where the lines of both sides take
+        # Lipschitz's series
+        eps, cfg = 2.0 ** -52, WeightConfig(12)
+        assert series_lines(z, w, 12, cfg.tol) and series_lines(w, z, 12, cfg.tol)
+        a, b = bergman_R(z, w, cfg), bergman_R(w, z, cfg)
+        allowance = 8 * 12 * eps * max(1.0, abs(a.value))
+        assert abs(a.value - b.value.conjugate()) <= (
+            a.tail_bound + b.tail_bound + allowance)
 
     @pytest.mark.parametrize("y", [0.05, 20.0, 3000.0, 1e5])
     def test_weight_12_against_the_oracle(self, y):
@@ -928,21 +1006,21 @@ class TestDiagonalRoutes:
 
     def test_batch_is_bergman_R_on_every_route(self):
         # at k 24: small tables (0.7 <= y <= 1.1), low points that reduce
-        # and lines summed by Lipschitz (y >= 7.5), 0.1+1e-12i among them, which
-        # reduces to a line at 1e10; at k 1200 also 0.1+4i, whose table
-        # holds the identity coset alone but whose direct window is the
-        # shorter.  0+5e-324i, whose image is above the largest float,
-        # raises in a batch what bergman_R raises there
+        # and one-coset tables whose line is one series term (y >= 7.5),
+        # 0.1+1e-12i among them, which reduces to a line at 1e10; at k 1200
+        # also 0.1+4i, whose table holds the identity coset alone but whose
+        # direct window is the shorter.  0+5e-324i, whose image is above
+        # the largest float, raises in a batch what bergman_R raises there
         cfg = WeightConfig(24, 1e-10)
         points = [Point(0.13, 1.1), Point(-0.4, 0.7), Point(0.3, 0.05),
                   Point(2.2, 0.11), Point(0.0, 12.0), Point(-0.3, 250.0),
                   Point(0.25, 7.5), Point(0.1, 0.3), Point(0.1, 1e-12)]
-        routes = {"reduced": 0, "lipschitz": 0}
+        routes = {"reduced": 0, "series": 0}
         for p in points:
             res = bergman_R(p, p, cfg)
             routes["reduced"] += p.y < 0.5
-            routes["lipschitz"] += res.terms_used <= 2 and res.cosets_used == 1
-        assert routes == {"reduced": 4, "lipschitz": 4}
+            routes["series"] += res.terms_used == 1 and res.cosets_used == 1
+        assert routes == {"reduced": 4, "series": 4}
         for k, batch in ((24, points), (1200, [Point(0.1, 4.0), *points])):
             k_cfg = WeightConfig(k, 1e-10)
             x, y = np.array([[p.x, p.y] for p in batch]).T
