@@ -518,8 +518,8 @@ class TestArrayCosetLoop:
 
     @pytest.mark.parametrize("z, w, k, tol", [
         (Point(0.1, 0.3), Point(0.1, 0.3), 12, 1e-12),
-        (Point(0.0, 12.0), Point(0.0, 12.0), 12, 1e-12),
         (BULK, Point(-0.2, 0.9), 24, 1e-10),
+        (Point(0.0, 12.0), Point(0.0, 12.0), 12, 1e-12),
     ])
     def test_cutoffs_of_every_kind(self, monkeypatch, z, w, k, tol):
         # term caps and growth limits across the windows of a table: a
