@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import CutoffExceeded, CuspKernelError, SupportViolation
 from .halfplane import Point
-from .kernel import WeightConfig, bergman_R
+from .kernel import WeightConfig, bergman_R, bergman_R_diagonal
 from .modgroup import elliptic_points_in_strip, min_displacement, sample_bulk
 from .equidist import (
     BumpFunction2D,
@@ -32,6 +33,11 @@ from .equidist import (
 from .oracle import delta_coeffs, verify_pretrace
 
 RNG_NAME = "philox"
+# grid points per bergman_R_diagonal call of scan: on a 2-core Xeon a
+# 200 x 100 grid at k 1200 took 0.36, 0.24, 0.22 and 0.21 s in batches of
+# 64, 256, 1024 and 4096 points (6.7 s one point at a time), at a peak RSS
+# of 47-48 MB
+SCAN_BATCH = 256
 
 
 def weight_list(text: str) -> list:
@@ -110,12 +116,18 @@ def cmd_scan(args) -> int:
     cfg = WeightConfig(args.k, args.tol)
     xs = [x0] if nx == 1 else [x0 + i * (x1 - x0) / (nx - 1) for i in range(nx)]
     ys = [y0] if ny == 1 else [y0 + j * (y1 - y0) / (ny - 1) for j in range(ny)]
-    rows = []
-    for y in ys:
-        for x in xs:
-            res = bergman_R(Point(x, y), Point(x, y), cfg)
-            rows.append([x, y, args.k, res.value.real, res.value.imag,
-                         res.tail_bound, res.terms_used])
+    grid, rows = itertools.product(ys, xs), []
+    while batch := list(itertools.islice(grid, SCAN_BATCH)):
+        y, x = np.array(batch).T
+        try:
+            values, tails, terms = bergman_R_diagonal(x, y, cfg)
+        except (CuspKernelError, ValueError, OverflowError):
+            for py, px in batch:  # raise the first failing point's error
+                bergman_R(Point(px, py), Point(px, py), cfg)
+            raise
+        rows += zip(x.tolist(), y.tolist(), itertools.repeat(args.k),
+                    values.real.tolist(), values.imag.tolist(),
+                    tails.tolist(), terms.tolist())
     _emit_csv(args, ["x", "y", "k", "re_R", "im_R", "tail_bound",
                      "terms_used"], rows)
     return 0

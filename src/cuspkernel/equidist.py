@@ -195,7 +195,7 @@ def _densities(x, y, cfg: WeightConfig):
     the first point that raises one there."""
     normalization = _normalization(cfg)
     try:
-        values, tails = bergman_R_diagonal(x, y, cfg)
+        values, tails, _ = bergman_R_diagonal(x, y, cfg)
     except CutoffExceeded:
         for point in map(Point, x.tolist(), y.tolist()):
             measure_density(point, cfg)

@@ -29,13 +29,13 @@ KernelResult.tail_bound is a genuine certificate:
     whose ratio is controlled analytically; R0 is the first radius of the
     rings' grid whose tail is within budget, found in one walk up the grid.
 
-On the diagonal bergman_R takes one of two routes (_diagonal): a point
-whose lattice radius is out of reach, or whose table would hold
-REDUCTION_MIN_COSETS cosets or more, is evaluated at reduce_to_domain(z),
-as R_k(gz, gz) = R_k(z, z) (a low point with 14k-97k cosets at weight 12
-becomes one with a few hundred; the image is exact but for one rounding of
-each coordinate); every other point, as every pair off the diagonal, is
-the direct sum.
+On the diagonal one rule, over arrays, gives each point its route
+(_diagonal_pairs): a point of the strip whose lattice radius is out of
+reach, or whose table would hold REDUCTION_MIN_COSETS cosets or more, is
+evaluated at reduce_to_domain(z), as R_k(gz, gz) = R_k(z, z) (a low point
+with 14k-97k cosets at weight 12 becomes one with a few hundred; the image
+is exact but for one rounding of each coordinate); every other point, as
+every pair off the diagonal, is the direct sum.
 
 The coset loop (_array_lines) prunes, chooses each line's evaluator and
 adds the tails, in array passes over the tables of coset_arrays, and
@@ -51,20 +51,17 @@ at a time into exact buckets by binary exponent (_exact_sums), with no
 Python float per term, a smaller one by Shewchuk's fsum through a
 memoryview, which give the same bits.
 
-bergman_R_diagonal evaluates the diagonal at many points at once, given
-as two coordinate arrays, bit for bit as bergman_R at each, and with no
-Python object per point: the points move into the strip as arrays, their
-lattice radii come from one lockstep pass (_lattice_radii, the steps of
-_lattice_radius on every point, with one grid of rings for the batch), a
-point to be reduced takes _diagonal on its own with the radius found, and
-the array pass carries an owner index per coset, so the small tables of
-all the other points go through one coset pass and one term pass, with
-one fsum for each point whose sum has more than one term.  numpy's exp,
+bergman_R and bergman_R_diagonal, which takes the diagonal at many points
+as two coordinate arrays, run the same kernel pass (_kernel_pass): one
+coset_arrays call, one _array_lines pass carrying an owner index per
+coset, and one term pass whose sums are taken part by part (_part_sums),
+bit for bit the same for a pair alone as among others, since numpy's exp,
 log, log1p, arctan2, cos, sin and remainder give an element the same bits
-in a long array as in a short one, so sharing the term pass changes no
-point's sum.  A single pair keeps the scalar _lattice_radius, which takes
-about a tenth of the lockstep pass's time on one point: 3-5 us at k
-200-1600 and about 40 us at k 12 on a 2-core Xeon.
+in a long array as in a short one.  A batch takes its lattice radii from
+one lockstep pass (_lattice_radii, with one grid of rings for the batch),
+a single point from the scalar _lattice_radius, which takes about a tenth
+of the lockstep pass's time on one point: 3-5 us at k 200-1600 and about
+40 us at k 12 on a 2-core Xeon.
 
 The weight-4 sum behind residual_certificate (offdiagonal_sum_bound) takes
 each m-line in closed form (_weight_4_lines): one coset table, no window.
@@ -110,11 +107,16 @@ _MAX_LINE_TERMS = 5_000_000
 # most rounds of growth of one m-line window
 _MAX_GROWTH = 200
 # a diagonal point whose coset table is expected to hold this many cosets
-# or more is summed at its reduction to the fundamental domain (_diagonal),
-# and takes that route on its own in a batch (bergman_R_diagonal); another
-# threshold would move points between the routes, and their values in the
-# last bits
+# or more is summed at its reduction to the fundamental domain, alone or in
+# a batch (_diagonal_pairs); another threshold would move points between
+# the routes, and their values in the last bits
 REDUCTION_MIN_COSETS = 100
+# the expected cosets of one kernel pass of a batch, which bound its memory:
+# on a 2-core Xeon the weight-12 horizontal line (15 points of about 630
+# cosets) peaks at 35.0, 36.1 and 36.7 MB in passes of 2^11, 2^12 and 2^13
+# cosets, and at 34.6 MB one point at a time; 128 points of 4000 cosets in
+# one pass take 240 MB
+_PASS_COSETS = 1 << 11
 # a sum of this many terms or more goes through the exact numpy sum
 # (_exact_sums), a _CHUNK of terms at a time, smaller ones through
 # math.fsum: at about 2.5k terms the two take the same time (a weight-4
@@ -575,17 +577,17 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     return body.ravel(), count, tails, terms.astype(np.int64)
 
 
-def _terms(rows, at, start: int, k: int):
-    """The terms start, start + 1, ... of a term pass, as a row of real
-    parts and one of imaginary parts; at[i] is the segment of term
-    start + i, and rows the float array of the segments' rows.  Every term
+def _terms(rows, at, index, k: int):
+    """Terms of a term pass, as a row of real parts and one of imaginary
+    parts: index[i] (a float) is the number of term i in the pass, at[i]
+    its segment, and rows the float array of the segments' rows.  Every term
     is evaluated as a direct one, m of (1 + ((X0 - Re w + m)^2 + beta) /
     alpha)^(-k/2) at phase k (pi/2 - arg(tau + m) - arg(cz+d)), and the
     few of series rows again, n of exp(lead + (k-1) log n - 2 pi Im tau n)
     at phase 2 pi (n Re tau mod 1) - k arg(cz+d).  Each term's value is
-    the same at any start and in a pass of any length."""
+    the same in a pass of any length and with any other terms."""
     first, x0, beta, alpha, vpv, argden, lead = rows.reshape(-1, _ROW).T
-    m = np.arange(start, start + len(at), dtype=np.float64) + first[at]
+    m = index + first[at]
     offs = x0[at] + m
     mag = np.exp(-0.5 * k * np.log1p((offs * offs + beta[at]) / alpha[at]))
     # float(k): numpy scales by a Python float faster than by an int
@@ -672,111 +674,132 @@ def _exact_sums(chunks, n_rows: int) -> list:
     return sums
 
 
-def _term_sums(rows, counts, k: int):
-    """The sum of the terms of a line stage, counts[i] of them from segment
-    i, as a complex: the arithmetic of one line, with each segment's values
-    taken out to its terms (_terms).
+def _part_sums(rows, counts, k: int, sizes):
+    """The sums of the consecutive parts of a line stage, sizes[j] terms in
+    part j and counts[i] from segment i, as a complex array: the arithmetic
+    of one line per part, with each segment's values taken out to its
+    terms (_terms).
 
-    A sum of EXACT_SUM_MIN_TERMS terms or more is evaluated and summed a
-    _CHUNK of terms at a time, exactly in numpy (_exact_sums); a smaller
-    one is evaluated in one array pass, then summed by math.fsum, fed
-    through a memoryview.  Both sums are exact, correctly rounded, so they
-    give the same bits.  numpy evaluates a pass in place, reusing each
-    temporary that nothing else refers to."""
+    A part of EXACT_SUM_MIN_TERMS terms or more is evaluated and summed a
+    _CHUNK of terms at a time from its own first term, exactly in numpy
+    (_exact_sums).  The terms of the other parts are evaluated in one array
+    pass, and each part is summed by one math.fsum a row, through a
+    memoryview, but for a part of one term: fsum gives one double as it is,
+    but for a -0.0, which it may make 0.0, and adding its sum of -0.0 does
+    the same to each double, with no Python float per part.  Both sums are
+    exact, correctly rounded, so they give the same bits.  numpy evaluates
+    a pass in place, reusing each temporary that nothing else refers to."""
     rows, counts = np.asarray(rows, dtype=np.float64), np.asarray(counts)
-    n_terms = int(counts.sum())
-    if n_terms < EXACT_SUM_MIN_TERMS:
-        vals = _terms(rows, np.arange(len(counts)).repeat(counts), 0, k)
-        return complex(*(math.fsum(memoryview(v)) for v in vals))
-    last = np.cumsum(counts)  # one past the last term of each segment
+    ends = np.cumsum(sizes)
+    sums = np.zeros(len(sizes), complex)  # fsum gives 0.0 for no terms
+    exact = sizes >= EXACT_SUM_MIN_TERMS
+    mixed = exact.any()
+    if mixed:
+        last = np.cumsum(counts)  # one past the last term of each segment
 
-    def chunks():
-        for s in range(0, n_terms, _CHUNK):
-            e = min(s + _CHUNK, n_terms)
-            i, j = np.searchsorted(last, [s, e - 1], side="right")
-            seg = np.arange(i, j + 1)
-            at = seg.repeat(np.minimum(last[seg], e)
-                            - np.maximum(last[seg] - counts[seg], s))
-            yield _terms(rows, at, s, k)
+        def chunks(start, end):
+            for s in range(start, end, _CHUNK):
+                e = min(s + _CHUNK, end)
+                i, j = np.searchsorted(last, [s, e - 1], side="right")
+                seg = np.arange(i, j + 1)
+                at = seg.repeat(np.minimum(last[seg], e)
+                                - np.maximum(last[seg] - counts[seg], s))
+                yield _terms(rows, at, np.arange(s, e, dtype=np.float64), k)
 
-    return complex(*_exact_sums(chunks(), 2))
-
-
-def _part_sums(rows, counts, k: int, ends):
-    """The sums of the terms [ends[j-1], ends[j]) (from 0 for j = 0) of a
-    line stage, as an array of real parts and one of imaginary parts: the
-    terms are evaluated in one array pass (_terms), and each part is summed
-    by one math.fsum a row, through a memoryview, but for a part of one
-    term.  fsum gives one double as it is, but for a -0.0, which it may
-    make 0.0; adding its sum of -0.0 does the same to each double, with no
-    Python float per part."""
-    vals = _terms(np.asarray(rows, dtype=np.float64),
-                  np.arange(len(counts)).repeat(counts), 0, k)
-    starts = np.concatenate(([0], ends[:-1]))
-    one = ends - starts == 1
-    sums = np.empty((2, len(ends)))
-    sums[:, one] = vals[:, starts[one]] + math.fsum((-0.0,))
-    views = [memoryview(v) for v in vals]
-    for j in np.flatnonzero(~one).tolist():
-        sums[:, j] = [math.fsum(v[starts[j]:ends[j]]) for v in views]
+        big = np.flatnonzero(exact)
+        for j, e, n in zip(big.tolist(), ends[big].tolist(),
+                           sizes[big].tolist()):
+            sums[j] = complex(*_exact_sums(chunks(e - n, e), 2))
+        if exact.all():
+            return sums
+    at = np.arange(len(counts)).repeat(counts)  # the segment of each term
+    index = np.arange(len(at), dtype=np.float64)
+    if mixed:  # the terms of the other parts
+        keep = ~exact.repeat(sizes)
+        at, index = at[keep], index[keep]
+        sizes = np.where(exact, 0, sizes)
+        ends = np.cumsum(sizes)  # in the pass
+    vals = _terms(rows, at, index, k)
+    one = sizes == 1
+    if one.any():
+        sums.real[one], sums.imag[one] = (vals[:, ends[one] - 1]
+                                          + math.fsum((-0.0,)))
+    re, im = map(memoryview, vals)
+    rest = np.flatnonzero(sizes > 1).tolist()
+    ends, sizes = ends.tolist(), sizes.tolist()
+    for j in rest:
+        part = slice(ends[j] - sizes[j], ends[j])
+        sums[j] = complex(math.fsum(re[part]), math.fsum(im[part]))
     return sums
 
 
-def _worth_reducing(y, R0):
-    """Whether the coset table of a point at height y and radius R0 is
-    expected to hold REDUCTION_MIN_COSETS or more cosets: |cz+d|^2 <= R0 is
-    an ellipse of area pi R0 / y in the (c, d) plane, and 6/pi^2 of its
-    lattice points are coprime, two to a +/- pair.  y and R0 are floats or
-    arrays."""
-    return 3.0 * R0 / (math.pi * y) >= REDUCTION_MIN_COSETS
+def _expected_cosets(y, R0):
+    """The cosets that the table of a point at height y and radius R0 is
+    expected to hold: |cz+d|^2 <= R0 is an ellipse of area pi R0 / y in the
+    (c, d) plane, and 6/pi^2 of its lattice points are coprime, two to a
+    +/- pair.  y and R0 are floats or arrays."""
+    return 3.0 * R0 / (math.pi * y)
 
 
-def _sum_terms(z: Point, w: Point, k: int, tol: float, R0: float,
-               tail: float):
-    """Shared enumeration engine, over the cosets with |cz+d|^2 <= R0 of
-    the lattice radius (R0, tail) = _lattice_radius(z, w, k, tol).
-
-    Returns (complex_sum, tail_bound, terms_used, cosets_used) for the sum
-    of t_g(z, w)^k over one representative of each +/- pair; callers
-    double both the value and the tail for the full group.
-    """
-    with np.errstate(all="ignore"):  # as Python's floats, which do not warn
-        cosets = coset_arrays(*np.array([[z.x], [z.y], [R0]]))
-        n_cosets = len(cosets[0])
-        rows, counts, tails, terms = _array_lines(
-            cosets, *np.array([[z.x], [z.y], [w.x], [w.y]]), k,
-            np.array([0.25 * tol / n_cosets]), np.array([tail]))
-        total = _term_sums(rows, counts, k)
-    n_terms = int(terms[0])
-    # terms whose magnitude underflows to zero are each below 5e-324
-    return total, float(tails[0]) + n_terms * 5e-324, n_terms, n_cosets
-
-
-def _diagonal(z: Point, w: Point, k: int, tol: float, radius=None):
-    """_sum_terms(z, w, k, tol, ...) for a pair of the strip with w == z,
-    by the cheaper of two routes; radius is the lattice radius (R0, tail)
-    of z if it is known.
-
-    * Where the radius cannot be reached, or puts the table at
-      REDUCTION_MIN_COSETS cosets or more, the sum is taken at
-      reduce_to_domain(z), since R_k(gz, gz) = R_k(z, z).  A point of the
-      domain comes back as the same object and stays, and an unreached
-      radius there is raised.
-    * Else it is the direct _sum_terms at that radius.
-    """
-    unreached = None
+def _radii(x, y, k: int, tol: float):
+    """_lattice_radius(z, z, k, tol) at the points z = x + iy of two float
+    arrays, as arrays of R0 and of the tail, nan in both where it raises:
+    _lattice_radii, or for one point the scalar, which gives the same bits
+    in about a tenth of the time."""
+    if len(x) != 1:
+        return _lattice_radii(x, y, k, tol)
+    z = Point(float(x[0]), float(y[0]))
     try:
-        R0, tail = radius or _lattice_radius(z, w, k, tol)
-    except CutoffExceeded as exc:
-        unreached = exc
-    if unreached or _worth_reducing(z.y, R0):
-        p = reduce_to_domain(z)
-        if p is not z:
-            z = w = p
-            R0, tail = _lattice_radius(z, w, k, tol)
-        elif unreached:
-            raise unreached
-    return _sum_terms(z, w, k, tol, R0, tail)
+        return tuple(np.array([t]) for t in _lattice_radius(z, z, k, tol))
+    except CutoffExceeded:
+        return np.array([math.nan]), np.array([math.nan])
+
+
+def _diagonal_pairs(x, y, k: int, tol: float):
+    """(x, y, R0, tail): the diagonal points x + iy of the strip with their
+    lattice radii, as the kernel pass takes them.  A point whose radius is
+    out of reach or whose table would hold REDUCTION_MIN_COSETS cosets or
+    more moves to its reduce_to_domain image, with its radius; a point of
+    the domain comes back as the same object and stays.  A radius still out
+    of reach raises _lattice_radius's CutoffExceeded."""
+    R0, tail = _radii(x, y, k, tol)
+    with np.errstate(over="ignore"):  # as Python's floats, which do not warn
+        # nan, an unreached radius, is not below the threshold either
+        reduce = np.flatnonzero(
+            ~(_expected_cosets(y, R0) < REDUCTION_MIN_COSETS)).tolist()
+    if reduce:
+        x, y, moved = x.astype(float), y.astype(float), []  # copies
+        for j in reduce:
+            z = Point(float(x[j]), float(y[j]))
+            p = reduce_to_domain(z)
+            if p is not z:
+                x[j], y[j] = p.x, p.y
+                moved.append(j)
+        if moved:
+            R0[moved], tail[moved] = _radii(x[moved], y[moved], k, tol)
+        for j in reduce:
+            if math.isnan(R0[j]):
+                z = Point(float(x[j]), float(y[j]))
+                _lattice_radius(z, z, k, tol)  # raises
+    return x, y, R0, tail
+
+
+def _kernel_pass(xs, ys, us, vs, radii, tails, k: int, tol: float):
+    """(values, tails, terms, cosets): R_k(z, w) (complex), its tail bound
+    and the terms and cosets of the sum over one representative of each
+    +/- pair, at the pairs z = xs + i ys, w = us + i vs of the strip with
+    their lattice radii (radii, tails), in one coset_arrays call, one
+    _array_lines pass and one _part_sums pass."""
+    with np.errstate(all="ignore"):  # as Python's floats, which do not warn
+        cosets = coset_arrays(xs, ys, radii)
+        n_cosets = np.bincount(cosets[3], minlength=len(xs))
+        rows, counts, tails, terms = _array_lines(
+            cosets, xs, ys, us, vs, k, 0.25 * tol / n_cosets, tails)
+        del cosets
+        # numpy's 2.0 * complex has the bits of Python's, (2, 0) * (re, im)
+        values = 2.0 * _part_sums(rows, counts, k, terms)
+    # terms whose magnitude underflows to zero are each below 5e-324
+    return values, 2.0 * (tails + terms * 5e-324), terms, n_cosets
 
 
 def _check_tail(tail: float, tol: float) -> None:
@@ -786,90 +809,71 @@ def _check_tail(tail: float, tol: float) -> None:
                              best_tail_bound=tail)
 
 
-def _checked(half, tail: float, n_terms: int, n_cosets: int,
-             tol: float) -> KernelResult:
-    """The KernelResult of a half sum over the +/- pairs, with its tail
-    checked against tol (_check_tail)."""
-    result = KernelResult(2.0 * half, 2.0 * tail, n_terms, n_cosets)
-    _check_tail(result.tail_bound, tol)
-    return result
-
-
 def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
     """Evaluate R_k(z, w) with a certified truncation bound <= cfg.tol.
 
     R_k is 1-periodic in each argument on its own, so z and w are each
     moved into |Re| <= 1/2 first (translate_into_strip, exact in floating
-    point).  An off-diagonal pair is the direct lattice sum.  On the
-    diagonal, a point whose table would be large or out of reach is
-    evaluated at its reduction to the fundamental domain (_diagonal), and
-    every other point is the direct sum.  The direct sum takes each m-line
-    by the shorter of its two evaluators, the direct window or Lipschitz's
-    series (_array_lines).
+    point).  Then the pair is the kernel pass on arrays of one
+    (_kernel_pass): an off-diagonal pair at its own lattice radius, a
+    diagonal point as _diagonal_pairs gives it, at its reduction to the
+    fundamental domain where its table would be large or out of reach.
+    The pass takes each m-line by the shorter of its two evaluators, the
+    direct window or Lipschitz's series (_array_lines).
     """
     _, z = translate_into_strip(z)
     _, w = translate_into_strip(w)
     k, tol = cfg.k, 0.5 * cfg.tol
     if z == w:
-        return _checked(*_diagonal(z, w, k, tol), cfg.tol)
-    return _checked(*_sum_terms(z, w, k, tol, *_lattice_radius(z, w, k, tol)),
-                    cfg.tol)
+        x, y, R0, tail = _diagonal_pairs(np.array([z.x]), np.array([z.y]),
+                                         k, tol)
+        u, v = x, y
+    else:
+        R0, tail = (np.array([t]) for t in _lattice_radius(z, w, k, tol))
+        x, y, u, v = (np.array([t]) for t in (z.x, z.y, w.x, w.y))
+    values, tails, terms, cosets = _kernel_pass(x, y, u, v, R0, tail, k, tol)
+    result = KernelResult(complex(values[0]), float(tails[0]), int(terms[0]),
+                          int(cosets[0]))
+    _check_tail(result.tail_bound, cfg.tol)
+    return result
 
 
 def bergman_R_diagonal(x, y, cfg: WeightConfig):
     """bergman_R(z, z, cfg) at every point z = x + iy of two float arrays,
-    bit for bit: (values, tails), an array of the kernel values (complex)
-    and one of their tail bounds.
+    bit for bit: (values, tails, terms), an array of the kernel values
+    (complex), one of their tail bounds and one of their terms_used.
 
     The points move into the strip as arrays: x - rint(x) where
     |x| > 1/2, which is exact, and rint rounds half to even, as round
-    does.  Their lattice radii come from one lockstep pass
-    (_lattice_radii).  A point whose radius is out of reach, or whose
-    coset table is large enough to be reduced, goes the way of bergman_R
-    on its own, its radius passed on (_diagonal): the call's set-up is
-    small beside its work.  The other points share the set-up instead:
-    their coset tables come from one coset_arrays call, their cosets go
-    through one _array_lines pass and their terms through one _part_sums
-    pass, where a point whose sum holds one term (every bulk weight-1200
-    point) needs no fsum.  All of it runs under np.errstate, so a batch
-    makes no numpy warning.  Where some point fails, CutoffExceeded is
-    raised, but not necessarily that of the first point to fail in a loop
-    of bergman_R calls; measure_density, which calls this, finds that one.
+    does.  Then they take bergman_R's diagonal route (_diagonal_pairs),
+    with their lattice radii from one lockstep pass (_lattice_radii), and
+    consecutive points whose tables are expected to hold _PASS_COSETS
+    cosets together share one kernel pass (_kernel_pass), with no Python
+    object per point but for the points to be reduced.  A batch makes no
+    numpy warning.  Where some point fails, CutoffExceeded is raised, but
+    not necessarily that of the first point to fail in a loop of bergman_R
+    calls; measure_density and the scan command, which call this, find
+    that one.
     """
     k, tol = cfg.k, 0.5 * cfg.tol
     invalid = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & (y > 0.0)))
     if invalid.size:  # the first is no Point: raise its ValueError
         Point(float(x[invalid[0]]), float(y[invalid[0]]))
     x = np.where(np.abs(x) > 0.5, x - np.rint(x), x)
+    x, y, R0, tail = _diagonal_pairs(x, y, k, tol)
+    with np.errstate(over="ignore"):
+        group = np.cumsum(_expected_cosets(y, R0)) // _PASS_COSETS
+    starts = np.flatnonzero(
+        group != np.concatenate(([-1.0], group[:-1]))).tolist()
     values, tails = np.empty(len(x), complex), np.empty(len(x))
-    with np.errstate(all="ignore"):
-        radii, lattice_tails = _lattice_radii(x, y, k, tol)
-        own = np.isnan(radii) | _worth_reducing(y, radii)
-        for j in np.flatnonzero(own).tolist():
-            z = Point(float(x[j]), float(y[j]))
-            radius = (None if math.isnan(radii[j])
-                      else (float(radii[j]), float(lattice_tails[j])))
-            res = _checked(*_diagonal(z, z, k, tol, radius), cfg.tol)
-            values[j], tails[j] = res.value, res.tail_bound
-        at = np.flatnonzero(~own)
-        if at.size:
-            x, y = x[at], y[at]
-            cosets = coset_arrays(x, y, radii[at])
-            n_cosets = np.bincount(cosets[3], minlength=len(at))
-            rows, counts, tail, terms = _array_lines(
-                cosets, x, y, x, y, k, 0.25 * tol / n_cosets,
-                lattice_tails[at])
-            del cosets
-            re, im = _part_sums(rows, counts, k, np.cumsum(terms))
-            # 2.0 * half as Python's complex product, (2, 0) times (re, im)
-            values.real[at] = 2.0 * re - 0.0 * im
-            values.imag[at] = 2.0 * im + 0.0 * re
-            # terms whose magnitude underflows to zero are each below 5e-324
-            tails[at] = 2.0 * (tail + terms * 5e-324)
+    terms = np.empty(len(x), np.int64)
+    for s, e in zip(starts, [*starts[1:], len(x)]):
+        values[s:e], tails[s:e], terms[s:e], _ = _kernel_pass(
+            x[s:e], y[s:e], x[s:e], y[s:e], R0[s:e], tail[s:e], k, tol)
     over = tails[~(tails <= cfg.tol)]
-    if over.size:  # the first point's, as _checked raises it
+    if over.size:  # the first point's, as bergman_R raises it
         _check_tail(float(over[0]), cfg.tol)
-    return values, tails
+    return values, tails, terms
 
 
 def _weight_4_lines(x, b):

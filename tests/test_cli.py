@@ -125,6 +125,17 @@ class TestScanCommand:
         rc2, out2, _ = run(capsys, *args)
         assert rc1 == rc2 == 0 and out1 == out2
 
+    def test_first_failing_point(self, capsys):
+        # both points of the grid fail at k 6, tol 1e-12, each with its own
+        # tail; they share one kernel batch, and scan reports the first
+        rc, out, err = run(capsys, "scan", "--grid=0.1,0.1,1,0.9,3,2",
+                           "--k", "6", "--tol", "1e-12")
+        assert (rc, out) == (3, "")
+        assert "tail bound 6.323e-11 not reachable" in err
+        rc, _, err = run(capsys, "kernel", "--z", "0.1+3i", "--k", "6",
+                         "--tol", "1e-12")
+        assert rc == 3 and "tail bound 4.866e-12 not reachable" in err
+
     def test_malformed_grid(self, capsys):
         rc, _, err = run(capsys, "scan", "--grid", "0,1,3")
         assert rc == 2 and "grid" in err

@@ -139,10 +139,10 @@ class TestBatchedDensity:
         points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.6, 2.2)))
                   for _ in range(n)]
         cfg = WeightConfig(k, tol)
-        sized = [kernel._worth_reducing(p.y, kernel._lattice_radius(p, p, k, 0.5 * tol)[0])
-                 for p in points]
-        # both coset regimes at k 24: small tables share one array pass,
-        # large ones are bergman_R calls of their own
+        sized = [kernel._expected_cosets(p.y, kernel._lattice_radius(p, p, k, 0.5 * tol)[0])
+                 >= kernel.REDUCTION_MIN_COSETS for p in points]
+        # both coset regimes at k 24: small tables, and large ones that
+        # reduce or, in the domain, stay large
         assert (k == 1200 and not any(sized)) or (k == 24 and 0 < sum(sized) < n)
         want = [repr(measure_density(p, cfg)) for p in points]
         assert _density_reprs(points, cfg) == want

@@ -50,12 +50,23 @@ def rng(seed=20250809):
 
 
 def direct(z, cfg):
-    """R_k(z, z) by the direct lattice sum at z itself: the cosets of z's
-    own lattice radius, with no reduction."""
+    """R_k(z, z) by the direct lattice sum at z itself: the kernel pass
+    over the cosets of z's own lattice radius, with no reduction."""
     tol = 0.5 * cfg.tol
     radius = kernel._lattice_radius(z, z, cfg.k, tol)
-    return kernel._checked(*kernel._sum_terms(z, z, cfg.k, tol, *radius),
-                           cfg.tol)
+    x, y, R0, tail = (np.array([t]) for t in (z.x, z.y, *radius))
+    values, tails, terms, cosets = kernel._kernel_pass(
+        x, y, x, y, R0, tail, cfg.k, tol)
+    assert tails[0] <= cfg.tol
+    return kernel.KernelResult(complex(values[0]), float(tails[0]),
+                               int(terms[0]), int(cosets[0]))
+
+
+def term_sum(rows, counts, k):
+    """The sum of the terms of a line stage, counts[i] of them from segment
+    i, as one part of _part_sums, as a complex."""
+    return complex(kernel._part_sums(rows, counts, k,
+                                     np.array([sum(counts)]))[0])
 
 
 def direct_windows(z, cfg):
@@ -68,8 +79,10 @@ def direct_windows(z, cfg):
                                       0.25 * tol / len(table), tail,
                                       series=False)
     n = sum(counts)
-    return kernel._checked(kernel._term_sums(rows, counts, cfg.k),
-                           tail + n * 5e-324, n, len(table), cfg.tol)
+    tail = 2.0 * (tail + n * 5e-324)
+    assert tail <= cfg.tol
+    return kernel.KernelResult(2.0 * term_sum(rows, counts, cfg.k), tail, n,
+                               len(table))
 
 
 class TestBTerm:
@@ -417,7 +430,7 @@ def one_pair_array_lines(cosets, z, w, k, tol_line, tail):
 
 def both_line_stages(z, w, k, tol, max_cosets=None):
     """The scalar oracle and the array coset loop, each called directly on
-    its own table of the radius _sum_terms picks: per stage, the repr of
+    its own table of the radius bergman_R picks: per stage, the repr of
     (rows, counts, tail), or of the CutoffExceeded it raised.  None for a
     table of more than max_cosets."""
     R0, tail = kernel._lattice_radius(z, w, k, tol)
@@ -483,7 +496,7 @@ class TestArrayCosetLoop:
                                    Point(-0.072304, 0.273911)])
     def test_low_points(self, z):
         # the benchmark's low points at k 12, tol 1e-14 (half of it per
-        # +/- representative, as bergman_R asks _sum_terms): 24k-97k cosets
+        # +/- representative, as bergman_R asks of the pass): 24k-97k cosets
         R0, _ = kernel._lattice_radius(z, z, 12, 0.5e-14)
         assert len(coset_table(z, R0)) > 20000
         assert_same(*both_line_stages(z, z, 12, 0.5e-14))
@@ -836,7 +849,7 @@ class TestExactSum:
         sums = []
         for crossover in (1, math.inf):
             monkeypatch.setattr(kernel, "EXACT_SUM_MIN_TERMS", crossover)
-            sums.append([kernel._term_sums(rows, first_terms(counts, n), 8)
+            sums.append([term_sum(rows, first_terms(counts, n), 8)
                          for n in ends])
         assert sums[0] == sums[1]
 
@@ -900,8 +913,8 @@ def line_sums(coset, z, w, k, tol_line):
         return None
     want_rows, want_counts, want_tail = scalar_lines(
         [coset], z, w, k, tol_line, 0.0, series=False)
-    return ((kernel._term_sums(rows, counts, k), tail),
-            (kernel._term_sums(want_rows, want_counts, k), want_tail),
+    return ((term_sum(rows, counts, k), tail),
+            (term_sum(want_rows, want_counts, k), want_tail),
             not math.isnan(rows[6]))
 
 
@@ -924,6 +937,18 @@ def r12_oracle(z):
         r = (8 * mp.pi / 11 * mp.mpf(z.y) ** 12
              * abs(oracle.eval_delta_mp(z)) ** 2 / mp.mpf(norm.value))
         return float(r)
+
+
+def assert_batch_is_bergman_R(batch, cfg):
+    """bergman_R_diagonal at the points of batch gives bergman_R's value,
+    tail bound and terms_used at each, bit for bit; returns the terms."""
+    x, y = np.array([[p.x, p.y] for p in batch]).T
+    values, tails, terms = kernel.bergman_R_diagonal(x, y, cfg)
+    want = [bergman_R(p, p, cfg) for p in batch]
+    assert repr(values.tolist()) == repr([r.value for r in want])
+    assert repr(tails.tolist()) == repr([r.tail_bound for r in want])
+    assert terms.tolist() == [r.terms_used for r in want]
+    return terms.tolist()
 
 
 class TestDiagonalRoutes:
@@ -1022,12 +1047,7 @@ class TestDiagonalRoutes:
             routes["series"] += res.terms_used == 1 and res.cosets_used == 1
         assert routes == {"reduced": 4, "series": 4}
         for k, batch in ((24, points), (1200, [Point(0.1, 4.0), *points])):
-            k_cfg = WeightConfig(k, 1e-10)
-            x, y = np.array([[p.x, p.y] for p in batch]).T
-            values, tails = kernel.bergman_R_diagonal(x, y, k_cfg)
-            want = [bergman_R(p, p, k_cfg) for p in batch]
-            assert repr(values.tolist()) == repr([r.value for r in want])
-            assert repr(tails.tolist()) == repr([r.tail_bound for r in want])
+            assert_batch_is_bergman_R(batch, WeightConfig(k, 1e-10))
         lost = Point(0.0, 5e-324)
         with pytest.raises(CutoffExceeded) as one:
             bergman_R(lost, lost, cfg)
@@ -1037,6 +1057,22 @@ class TestDiagonalRoutes:
         assert "above the largest float" in str(one.value)
         assert (str(batch.value), batch.value.best_tail_bound) == (
             str(one.value), math.inf)
+
+    def test_batch_with_exact_and_fsum_parts(self):
+        # at k 12, tol 1e-12 the sums of the bulk points and the reduced
+        # sums of 0.3+0.3i and -0.2+0.5i pass EXACT_SUM_MIN_TERMS terms, and
+        # each is summed exactly from its own first term, beside the fsum
+        # parts of 0+0.05i, whose large table reduces to 20i, of
+        # 0.1+1e-12i, whose radius is out of reach, and of 12i
+        batch = [Point(0.13, 1.1), Point(0.3, 0.3), Point(0.0, 0.05),
+                 Point(-0.2, 0.5), Point(0.1, 1e-12), Point(0.0, 12.0),
+                 Point(-0.4, 0.9)]
+        terms = assert_batch_is_bergman_R(batch, WeightConfig(12, 1e-12))
+        exact = [p for p, n in zip(batch, terms)
+                 if n >= kernel.EXACT_SUM_MIN_TERMS]
+        assert exact == [batch[i] for i in (0, 1, 3, 6)]
+        with pytest.raises(CutoffExceeded):
+            kernel._lattice_radius(batch[4], batch[4], 12, 0.5e-12)
 
 
 class TestMainTerm:
