@@ -29,13 +29,12 @@ KernelResult.tail_bound is a genuine certificate:
     whose ratio is controlled analytically; R0 is the first radius of the
     rings' grid whose tail is within budget, found in one walk up the grid.
 
-On the diagonal one rule, over arrays, gives each point its route
-(_diagonal_pairs): a point of the strip whose lattice radius is out of
-reach, or whose table would hold REDUCTION_MIN_COSETS cosets or more, is
-evaluated at reduce_to_domain(z), as R_k(gz, gz) = R_k(z, z) (a low point
-with 14k-97k cosets at weight 12 becomes one with a few hundred; the image
-is exact but for one rounding of each coordinate); every other point, as
-every pair off the diagonal, is the direct sum.
+On the diagonal every point of the strip below the unit circle is
+evaluated at reduce_to_domain(z), as R_k(gz, gz) = R_k(z, z), before its
+lattice radius (_diagonal_pairs): a low point with 14k-97k cosets at weight
+12 becomes one with a few hundred, and the image is exact but for one
+rounding of each coordinate.  A point of the domain keeps its bits.  Every
+pair off the diagonal is the direct sum.
 
 The coset loop (_array_lines) prunes, chooses each line's evaluator and
 adds the tails, in array passes over the tables of coset_arrays, and
@@ -106,11 +105,6 @@ _TWO_PI = 2.0 * math.pi
 _MAX_LINE_TERMS = 5_000_000
 # most rounds of growth of one m-line window
 _MAX_GROWTH = 200
-# a diagonal point whose coset table is expected to hold this many cosets
-# or more is summed at its reduction to the fundamental domain, alone or in
-# a batch (_diagonal_pairs); another threshold would move points between
-# the routes, and their values in the last bits
-REDUCTION_MIN_COSETS = 100
 # the expected cosets of one kernel pass of a batch, which bound its memory:
 # on a 2-core Xeon the weight-12 horizontal line (15 points of about 630
 # cosets) peaks at 35.0, 36.1 and 36.7 MB in passes of 2^11, 2^12 and 2^13
@@ -733,54 +727,28 @@ def _part_sums(rows, counts, k: int, sizes):
     return sums
 
 
-def _expected_cosets(y, R0):
-    """The cosets that the table of a point at height y and radius R0 is
-    expected to hold: |cz+d|^2 <= R0 is an ellipse of area pi R0 / y in the
-    (c, d) plane, and 6/pi^2 of its lattice points are coprime, two to a
-    +/- pair.  y and R0 are floats or arrays."""
-    return 3.0 * R0 / (math.pi * y)
-
-
-def _radii(x, y, k: int, tol: float):
-    """_lattice_radius(z, z, k, tol) at the points z = x + iy of two float
-    arrays, as arrays of R0 and of the tail, nan in both where it raises:
-    _lattice_radii, or for one point the scalar, which gives the same bits
-    in about a tenth of the time."""
-    if len(x) != 1:
-        return _lattice_radii(x, y, k, tol)
-    z = Point(float(x[0]), float(y[0]))
-    try:
-        return tuple(np.array([t]) for t in _lattice_radius(z, z, k, tol))
-    except CutoffExceeded:
-        return np.array([math.nan]), np.array([math.nan])
-
-
 def _diagonal_pairs(x, y, k: int, tol: float):
-    """(x, y, R0, tail): the diagonal points x + iy of the strip with their
-    lattice radii, as the kernel pass takes them.  A point whose radius is
-    out of reach or whose table would hold REDUCTION_MIN_COSETS cosets or
-    more moves to its reduce_to_domain image, with its radius; a point of
-    the domain comes back as the same object and stays.  A radius still out
-    of reach raises _lattice_radius's CutoffExceeded."""
-    R0, tail = _radii(x, y, k, tol)
+    """(x, y, R0, tail): the diagonal points x + iy of the strip at their
+    reduce_to_domain images, with their lattice radii, as the kernel pass
+    takes them.  A point with x^2 + y^2 >= 1 - 1e-12, which reduce_to_domain
+    returns as it is, keeps its bits and makes no Python object.  One point
+    takes the scalar _lattice_radius, which gives _lattice_radii's bits in
+    about a tenth of the time; a radius out of reach raises its
+    CutoffExceeded."""
     with np.errstate(over="ignore"):  # as Python's floats, which do not warn
-        # nan, an unreached radius, is not below the threshold either
-        reduce = np.flatnonzero(
-            ~(_expected_cosets(y, R0) < REDUCTION_MIN_COSETS)).tolist()
-    if reduce:
-        x, y, moved = x.astype(float), y.astype(float), []  # copies
-        for j in reduce:
-            z = Point(float(x[j]), float(y[j]))
-            p = reduce_to_domain(z)
-            if p is not z:
-                x[j], y[j] = p.x, p.y
-                moved.append(j)
-        if moved:
-            R0[moved], tail[moved] = _radii(x[moved], y[moved], k, tol)
-        for j in reduce:
-            if math.isnan(R0[j]):
-                z = Point(float(x[j]), float(y[j]))
-                _lattice_radius(z, z, k, tol)  # raises
+        low = np.flatnonzero(x * x + y * y < 1.0 - 1e-12).tolist()
+    if low:
+        x, y = x.astype(float), y.astype(float)  # copies
+        for j in low:
+            p = reduce_to_domain(Point(float(x[j]), float(y[j])))
+            x[j], y[j] = p.x, p.y
+    if len(x) == 1:
+        z = Point(float(x[0]), float(y[0]))
+        return (x, y, *(np.array([t]) for t in _lattice_radius(z, z, k, tol)))
+    R0, tail = _lattice_radii(x, y, k, tol)
+    for j in np.flatnonzero(np.isnan(R0))[:1].tolist():
+        z = Point(float(x[j]), float(y[j]))
+        _lattice_radius(z, z, k, tol)  # raises
     return x, y, R0, tail
 
 
@@ -817,9 +785,9 @@ def bergman_R(z: Point, w: Point, cfg: WeightConfig) -> KernelResult:
     point).  Then the pair is the kernel pass on arrays of one
     (_kernel_pass): an off-diagonal pair at its own lattice radius, a
     diagonal point as _diagonal_pairs gives it, at its reduction to the
-    fundamental domain where its table would be large or out of reach.
-    The pass takes each m-line by the shorter of its two evaluators, the
-    direct window or Lipschitz's series (_array_lines).
+    fundamental domain where it lies below the unit circle.  The pass
+    takes each m-line by the shorter of its two evaluators, the direct
+    window or Lipschitz's series (_array_lines).
     """
     _, z = translate_into_strip(z)
     _, w = translate_into_strip(w)
@@ -845,15 +813,15 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
 
     The points move into the strip as arrays: x - rint(x) where
     |x| > 1/2, which is exact, and rint rounds half to even, as round
-    does.  Then they take bergman_R's diagonal route (_diagonal_pairs),
-    with their lattice radii from one lockstep pass (_lattice_radii), and
-    consecutive points whose tables are expected to hold _PASS_COSETS
-    cosets together share one kernel pass (_kernel_pass), with no Python
-    object per point but for the points to be reduced.  A batch makes no
-    numpy warning.  Where some point fails, CutoffExceeded is raised, but
-    not necessarily that of the first point to fail in a loop of bergman_R
-    calls; measure_density and the scan command, which call this, find
-    that one.
+    does.  Then the points below the unit circle move to their reductions
+    (_diagonal_pairs), as in bergman_R, and all take their lattice radii
+    from one lockstep pass (_lattice_radii).  Consecutive points whose
+    tables are expected to hold _PASS_COSETS cosets together share one
+    kernel pass (_kernel_pass), with no Python object per point but for
+    the points to be reduced.  A batch makes no numpy warning.  Where some
+    point fails, CutoffExceeded is raised, but not necessarily that of the
+    first point to fail in a loop of bergman_R calls; measure_density and
+    the scan command, which call this, find that one.
     """
     k, tol = cfg.k, 0.5 * cfg.tol
     invalid = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & (y > 0.0)))
@@ -861,8 +829,10 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
         Point(float(x[invalid[0]]), float(y[invalid[0]]))
     x = np.where(np.abs(x) > 0.5, x - np.rint(x), x)
     x, y, R0, tail = _diagonal_pairs(x, y, k, tol)
+    # |cz+d|^2 <= R0 is an ellipse of area pi R0 / y in the (c, d) plane,
+    # and 6/pi^2 of its lattice points are coprime, two to a +/- pair
     with np.errstate(over="ignore"):
-        group = np.cumsum(_expected_cosets(y, R0)) // _PASS_COSETS
+        group = np.cumsum(3.0 * R0 / (math.pi * y)) // _PASS_COSETS
     starts = np.flatnonzero(
         group != np.concatenate(([-1.0], group[:-1]))).tolist()
     values, tails = np.empty(len(x), complex), np.empty(len(x))

@@ -31,6 +31,7 @@ from cuspkernel.modgroup import (
     coset_arrays,
     elliptic_points_in_strip,
     reduce_to_domain,
+    translate_into_strip,
 )
 
 from coset_oracle import coset_table, scalar_lines
@@ -952,10 +953,10 @@ def assert_batch_is_bergman_R(batch, cfg):
 
 
 class TestDiagonalRoutes:
-    # on the diagonal, bergman_R reduces a point whose table is large or out
-    # of reach, which must agree with the direct sum; and every line of a
-    # direct sum takes Lipschitz's series where that is the shorter, which
-    # must agree with the line's direct window
+    # on the diagonal, bergman_R evaluates every point below the unit circle
+    # at its reduction to the domain, which must agree with the direct sum
+    # at the point itself; and every line takes Lipschitz's series where
+    # that is the shorter, which must agree with the line's direct window
 
     @pytest.mark.parametrize("k", [12, 24, 48])
     def test_low_points_against_the_direct_sum(self, k):
@@ -966,6 +967,23 @@ class TestDiagonalRoutes:
             res, want = bergman_R(z, z, cfg), direct(z, cfg)
             assert res.cosets_used < want.cosets_used  # taken at the reduction
             assert abs(res.value - want.value) <= res.tail_bound + want.tail_bound
+
+    def test_points_below_the_circle_take_their_image(self):
+        # strip points below the unit circle with small tables at k 24, one
+        # of them on the strip's edge and one a period off it: the value,
+        # tail and terms, alone and in a batch, are those at the image
+        cfg = WeightConfig(24)
+        batch = [Point(0.0, 0.575), Point(-0.5, 0.85), Point(0.2, 0.7),
+                 Point(2.2, 0.7)]
+        images = [reduce_to_domain(translate_into_strip(p)[1]) for p in batch]
+        assert all(q.y > p.y for p, q in zip(batch, images))
+        want = [bergman_R(q, q, cfg) for q in images]
+        assert [repr(bergman_R(p, p, cfg)) for p in batch] == list(map(repr, want))
+        x, y = np.array([[p.x, p.y] for p in batch]).T
+        values, tails, terms = kernel.bergman_R_diagonal(x, y, cfg)
+        assert repr(values.tolist()) == repr([r.value for r in want])
+        assert repr(tails.tolist()) == repr([r.tail_bound for r in want])
+        assert terms.tolist() == [r.terms_used for r in want]
 
     @pytest.mark.parametrize("k", [12, 1200])
     def test_low_points_against_an_mpmath_reduction(self, k):
@@ -1030,12 +1048,13 @@ class TestDiagonalRoutes:
         assert abs(res.value - want) <= res.tail_bound
 
     def test_batch_is_bergman_R_on_every_route(self):
-        # at k 24: small tables (0.7 <= y <= 1.1), low points that reduce
-        # and one-coset tables whose line is one series term (y >= 7.5),
-        # 0.1+1e-12i among them, which reduces to a line at 1e10; at k 1200
-        # also 0.1+4i, whose table holds the identity coset alone but whose
-        # direct window is the shorter.  0+5e-324i, whose image is above
-        # the largest float, raises in a batch what bergman_R raises there
+        # at k 24: small tables (0.7 <= y <= 1.1), points below the unit
+        # circle that reduce, -0.4+0.7i among them, and one-coset tables
+        # whose line is one series term (y >= 7.5), 0.1+1e-12i among them,
+        # which reduces to a line at 1e10; at k 1200 also 0.1+4i, whose
+        # table holds the identity coset alone but whose direct window is
+        # the shorter.  0+5e-324i, whose image is above the largest float,
+        # raises in a batch what bergman_R raises there
         cfg = WeightConfig(24, 1e-10)
         points = [Point(0.13, 1.1), Point(-0.4, 0.7), Point(0.3, 0.05),
                   Point(2.2, 0.11), Point(0.0, 12.0), Point(-0.3, 250.0),
@@ -1059,11 +1078,11 @@ class TestDiagonalRoutes:
             str(one.value), math.inf)
 
     def test_batch_with_exact_and_fsum_parts(self):
-        # at k 12, tol 1e-12 the sums of the bulk points and the reduced
-        # sums of 0.3+0.3i and -0.2+0.5i pass EXACT_SUM_MIN_TERMS terms, and
-        # each is summed exactly from its own first term, beside the fsum
-        # parts of 0+0.05i, whose large table reduces to 20i, of
-        # 0.1+1e-12i, whose radius is out of reach, and of 12i
+        # at k 12, tol 1e-12 the sum of 0.13+1.1i and the reduced sums of
+        # 0.3+0.3i, -0.2+0.5i and -0.4+0.9i pass EXACT_SUM_MIN_TERMS terms,
+        # and each is summed exactly from its own first term, beside the
+        # fsum parts of 0+0.05i, which reduces to 20i, of 0.1+1e-12i, whose
+        # radius is out of reach, and of 12i
         batch = [Point(0.13, 1.1), Point(0.3, 0.3), Point(0.0, 0.05),
                  Point(-0.2, 0.5), Point(0.1, 1e-12), Point(0.0, 12.0),
                  Point(-0.4, 0.9)]
