@@ -40,15 +40,20 @@ The coset loop (_array_lines) prunes, chooses each line's evaluator and
 adds the tails, in array passes over the tables of coset_arrays, and
 records each line as one row.  Its bits are those of a scalar loop over
 one coset at a time, which the tests keep as its oracle: numpy does only
-exactly rounded arithmetic, every exp, log, log1p, expm1, atan2 and square
-is libm's, mapped over the array one Python float at a time, and the top
-rows come from one integer extended Euclid over all the cosets
-(solve_top_row on arrays).  The terms of every row are then evaluated in
-numpy and summed exactly, so the result is order-independent and
-deterministic: a sum of EXACT_SUM_MIN_TERMS terms or more a _CHUNK of terms
-at a time into exact buckets by binary exponent (_exact_sums), with no
-Python float per term, a smaller one by Shewchuk's fsum through a
-memoryview, which give the same bits.
+exactly rounded arithmetic, and the top rows come from one integer
+extended Euclid over all the cosets (solve_top_row on arrays).  The bounds
+that only price omitted mass, h^(-k/2) of a pruned coset and of each side
+tail, are integer powers of 1/h in exactly rounded products
+(_inverse_powers).  Two maps per coset stay libm's, one Python float at a
+time, as their bits enter the terms and numpy's own differ in the last
+bit for some arguments: the square beta = (Im w - Im g0z)^2 (CPython's
+x ** 2, not x * x) and arctan2 for arg(cz+d).  The exp, log, log1p and
+expm1 of the few series lines are libm's too.  The terms of every row are
+then evaluated in numpy and summed exactly, so the result is
+order-independent and deterministic: a sum of EXACT_SUM_MIN_TERMS terms or
+more a _CHUNK of terms at a time into exact buckets by binary exponent
+(_exact_sums), with no Python float per term, a smaller one by Shewchuk's
+fsum through a memoryview, which give the same bits.
 
 bergman_R and bergman_R_diagonal, which takes the diagonal at many points
 as two coordinate arrays, run the same kernel pass (_kernel_pass): one
@@ -126,12 +131,11 @@ _CHUNK = 1 << 15
 # values in a row of the term pass, one row per m-line segment
 _ROW = 7
 # the buckets of _exact_sums, one per biased exponent, and the most values
-# of a row that float64 bucket sums take before Python ints take over
+# of a row that float64 bucket sums take before they are set aside
 _EXPONENTS = 1 << 11
 _BUCKET_VALUES = 1 << 26
 _HIGH = ~((1 << 26) - 1)  # a double's bits but the low 26 of its fraction
 _NEG_ZERO = -1 << 63  # the bits of -0.0
-_SCALE = 1 << 1074  # 2^-1074 is the least subnormal
 
 # the squeeze constant A of the admissible window (delta_for, support_top)
 SQUEEZE_A = 2.0
@@ -198,15 +202,44 @@ def _libm(f, *args):
     return np.fromiter(map(f, *lists), np.float64, len(lists[0]))
 
 
-def _side_tails(M, alpha, beta, k: float):
+def _inverse_powers(h, n):
+    """(1/h)^n at every entry of the float array h >= 1, n >= 1 whole (an
+    int, or k // 2 of a weight given as a float such as 12.0), by
+    binary powering of 1/h: square the base for each bit of n, from the
+    lowest, and multiply it in where the bit is set.  Only numpy's exactly
+    rounded / and * enter, so every SIMD dispatch gives the same bits, and
+    the same steps in Python floats give them too.
+
+    Rounding, u = 2^-53: 1/h rounds once and enters n times, the squarings
+    round n - popcount(n) times into the result and its products
+    popcount(n) - 1 times, so the result is the exact (1/h)^n times 2n - 1
+    factors 1 + d, |d| <= u, within gamma_(2n-1) relative (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3), hence within
+    (2n + popcount(n)) u relative for n <= 2^25, wherever (1/h)^n is at least
+    2^-1022: every partial product is then normal.  Below, it underflows as
+    a tail bound may, to a subnormal or to 0."""
+    n = int(n)
+    base = 1.0 / h
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
+def _side_tails(M, alpha, beta, k: int):
     """Omitted mass of one m-line side beyond offset M > 0, over arrays.
 
     h(t) = 1 + (t^2+beta)/alpha is convex, so the terms at offsets
     M, M+1, ... are bounded by f(M) + integral, and the integral by the
-    tangent-line comparison f(M) * alpha * h(M) / (M * (k-2)).
+    tangent-line comparison f(M) * alpha * h(M) / (M * (k-2)), with
+    f = h^(-k/2) (_inverse_powers, k even).
     """
     h = 1.0 + (M * M + beta) / alpha
-    f = _libm(math.exp, -0.5 * k * _libm(math.log, h))
+    f = _inverse_powers(h, k // 2)
     return f * (1.0 + alpha * h / (M * (k - 2.0)))
 
 
@@ -414,11 +447,13 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     Each pair's tail takes its additions in coset order (np.add.accumulate
     along one row per pair, as long as the longest table).
 
-    The bits are those of a loop over one coset at a time in scalar libm
+    The bits are those of a loop over one coset at a time in scalar
     arithmetic, which the tests keep as the oracle: numpy does only exactly
     rounded arithmetic (+ - * / sqrt, floor, ceil) on values that are that
-    loop's; every exp, log, log1p, expm1, atan2 and square goes through
-    libm (_libm), and the top rows of all the cosets through one call of
+    loop's, the pruned cosets' and the side tails' h^(-k/2) included
+    (_inverse_powers); the square beta and arg(cz+d), which enter the
+    terms, and the exp, log, log1p and expm1 of the series lines go through
+    libm (_libm); and the top rows of all the cosets through one call of
     solve_top_row on arrays, whose integer extended Euclid gives each the
     scalar form's a.
 
@@ -448,7 +483,6 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
         return values[owner[at]] if n_pairs > 1 else values[0]
 
     ck = _profile_constant(k)
-    nhk = -0.5 * k
     half_lines = 0.5 * tol_lines
     # functions of each pair's line budget, once per distinct budget
     u_cuts = _per_value(lambda t: (t / 8.0) ** (-2.0 / k) - 1.0, tol_lines)
@@ -471,8 +505,7 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     # pruned, the rest (and 0) of a series line, else the side tails lo and
     # hi of its final window
     added = np.zeros((len(Q), 2))
-    added[:, 0] = (_libm(math.exp, nhk * _libm(math.log1p, r))
-                   * (2.0 + ck * (v + vp)))
+    added[:, 0] = _inverse_powers(1.0 + r, k // 2) * (2.0 + ck * (v + vp))
     del r
     kept = np.flatnonzero(~(added[:, 0] <= spread(tol_lines, slice(None))))
     c, d, Q, vp, alpha, beta = (a[kept] for a in (c, d, Q, vp, alpha, beta))
@@ -520,11 +553,12 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
         t, al, be = t0[grow], alpha[grow], beta[grow]
         hl = half_line[grow] if n_pairs > 1 else half_line
         mlo, mhi = m_lo[grow], m_hi[grow]
-        lo_g = _side_tails(t - (mlo - 1.0), al, be, k)
+        # both sides of the window in one call
+        lo_g, hi_g = _side_tails(np.array((t - (mlo - 1.0), (mhi + 1.0) - t)),
+                                 al, be, k)
         grew = lo_g > hl
         step = np.maximum(4.0, (mhi - mlo + 1.0) // 2.0)
         mlo = np.where(grew, mlo - step, mlo)
-        hi_g = _side_tails((mhi + 1.0) - t, al, be, k)
         up = hi_g > hl
         step = np.maximum(4.0, (mhi - mlo + 1.0) // 2.0)
         mhi = np.where(up, mhi + step, mhi)
@@ -610,17 +644,17 @@ def _exact_sums(chunks, n_rows: int) -> list:
     of its fraction cleared, and lo = value - hi, below 2^26 quanta, and
     np.bincount sums the his and the los of each bucket.  A bucket's sum of
     up to 2^26 values is then a multiple of its quantum below 2^53 of them,
-    so float64 holds it exactly; after every 2^26 values of a row, Python
-    ints take the buckets over, and the correctly rounded int / int
-    division gives the double.  Where the exact sum is zero, it is -0.0 if
-    every value is -0.0 and fsum gives -0.0 for that, else 0.0; a row with
-    an inf or a nan sums to what fsum gives for its non-finite values,
-    which is what fsum gives for the row.  A bucket sum that overflows,
-    which only values near the top of the double range can make, raises
-    OverflowError, as fsum does where its partial sums overflow; no term of
-    a kernel sum is above 1.
+    so float64 holds it exactly; after every 2^26 values of a row, the
+    nonzero bucket sums are set aside, and the row's sum is one math.fsum
+    of all it set aside, the correctly rounded sum of exact doubles.  Where
+    the exact sum is zero, it is -0.0 if every value is -0.0 and fsum gives
+    -0.0 for that, else 0.0; a row with an inf or a nan sums to what fsum
+    gives for its non-finite values, which is what fsum gives for the row.
+    A bucket sum that overflows, which only values near the top of the
+    double range can make, raises OverflowError, as fsum does where its
+    partial sums overflow; no term of a kernel sum is above 1.
     """
-    totals = [0] * n_rows
+    parts = [[] for _ in range(n_rows)]  # the nonzero bucket sums set aside
     his, los = np.zeros((n_rows, _EXPONENTS)), np.zeros((n_rows, _EXPONENTS))
     held = 0  # values per row in his and los
     specials = [[] for _ in range(n_rows)]
@@ -630,10 +664,11 @@ def _exact_sums(chunks, n_rows: int) -> list:
         for r in range(n_rows):
             if specials[r]:
                 continue
-            for x in [*his[r][his[r] != 0.0].tolist(),
-                      *los[r][los[r] != 0.0].tolist()]:
-                n, d = x.as_integer_ratio()
-                totals[r] += n << (1075 - d.bit_length())  # x 2^1074
+            found = np.concatenate((his[r][his[r] != 0.0],
+                                    los[r][los[r] != 0.0]))
+            if not np.isfinite(found).all():
+                raise OverflowError("a bucket sum overflows")
+            parts[r] += found.tolist()
         his[:], los[:] = 0.0, 0.0
 
     # inf - inf, in lo, and an overflowing bucket sum make no warning
@@ -659,12 +694,10 @@ def _exact_sums(chunks, n_rows: int) -> list:
     flush()
     sums = []
     for r in range(n_rows):
-        if specials[r]:
-            sums.append(math.fsum(specials[r]))
-        elif totals[r]:
-            sums.append(totals[r] / _SCALE)
-        else:
-            sums.append(math.fsum((-0.0,)) if neg_zero[r] and held else 0.0)
+        total = math.fsum(specials[r] or parts[r])
+        if not total and not specials[r] and neg_zero[r] and held:
+            total = math.fsum((-0.0,))
+        sums.append(total)
     return sums
 
 

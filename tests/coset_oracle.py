@@ -3,8 +3,10 @@ modgroup.coset_arrays and kernel._array_lines must reproduce bit for bit.
 
 Each is the plain form of its array counterpart, one coset at a time in
 Python ints and floats, with every exp, log, log1p, expm1, atan2 and
-square libm's.  The loop reads kernel._MAX_LINE_TERMS and kernel._MAX_GROWTH,
-and coset_table modgroup.MAX_COSETS, when called, so a test may patch them.
+square libm's, and every power h^(-k/2) the binary powering of
+kernel._inverse_powers, not libm's pow.  The loop reads
+kernel._MAX_LINE_TERMS and kernel._MAX_GROWTH, and coset_table
+modgroup.MAX_COSETS, when called, so a test may patch them.
 """
 
 import math
@@ -30,16 +32,29 @@ def coset_table(z: Point, R: float) -> list:
     return cosets
 
 
-def side_tail(M: float, alpha: float, beta: float, k: float) -> float:
+def inverse_power(h: float, n: int) -> float:
+    """kernel._inverse_powers at one base h, in Python floats."""
+    base = 1.0 / h
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
+def side_tail(M: float, alpha: float, beta: float, k: int) -> float:
     """kernel._side_tails at one offset M > 0, in Python floats."""
     h = 1.0 + (M * M + beta) / alpha
-    f = math.exp(-0.5 * k * math.log(h))
+    f = inverse_power(h, k // 2)
     return f * (1.0 + alpha * h / (M * (k - 2.0)))
 
 
 def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
                  tail: float, series: bool = True):
-    """The coset loop, one (c, d, Q) triple at a time in scalar libm
+    """The coset loop, one (c, d, Q) triple at a time in scalar
     arithmetic.
 
     A coset whose whole line is below tol_line is pruned.  Every other
@@ -58,7 +73,6 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
     y, x = z.y, z.x
     v, uw = w.y, w.x
     ck = kernel._profile_constant(k)
-    nhk = -0.5 * k
     half_line = 0.5 * tol_line
     u_cut = (tol_line / 8.0) ** (-2.0 / k) - 1.0
     L = -math.log(tol_line)
@@ -80,7 +94,7 @@ def scalar_lines(cosets, z: Point, w: Point, k: int, tol_line: float,
         else:  # the same ratio with no square
             r = (v - vp) / (2.0 * math.sqrt(v) * math.sqrt(vp))
             ratio = r * r
-        g_max = math.exp(nhk * math.log1p(ratio))
+        g_max = inverse_power(1.0 + ratio, k // 2)
         lf = 2.0 + ck * (v + vp)
         if g_max * lf <= tol_line:
             tail += g_max * lf

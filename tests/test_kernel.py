@@ -34,7 +34,7 @@ from cuspkernel.modgroup import (
     translate_into_strip,
 )
 
-from coset_oracle import coset_table, scalar_lines
+from coset_oracle import coset_table, inverse_power, scalar_lines
 from radius_oracle import dyadic_radius
 from test_modgroup import brute_force_sl2, mp_reduction, one_table
 from test_halfplane import random_gamma, random_point
@@ -175,6 +175,11 @@ class TestBergmanR:
         res = bergman_R(z, z, WeightConfig(40, 1e-12))
         oracle = brute_force_R(z, z, 40, entry_bound=8)
         assert abs(res.value - oracle) < 1e-9
+
+    def test_a_float_weight_is_its_int(self):
+        z = Point(0.1, 1.2)
+        assert (bergman_R(z, z, WeightConfig(12.0, 1e-10))
+                == bergman_R(z, z, WeightConfig(12, 1e-10)))
 
     def test_bulk_point(self):
         res = bergman_R(BULK, BULK, WeightConfig(1600, 1e-9))
@@ -397,9 +402,9 @@ class TestBergmanR:
 
     def test_array_stage_memory_per_coset(self):
         # 41k cosets, none of them pruned, and 13k terms: the peak is the
-        # array coset loop's, a few float64 columns of the table and one
-        # list of Python floats at a time for libm (about 290 bytes a kept
-        # coset)
+        # array coset loop's, a few float64 columns of the table and, in
+        # the first round of growth, both side tails of every window at
+        # once (about 313 bytes a kept coset)
         z = Point(0.159202, 0.080638)
         cfg = WeightConfig(12, 1e-12)
         direct(z, cfg)
@@ -576,12 +581,45 @@ class TestArrayCosetLoop:
         assert out[0] == out[1] == ("m-line window failed to converge", 0.5)
 
 
-def test_the_coset_loop_under_the_avx2_dispatch():
-    # numpy's AVX-512 exp, log1p and arctan2 round some arguments apart
-    # from its AVX2 ones; the coset loop and the weight-4 sum read none of
-    # them, so the loop's cases and the golden certificate lines pass in a
-    # child whose numpy takes its AVX2 kernels, as on a host without
-    # AVX-512
+class TestInversePowers:
+    # kernel._inverse_powers, which prices the pruned cosets and the side
+    # tails, is the oracle's Python-float powering bit for bit, and within
+    # (2n + popcount(n)) 2^-53 relative of the exact power
+
+    SPECIAL = [1.0, 1.0 + 2.0 ** -52, 1e300, math.inf, math.nan]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 100, 600, 500_000])
+    def test_bit_for_bit_the_oracle(self, n):
+        gen = rng(n)
+        top = min(800.0 / n, 700.0)  # to past underflow, for n >= 2
+        h = np.concatenate((np.exp(gen.uniform(0.0, top, 300)),
+                            1.0 + 10.0 ** gen.uniform(-17.0, 3.0, 300),
+                            self.SPECIAL))
+        got = kernel._inverse_powers(h, n).tolist()
+        want = [inverse_power(b, n) for b in h.tolist()]
+        assert all(map(same_float, got, want))
+        assert got[-5] == 1.0 and got[-4] < 1.0
+        assert got[-3] == (1.0 / 1e300 if n == 1 else 0.0)
+        assert got[-2] == 0.0 and math.isnan(got[-1])
+
+    @pytest.mark.parametrize("n", [2, 6, 100, 600, 500_000])
+    def test_within_the_bound_of_mpmath(self, n):
+        # bases whose power is at least e^-700, a normal double
+        gen = rng(n + 1)
+        h = np.concatenate((np.exp(gen.uniform(0.0, 700.0 / n, 200)),
+                            self.SPECIAL[:2]))
+        got = kernel._inverse_powers(h, n).tolist()
+        bound = (2 * n + bin(n).count("1")) * 2.0 ** -53
+        with mp.workdps(50):
+            worst = max(abs(mp.mpf(g) * mp.mpf(b) ** n - 1)
+                        for g, b in zip(got, h.tolist()))
+        assert worst <= bound
+
+
+def avx2_env():
+    """The environment of a child whose numpy takes its AVX2 kernels, as on
+    a host without AVX-512, with src on its path; skips the test where numpy
+    cannot disable the AVX-512 features."""
     env = dict(os.environ,
                NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -591,6 +629,15 @@ def test_the_coset_loop_under_the_avx2_dispatch():
         capture_output=True, text=True, env=env, timeout=120)
     if probe.returncode or "cannot disable" in probe.stderr:
         pytest.skip(f"numpy cannot disable those features: {probe.stderr}")
+    return env
+
+
+def test_the_coset_loop_under_the_avx2_dispatch():
+    # numpy's AVX-512 exp, log1p and arctan2 round some arguments apart
+    # from its AVX2 ones; the coset loop and the weight-4 sum read none of
+    # them, so the loop's cases and the golden certificate lines pass in a
+    # child whose numpy takes its AVX2 kernels
+    env = avx2_env()
     golden = [f"{__file__}::TestGoldenRegimes::test_bit_identical[{name}]"
               for name in TestGoldenRegimes.CASES
               if name.startswith(("offdiagonal_sum_bound", "residual_certificate"))]
@@ -601,6 +648,25 @@ def test_the_coset_loop_under_the_avx2_dispatch():
         capture_output=True, text=True, env=env, timeout=600,
         cwd=Path(__file__).resolve().parent)
     assert proc.returncode == 0, proc.stdout[-3000:]
+
+
+def test_the_tail_under_the_avx2_dispatch():
+    # the tail, terms and cosets of a weight-12 sum of 4219 cosets, whose
+    # pruned cosets and side tails _inverse_powers prices, are the same in a
+    # child whose numpy takes its AVX2 kernels; its value is not, as the
+    # term pass reads numpy's exp, log1p and arctan2
+    env = avx2_env()
+    code = ("from cuspkernel import Point, WeightConfig, bergman_R\n"
+            "z = Point(0.13, 1.1)\n"
+            "r = bergman_R(z, z, WeightConfig(12, 1e-14))\n"
+            "print(repr((r.tail_bound, r.terms_used, r.cosets_used)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    r = bergman_R(BULK, BULK, WeightConfig(12, 1e-14))
+    assert r.cosets_used == 4219
+    assert proc.stdout.strip() == repr((r.tail_bound, r.terms_used,
+                                        r.cosets_used))
 
 
 def scalar_radii(points, k, tol):
@@ -834,6 +900,15 @@ class TestExactSum:
             math.fsum([math.inf, -math.inf])
         with pytest.raises(ValueError):
             exact_sum([math.inf, -math.inf])
+
+    def test_overflow(self):
+        # a bucket sum past the largest double, and finite bucket sums
+        # whose total is
+        for a in ([1.7e308, 1e308], [1.7e308, 8e307]):
+            with pytest.raises(OverflowError):
+                math.fsum(a)
+            with pytest.raises(OverflowError):
+                exact_sum(a)
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_lengths_about_a_chunk(self, n):
