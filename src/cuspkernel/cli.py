@@ -119,12 +119,7 @@ def cmd_scan(args) -> int:
     grid, rows = itertools.product(ys, xs), []
     while batch := list(itertools.islice(grid, SCAN_BATCH)):
         y, x = np.array(batch).T
-        try:
-            values, tails, terms = bergman_R_diagonal(x, y, cfg)
-        except (CuspKernelError, ValueError, OverflowError):
-            for py, px in batch:  # raise the first failing point's error
-                bergman_R(Point(px, py), Point(px, py), cfg)
-            raise
+        values, tails, terms = bergman_R_diagonal(x, y, cfg)
         rows += zip(x.tolist(), y.tolist(), itertools.repeat(args.k),
                     values.real.tolist(), values.imag.tolist(),
                     tails.tolist(), terms.tolist())

@@ -14,14 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CuspKernelError,
-    CutoffExceeded,
-    NoCuspForms,
-    SupportViolation,
-)
-from .halfplane import Point
-from .kernel import WeightConfig, _libm, bergman_R, bergman_R_diagonal
+from .errors import CuspKernelError, NoCuspForms, SupportViolation
+from .kernel import WeightConfig, _libm, bergman_R_diagonal
 from .modgroup import elliptic_points_in_strip
 from .quadrature import adaptive
 
@@ -162,22 +156,12 @@ class IntegralResult(NamedTuple):
 
 
 def measure_density(z, cfg: WeightConfig):
-    """(density, certified error) at z: the density is
+    """(density, certified error) at the Point z: the density is
     (k-1)/(8 pi dim) * R_k(z, z), its error the same multiple of the kernel's
     tail bound.  The imaginary part of the kernel on the diagonal must
-    vanish within that tail.
-
-    z is a Point, or a list of Points, for which both are arrays, the same
-    as at each point on its own, bit for bit (_densities, over the points'
-    coordinates); a list raises the error of its first point that would
-    raise one on its own."""
-    if isinstance(z, Point):
-        normalization = _normalization(cfg)
-        res = bergman_R(z, z, cfg)
-        _check_imaginary_part(res.value.imag, res.tail_bound)
-        return normalization * res.value.real, normalization * res.tail_bound
-    return _densities(np.array([p.x for p in z]), np.array([p.y for p in z]),
-                      cfg)
+    vanish within that tail.  It is _densities at the one point."""
+    dens, errs = _densities(np.array([z.x]), np.array([z.y]), cfg)
+    return float(dens[0]), float(errs[0])
 
 
 def _normalization(cfg: WeightConfig) -> float:
@@ -189,29 +173,20 @@ def _normalization(cfg: WeightConfig) -> float:
 
 
 def _densities(x, y, cfg: WeightConfig):
-    """measure_density at the points x + iy (two float arrays), as arrays
-    of densities and of their errors, through bergman_R_diagonal: the
-    values of measure_density at each point, bit for bit, or the error of
-    the first point that raises one there."""
+    """The densities at the points x + iy (two float arrays) and their
+    errors, as two arrays, from one bergman_R_diagonal call: at each point,
+    bit for bit, measure_density there.  A failing kernel raises what its
+    first failing point raises on its own.  Unlike a loop, the imaginary
+    parts are checked only once the whole batch has returned, so where a
+    kernel defect gave an earlier point a spurious imaginary part and a
+    later point fails, the later point's kernel error is raised."""
     normalization = _normalization(cfg)
-    try:
-        values, tails, _ = bergman_R_diagonal(x, y, cfg)
-    except CutoffExceeded:
-        for point in map(Point, x.tolist(), y.tolist()):
-            measure_density(point, cfg)
-        raise
+    values, tails, _ = bergman_R_diagonal(x, y, cfg)
     spurious = np.flatnonzero(np.abs(values.imag) > tails + 1e-9)
     if spurious.size:
-        j = spurious[0]
-        _check_imaginary_part(values.imag[j], tails[j])
+        raise CuspKernelError(f"diagonal kernel has spurious imaginary part "
+                              f"{values.imag[spurious[0]]:.3e}")
     return normalization * values.real, normalization * tails
-
-
-def _check_imaginary_part(imag: float, tail: float) -> None:
-    if abs(imag) > tail + 1e-9:
-        raise CuspKernelError(
-            f"diagonal kernel has spurious imaginary part {imag:.3e}"
-        )
 
 
 def _integrand(p, x, y, w, cfg: WeightConfig):

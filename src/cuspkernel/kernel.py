@@ -81,7 +81,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .errors import CutoffExceeded
+from .errors import CuspKernelError, CutoffExceeded
 from .halfplane import (
     GammaMatrix,
     Point,
@@ -444,8 +444,8 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     term N is within the budget, and adds that rest.  Every direct line
     gets a window [m_lo, m_hi], grown in rounds, lo's step and then hi's,
     until both side tails are below half the budget, and adds lo, then hi.
-    Each pair's tail takes its additions in coset order (np.add.accumulate
-    along one row per pair, as long as the longest table).
+    Each pair's tail takes its additions in coset order (one np.bincount,
+    which adds each bin's weights in input order).
 
     The bits are those of a loop over one coset at a time in scalar
     arithmetic, which the tests keep as the oracle: numpy does only exactly
@@ -572,28 +572,22 @@ def _array_lines(cosets, xs, ys, us, vs, k: int, tol_lines, tails):
     added[kept, 0] = lo
     added[kept, 1] = hi
     del t0, lo, hi
-    # one row per pair: its starting tail, then two additions per coset
-    first = np.searchsorted(owner, np.arange(n_pairs))
-    pos = np.arange(len(owner)) - first[owner]
-    acc = np.zeros((n_pairs, 2 * int(pos.max(initial=0)) + 3))
-    acc[:, 0] = tails
-    at = owner * acc.shape[1] + 2 * pos + 1
-    acc.reshape(-1)[at] = added[:, 0]
-    acc.reshape(-1)[at + 1] = added[:, 1]
-    del at, added
-    acc = np.add.accumulate(acc, axis=1)
     if bad.any():
         b = np.flatnonzero(bad)[0]
         i = kept[b]
-        tail = float(acc[owner[i], 2 * pos[i]])  # before coset i
-        if stuck[b]:
-            raise CutoffExceeded("m-line window failed to converge",
-                                 best_tail_bound=tail)
-        if not wide[b]:
-            tail = float(acc[owner[i], 2 * pos[i] + 2])  # with its additions
-        raise CutoffExceeded("m-line window too large", best_tail_bound=tail)
-    tails = acc[:, -1]
-    del acc, pos, d, Q
+        # its pair's tail before coset i, or with its additions
+        first = np.searchsorted(owner, owner[i])
+        end = i if stuck[b] or wide[b] else i + 1
+        tail = float(np.add.accumulate(np.concatenate(
+            ([tails[owner[i]]], added[first:end].ravel())))[-1])
+        raise CutoffExceeded("m-line window failed to converge" if stuck[b]
+                             else "m-line window too large",
+                             best_tail_bound=tail)
+    # bincount adds each pair's weights one after another, in input order:
+    # its starting tail, then two additions per coset
+    tails = np.bincount(np.concatenate((np.arange(n_pairs), owner.repeat(2))),
+                        np.concatenate((tails, added.ravel())))
+    del added, d, Q
 
     count = (m_hi - m_lo + 1.0).astype(np.int64)
     live = count > 0
@@ -851,11 +845,23 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
     from one lockstep pass (_lattice_radii).  Consecutive points whose
     tables are expected to hold _PASS_COSETS cosets together share one
     kernel pass (_kernel_pass), with no Python object per point but for
-    the points to be reduced.  A batch makes no numpy warning.  Where some
-    point fails, CutoffExceeded is raised, but not necessarily that of the
-    first point to fail in a loop of bergman_R calls; measure_density and
-    the scan command, which call this, find that one.
+    the points to be reduced.  A batch makes no numpy warning.
+
+    Where some point fails, the batch raises what a loop of bergman_R
+    calls raises, the error of the first point that fails on its own (its
+    type, message and best_tail_bound): on a CuspKernelError, ValueError or
+    OverflowError it runs its points through bergman_R in order.
     """
+    try:
+        return _diagonal_batch(x, y, cfg)
+    except (CuspKernelError, ValueError, OverflowError):
+        for z in map(Point, x.tolist(), y.tolist()):
+            bergman_R(z, z, cfg)
+        raise
+
+
+def _diagonal_batch(x, y, cfg: WeightConfig):
+    """bergman_R_diagonal, but the error of any failing point."""
     k, tol = cfg.k, 0.5 * cfg.tol
     invalid = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y) & (y > 0.0)))
     if invalid.size:  # the first is no Point: raise its ValueError
@@ -874,7 +880,7 @@ def bergman_R_diagonal(x, y, cfg: WeightConfig):
         values[s:e], tails[s:e], terms[s:e], _ = _kernel_pass(
             x[s:e], y[s:e], x[s:e], y[s:e], R0[s:e], tail[s:e], k, tol)
     over = tails[~(tails <= cfg.tol)]
-    if over.size:  # the first point's, as bergman_R raises it
+    if over.size:
         _check_tail(float(over[0]), cfg.tol)
     return values, tails, terms
 

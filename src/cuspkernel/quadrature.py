@@ -24,6 +24,9 @@ import numpy as np
 
 from .errors import CutoffExceeded
 
+# panels an interval may split into before its integral cuts off
+MAX_PANELS = 2000
+
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the 33-digit
 # QUADPACK qk15 nodes and weights, rounded to double by the parser.
 _XGK = (
@@ -95,11 +98,11 @@ def _gk15(f, lo, hi):
     return k15 * half, np.abs(k15 - g7) * np.abs(half), extra * np.abs(half)
 
 
-def _lockstep(f, intervals, rtol, atol, max_panels):
+def _lockstep(f, intervals, rtol, atol):
     """The adaptive driver over (a, b, breakpoints) intervals, all in
     lockstep: one f(t, i) call per round.  Returns one (integral,
     quad_error, extra_error, nodes) tuple per interval.  Where intervals hit
-    max_panels, the first of them raises CutoffExceeded, as in a loop of
+    MAX_PANELS, the first of them raises CutoffExceeded, as in a loop of
     one-interval calls, which would not reach the later ones."""
     n = len(intervals)
     heaps = [[] for _ in range(n)]
@@ -129,7 +132,7 @@ def _lockstep(f, intervals, rtol, atol, max_panels):
             integral = sum(item[4] for item in heap)
             quad_err = sum(item[5] for item in heap)
             done = quad_err <= max(atol, rtol * abs(integral))
-            if not done and panels[j] >= max_panels:
+            if not done and panels[j] >= MAX_PANELS:
                 failed = CutoffExceeded(
                     f"quadrature error {quad_err:.3e} above tolerance after "
                     f"{panels[j]} panels",
@@ -152,7 +155,7 @@ def _lockstep(f, intervals, rtol, atol, max_panels):
     return results
 
 
-def adaptive(f, a, b, *, rtol=1e-6, atol=0.0, breakpoints=(), max_panels=2000):
+def adaptive(f, a, b, *, rtol=1e-6, atol=0.0, breakpoints=()):
     """Adaptive integral of f over [a, b].
 
     f(t) takes an array of nodes and returns their values or a (values,
@@ -160,7 +163,7 @@ def adaptive(f, a, b, *, rtol=1e-6, atol=0.0, breakpoints=(), max_panels=2000):
     breakpoints inside (a, b) seed the initial panel layout (feature
     boundaries, jumps of indicator integrands, neighborhood edges).  Raises
     CutoffExceeded when the quadrature error is still above tolerance at
-    max_panels panels.
+    MAX_PANELS panels.
 
     With sequences a and b (and then one sequence of breakpoints per
     interval, or none), the intervals are integrated in lockstep by
@@ -170,10 +173,9 @@ def adaptive(f, a, b, *, rtol=1e-6, atol=0.0, breakpoints=(), max_panels=2000):
     every interval.
     """
     if isinstance(a, (int, float)):
-        [res] = _lockstep(lambda t, _: f(t), [(a, b, breakpoints)], rtol, atol,
-                          max_panels)
+        [res] = _lockstep(lambda t, _: f(t), [(a, b, breakpoints)], rtol, atol)
         return res
     intervals = list(zip(a, b, breakpoints or [()] * len(a)))
-    results = _lockstep(f, intervals, rtol, atol, max_panels)
+    results = _lockstep(f, intervals, rtol, atol)
     return ([r[0] for r in results], [r[1] for r in results],
             [r[2] for r in results], sum(r[3] for r in results))

@@ -111,24 +111,35 @@ class TestMeasureDensity:
         ]
 
 
+def _coordinates(points):
+    return np.array([[p.x, p.y] for p in points]).T
+
+
 def _density_reprs(points, cfg):
-    dens, errs = measure_density(points, cfg)
+    dens, errs = equidist._densities(*_coordinates(points), cfg)
     return [repr((float(d), float(e))) for d, e in zip(dens, errs)]
 
 
+def _one_point_reprs(points, cfg):
+    """The density and its error at each point from bergman_R alone."""
+    normalization = equidist._normalization(cfg)
+    return [repr((normalization * res.value.real, normalization * res.tail_bound))
+            for res in (bergman_R(p, p, cfg) for p in points)]
+
+
 def _first_error(points, cfg):
-    """The error of the first point whose measure_density raises one."""
+    """The error of the first point whose bergman_R raises one."""
     for p in points:
         try:
-            measure_density(p, cfg)
+            bergman_R(p, p, cfg)
         except CuspKernelError as exc:
             return type(exc), str(exc), getattr(exc, "best_tail_bound", None)
     return None
 
 
 class TestBatchedDensity:
-    # measure_density over a list of points is, point for point, the
-    # one-point measure_density, bit for bit, and raises what the first
+    # the densities of a batch of points are, point for point, the
+    # normalized bergman_R, bit for bit, and a batch raises what the first
     # point to fail would raise on its own
 
     @pytest.mark.parametrize("k, tol, n", [(1200, 1e-9, 60), (24, 1e-12, 30)])
@@ -142,7 +153,7 @@ class TestBatchedDensity:
         cfg = WeightConfig(k, tol)
         below = [p.x * p.x + p.y * p.y < 1.0 for p in points]
         assert 0 < sum(below) < n
-        want = [repr(measure_density(p, cfg)) for p in points]
+        want = _one_point_reprs(points, cfg)
         assert _density_reprs(points, cfg) == want
 
     def test_low_points(self):
@@ -151,7 +162,7 @@ class TestBatchedDensity:
         points = [Point(0.3, 0.3), Point(-0.2, 0.5), Point(0.13, 1.1),
                   Point(0.4, 0.6)]
         assert all(bergman_R(p, p, cfg).cosets_used >= 100 for p in points)
-        want = [repr(measure_density(p, cfg)) for p in points]
+        want = _one_point_reprs(points, cfg)
         assert _density_reprs(points, cfg) == want
 
     @pytest.mark.parametrize("k, tol", [(1200, 1e-9), (24, 1e-12)])
@@ -161,7 +172,7 @@ class TestBatchedDensity:
         cfg = WeightConfig(k, tol)
         points = [Point(x, y) for x in (0.5, -0.5, 1.5, 2.5, -7.3, 0.13)
                   for y in (1.05, 1.9)]
-        want = [repr(measure_density(p, cfg)) for p in points]
+        want = _one_point_reprs(points, cfg)
         assert _density_reprs(points, cfg) == want
 
     @pytest.mark.parametrize("n", [1, 15])
@@ -171,7 +182,7 @@ class TestBatchedDensity:
         points = [Point(float(gen.uniform(-0.5, 0.5)), float(gen.uniform(0.9, 2.2)))
                   for _ in range(n)]
         for cfg in (WeightConfig(1200, 1e-9), WeightConfig(12, 1e-12)):
-            want = [repr(measure_density(p, cfg)) for p in points]
+            want = _one_point_reprs(points, cfg)
             assert _density_reprs(points, cfg) == want
 
     def test_a_batch_far_up_makes_no_warning(self):
@@ -180,7 +191,7 @@ class TestBatchedDensity:
         # series, and numpy writes no warning on the way
         cfg = WeightConfig(1200, 1e-9)
         points = [Point(0.13, y) for y in (1e200, 3e200, 1e201)]
-        want = [repr(measure_density(p, cfg)) for p in points]
+        want = _one_point_reprs(points, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _density_reprs(points, cfg) == want
@@ -188,7 +199,7 @@ class TestBatchedDensity:
     def test_no_cusp_forms(self):
         points = [Point(0.1, 1.2), Point(0.0, 1.0)]
         with pytest.raises(NoCuspForms, match="weight 14 has no cusp forms"):
-            measure_density(points, WeightConfig(14, 1e-9))
+            equidist._densities(*_coordinates(points), WeightConfig(14, 1e-9))
 
     def test_the_first_failure_is_raised(self, monkeypatch):
         # with m-lines capped at 9 terms, 0.13+0.95i and 0.05+1.05i fail in
@@ -205,7 +216,7 @@ class TestBatchedDensity:
                        [fail[0], low], [low, fail[0]], [ok[1], low, ok[0]]):
             want = _first_error(points, cfg)
             with pytest.raises(CuspKernelError) as exc:
-                measure_density(points, cfg)
+                equidist._densities(*_coordinates(points), cfg)
             assert (type(exc.value), str(exc.value),
                     getattr(exc.value, "best_tail_bound", None)) == want
 

@@ -1168,6 +1168,26 @@ class TestDiagonalRoutes:
         with pytest.raises(CutoffExceeded):
             kernel._lattice_radius(batch[4], batch[4], 12, 0.5e-12)
 
+    def test_batch_raises_the_first_failing_point(self):
+        # at k 12 both points fail: 0.1+1e100i at its lattice radius, and
+        # 0+1e-310i, whose image is above the largest float, earlier in
+        # the batch's passes; the batch raises what the first raises alone
+        cfg = WeightConfig(12)
+        batch = [Point(0.1, 1e100), Point(0.0, 1e-310)]
+        errors = []
+        for p in batch:
+            with pytest.raises(CutoffExceeded) as one:
+                bergman_R(p, p, cfg)
+            errors.append((type(one.value), str(one.value),
+                           one.value.best_tail_bound))
+        assert errors[0] != errors[1]
+        x, y = np.array([[p.x, p.y] for p in batch]).T
+        with pytest.raises(CutoffExceeded) as got:
+            kernel.bergman_R_diagonal(x, y, cfg)
+        assert (type(got.value), str(got.value),
+                got.value.best_tail_bound) == errors[0]
+        assert "tail bound 6.899e+32 not reachable" in errors[0][1]
+
 
 class TestMainTerm:
     def test_diagonal_is_two(self):

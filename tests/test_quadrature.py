@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cuspkernel import CutoffExceeded
+from cuspkernel import quadrature
 from cuspkernel.quadrature import _gk15, adaptive
 
 
@@ -53,9 +54,10 @@ def test_empty_interval():
     assert adaptive(lambda x: 1.0, 2.0, 2.0) == (0.0, 0.0, 0.0, 0)
 
 
-def test_stops_loudly_at_the_panel_cap():
+def test_stops_loudly_at_the_panel_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     with pytest.raises(CutoffExceeded) as exc:
-        adaptive(lambda x: np.sin(1 / x), 1e-4, 1, rtol=1e-12, max_panels=50)
+        adaptive(lambda x: np.sin(1 / x), 1e-4, 1, rtol=1e-12)
     assert exc.value.best_tail_bound > 1e-12
 
 
@@ -110,23 +112,24 @@ def test_lockstep_equals_separate_calls(which):
     assert [seen.count(j) for j in range(len(which))] == [r[3] for r in alone]
 
 
-def test_lockstep_raises_the_first_panel_cap():
+def test_lockstep_raises_the_first_panel_cap(monkeypatch):
     # intervals 1 and 3 hit the cap, 3 first: it starts with 5 panels.  A
     # loop of one-interval calls would stop at interval 1
     funcs = [FUNCS[0], FUNCS[4], FUNCS[3], FUNCS[4]]
     intervals = [INTERVALS[0], INTERVALS[4], INTERVALS[3],
                  (1e-5, 0.5, (0.1, 0.2, 0.3, 0.4))]
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     caps = []
     for j in (1, 3):
         with pytest.raises(CutoffExceeded) as alone:
             adaptive(funcs[j], *intervals[j][:2], rtol=1e-12,
-                     breakpoints=intervals[j][2], max_panels=50)
+                     breakpoints=intervals[j][2])
         caps.append((str(alone.value), alone.value.best_tail_bound))
     assert caps[0] != caps[1]
     with pytest.raises(CutoffExceeded) as lockstep:
         adaptive(_counting(funcs, []), [a for a, _, _ in intervals],
                  [b for _, b, _ in intervals], rtol=1e-12,
-                 breakpoints=[p for _, _, p in intervals], max_panels=50)
+                 breakpoints=[p for _, _, p in intervals])
     assert (str(lockstep.value), lockstep.value.best_tail_bound) == caps[0]
 
 
